@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"dynplace/internal/core"
 )
 
 func TestRunScaleSweepSmall(t *testing.T) {
@@ -70,5 +72,31 @@ func TestRunShardSweepSmall(t *testing.T) {
 	table := ShardSweepTable(rows)
 	if !strings.Contains(table, "IDENTICAL") || !strings.Contains(table, "ok") {
 		t.Fatalf("ShardSweepTable:\n%s", table)
+	}
+}
+
+// TestScaleProblemVerifyIncremental runs the scale sweep's problem at
+// 200 nodes with every incremental candidate evaluation cross-checked
+// against a full Evaluate, sequentially and on the worker pool: the
+// touched-node feasibility shortcut and the reused evaluation state
+// must agree with a from-scratch evaluation on every candidate.
+func TestScaleProblemVerifyIncremental(t *testing.T) {
+	var candidates int
+	for _, par := range []int{1, 4} {
+		p, err := buildScaleProblem(DefaultScaleSweepOptions(), 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.VerifyIncremental = true
+		p.Parallelism = par
+		res, err := core.Optimize(p)
+		if err != nil {
+			t.Fatalf("Parallelism %d: %v", par, err)
+		}
+		if par == 1 {
+			candidates = res.CandidatesEvaluated
+		} else if res.CandidatesEvaluated != candidates {
+			t.Fatalf("Parallelism %d evaluated %d candidates, sequential %d", par, res.CandidatesEvaluated, candidates)
+		}
 	}
 }
