@@ -64,7 +64,7 @@ func OptimizeAnnealing(p *Problem, opts AnnealingOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.CandidatesEvaluated++
+	res.count(ev)
 	if !ev.Feasible {
 		return nil, ErrBadProblem
 	}
@@ -84,7 +84,7 @@ func OptimizeAnnealing(p *Problem, opts AnnealingOptions) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.CandidatesEvaluated++
+		res.count(candEval)
 		if !candEval.Feasible {
 			continue
 		}

@@ -30,14 +30,16 @@ func evaluateWith(p *Problem, pl *Placement, al *allocator) (*Evaluation, error)
 	defer al.release()
 	perApp, shares, ok := al.solve()
 	if !ok {
-		return &Evaluation{Feasible: false}, nil
+		return &Evaluation{Feasible: false, Probes: al.probes, FlowSolves: al.flowSolves}, nil
 	}
 
 	ev := &Evaluation{
-		Feasible:  true,
-		PerApp:    perApp,
-		WebShares: shares,
-		Utilities: make([]float64, len(p.Apps)),
+		Feasible:   true,
+		PerApp:     perApp,
+		WebShares:  shares,
+		Utilities:  make([]float64, len(p.Apps)),
+		Probes:     al.probes,
+		FlowSolves: al.flowSolves,
 	}
 
 	horizon := p.Now + p.Cycle

@@ -35,6 +35,10 @@ type goldenRecord struct {
 	// Explain hashes every AppDecision of Explain(p, res, nil).
 	Explain    string `json:"explain"`
 	Candidates int    `json:"candidates"`
+	// Probes and FlowSolves are the solver's work counters: the same
+	// before and after an optimisation that only makes the work cheaper.
+	Probes     int `json:"probes"`
+	FlowSolves int `json:"flow_solves"`
 }
 
 type hasher struct{ buf []byte }
@@ -100,6 +104,7 @@ func goldenOf(t *testing.T, p *Problem) goldenRecord {
 	}
 	rec.Result = h.sum()
 	rec.Candidates = res.CandidatesEvaluated
+	rec.Probes, rec.FlowSolves = res.Probes, res.FlowSolves
 
 	full, err := Evaluate(p, res.Placement)
 	if err != nil {

@@ -22,6 +22,11 @@ type Result struct {
 	// pipeline discards are excluded, so the value is identical at
 	// every Parallelism setting.
 	CandidatesEvaluated int
+	// Probes and FlowSolves sum Evaluation.Probes and FlowSolves over the
+	// same replayed evaluations CandidatesEvaluated counts, so they too
+	// are identical at every Parallelism setting: the solver's work in
+	// units that do not depend on the machine.
+	Probes, FlowSolves int
 	// Repaired reports that the input placement violated constraints
 	// (e.g. after a node loss) and instances were evicted to recover.
 	Repaired bool
@@ -75,7 +80,7 @@ func Optimize(p *Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.CandidatesEvaluated++
+	res.count(best)
 	if !best.Feasible {
 		return nil, fmt.Errorf("%w even after repair", ErrInfeasible)
 	}
@@ -93,7 +98,9 @@ func Optimize(p *Problem) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.CandidatesEvaluated += len(webCands)
+		for _, ev := range evs {
+			res.count(ev)
+		}
 		adopted := false
 		for i, cand := range webCands {
 			ev := evs[i]
@@ -151,7 +158,9 @@ func Optimize(p *Problem) (*Result, error) {
 				// the window tail discarded after an adoption is scored
 				// again next iteration, so the total matches the
 				// sequential solver's at every Parallelism.
-				res.CandidatesEvaluated += counts[w]
+				for _, ev := range nodeEvs {
+					res.count(ev)
+				}
 				n++
 				var bestCand *Placement
 				var bestEval *Evaluation
@@ -213,6 +222,13 @@ func Optimize(p *Problem) (*Result, error) {
 		res.Changes = current.Changes(NewPlacement(len(p.Apps)))
 	}
 	return res, nil
+}
+
+// count books one replayed evaluation into the result's work counters.
+func (r *Result) count(ev *Evaluation) {
+	r.CandidatesEvaluated++
+	r.Probes += ev.Probes
+	r.FlowSolves += ev.FlowSolves
 }
 
 // candidatesForNode generates the intermediate-loop configurations for

@@ -90,6 +90,10 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 		t.Fatalf("%s: candidates evaluated %d, sequential %d",
 			label, got.CandidatesEvaluated, want.CandidatesEvaluated)
 	}
+	if want.Probes != got.Probes || want.FlowSolves != got.FlowSolves {
+		t.Fatalf("%s: work counters (probes=%d flowSolves=%d), sequential (probes=%d flowSolves=%d)",
+			label, got.Probes, got.FlowSolves, want.Probes, want.FlowSolves)
+	}
 	if want.Eval.Vector.Compare(got.Eval.Vector) != 0 {
 		t.Fatalf("%s: utility vector %v, sequential %v",
 			label, got.Eval.Vector, want.Eval.Vector)

@@ -142,6 +142,11 @@ type Evaluation struct {
 	// OmegaG is the aggregate batch allocation Σ ω (the hypothetical
 	// function's input).
 	OmegaG float64
+	// Probes counts the bisection feasibility probes the allocation
+	// solve made for this placement, FlowSolves the max-flow runs among
+	// them (plus the one that splits web shares). They are work counts,
+	// set on infeasible evaluations too.
+	Probes, FlowSolves int
 }
 
 const (
@@ -189,6 +194,9 @@ type allocator struct {
 
 	frozen map[int]bool
 	fixed  map[int]float64 // allocation of frozen apps
+
+	// work counters, copied into the Evaluation.
+	probes, flowSolves int
 
 	// scratch
 	jobDemand []float64
@@ -387,6 +395,7 @@ func (al *allocator) memoryFits() bool {
 // apps keep their fixed allocations) fits node CPU capacities. When
 // raised >= 0, that app is probed at u+probeDelta instead.
 func (al *allocator) feasible(u float64, raised int) bool {
+	al.probes++
 	// Only nodes hosting jobs ever accumulate load; resetting and
 	// checking just those keeps each probe independent of cluster size.
 	for _, nd := range al.jobNodes {
@@ -480,6 +489,7 @@ func (al *allocator) routeWeb(webDemand []float64) (float64, error) {
 			return 0, err
 		}
 	}
+	al.flowSolves++
 	return g.MaxFlow(src, sink)
 }
 
@@ -624,6 +634,7 @@ func (al *allocator) distributeWeb(perApp []float64) map[int][]float64 {
 			continue
 		}
 	}
+	al.flowSolves++
 	if _, err := g.MaxFlow(src, sink); err != nil {
 		return shares
 	}

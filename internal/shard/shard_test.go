@@ -103,6 +103,10 @@ func TestSingleShardBitIdenticalToFlat(t *testing.T) {
 	if res.CandidatesEvaluated != flatRes.CandidatesEvaluated {
 		t.Fatalf("candidates %d, flat %d", res.CandidatesEvaluated, flatRes.CandidatesEvaluated)
 	}
+	if res.Probes != flatRes.Probes || res.FlowSolves != flatRes.FlowSolves || res.Probes == 0 {
+		t.Fatalf("work counters (probes=%d flowSolves=%d), flat (probes=%d flowSolves=%d)",
+			res.Probes, res.FlowSolves, flatRes.Probes, flatRes.FlowSolves)
+	}
 	for i := range p.Apps {
 		if res.Eval.PerApp[i] != flatRes.Eval.PerApp[i] {
 			t.Fatalf("app %d allocation %v, flat %v", i, res.Eval.PerApp[i], flatRes.Eval.PerApp[i])
@@ -529,5 +533,9 @@ func TestSingleShardIdenticalAfterChurn(t *testing.T) {
 	}
 	if res.CandidatesEvaluated != flatRes.CandidatesEvaluated {
 		t.Fatalf("candidates %d, flat %d", res.CandidatesEvaluated, flatRes.CandidatesEvaluated)
+	}
+	if res.Probes != flatRes.Probes || res.FlowSolves != flatRes.FlowSolves || res.Probes == 0 {
+		t.Fatalf("work counters (probes=%d flowSolves=%d), flat (probes=%d flowSolves=%d)",
+			res.Probes, res.FlowSolves, flatRes.Probes, flatRes.FlowSolves)
 	}
 }

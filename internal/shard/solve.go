@@ -542,6 +542,8 @@ func (c *Coordinator) merge(p *core.Problem, lay layout, st *cycleState,
 		}
 		merged.Eval.OmegaG += res.Eval.OmegaG
 		merged.CandidatesEvaluated += res.CandidatesEvaluated
+		merged.Probes += res.Probes
+		merged.FlowSolves += res.FlowSolves
 		merged.Repaired = merged.Repaired || res.Repaired
 		stats[s].Utilization = stats[s].AllocMHz / stats[s].CPUMHz
 		stats[s].Candidates = res.CandidatesEvaluated
