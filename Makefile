@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint staticcheck docs build test shuffle bench recovery-smoke bundle-smoke fuzz cover
+.PHONY: check fmt vet lint staticcheck docs build test shuffle bench dynbench dynbench-compare recovery-smoke bundle-smoke fuzz cover
 
 check: fmt vet lint staticcheck docs build test
 
@@ -55,8 +55,24 @@ shuffle:
 # BENCH_*.json rows in the working directory. The router sweep gates
 # dispatch ns/op and allocs/op against scripts/router_baseline.json;
 # the replay sweep gates forecast-driven control against reactive.
+# Then the two solver micro-benchmarks, which print the solver's work
+# counts (candidates, probes, flow solves per op) beside time and
+# allocations.
 bench:
 	BENCH_JSON_DIR=. $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep|BenchmarkChurnSweep|BenchmarkRecoverySweep|BenchmarkObsOverhead|BenchmarkRouterSweep|BenchmarkReplaySweep' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkOptimizerCycle|BenchmarkAllocationSolver' -benchmem -benchtime=5x .
+
+# The repository's benchmark (cmd/dynbench/README.md): the whole
+# untraced set, each workload in a process of its own, into
+# cmd/dynbench/out/results.json. A perf change is judged by running this
+# on the parent commit and on the change and comparing the two files:
+#   make dynbench-compare BASE=parent/results.json NEW=cmd/dynbench/out/results.json
+dynbench:
+	$(GO) run ./cmd/dynbench -out cmd/dynbench/out
+
+dynbench-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make dynbench-compare BASE=a/results.json NEW=b/results.json" >&2; exit 2; }
+	$(GO) run ./cmd/dynbench -compare $(BASE) $(NEW)
 
 # The CI restart-recovery job: kill -9 a durable dynplaced and assert
 # the restarted daemon serves the pre-kill placement.

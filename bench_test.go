@@ -9,7 +9,7 @@ package dynplace_test
 // experiment sweeps are computed once and shared between the benches
 // that report different views of them (e.g. Figures 3, 4 and 5 all come
 // from the Experiment Two sweep). Ablation benches quantify the design
-// choices DESIGN.md calls out.
+// choices docs/ARCHITECTURE.md calls out.
 
 import (
 	"encoding/json"

@@ -170,29 +170,109 @@ func (s *Spec) Remaining(done float64) float64 {
 	return rem
 }
 
+// Consts are the quantities equations (2)–(5) need of one job at one
+// (done, now) pair. Within a control cycle a job's progress and the
+// evaluation time are fixed, so a caller that evaluates the equations
+// many times (every bisection probe, every row of the hypothetical
+// matrices) takes the constants once and then does arithmetic only: no
+// method below walks the stage list.
+type Consts struct {
+	// Now is the evaluation time the constants were taken at.
+	Now float64
+	// Remaining is the outstanding work in megacycles (0 when finished).
+	Remaining float64
+	// MinTime is the shortest time to finish Remaining, honoring
+	// per-stage speed caps.
+	MinTime float64
+	// Sustainable is the average speed achieved running flat out from
+	// here to completion, Remaining/MinTime: the cap used when clamping
+	// required speeds (equations (4)–(5)). Zero when finished.
+	Sustainable float64
+	// UtilityCap is u^max: the best relative performance reachable from
+	// this state, running flat out starting at Now.
+	UtilityCap float64
+	// Deadline and RelativeGoal are τ and τ − τ^start.
+	Deadline, RelativeGoal float64
+	// MaxSpeed, MinSpeed and Memory describe the stage in progress (the
+	// last stage for a finished job).
+	MaxSpeed, MinSpeed, Memory float64
+}
+
+// ConstsAt takes the job's constants after done megacycles at time now,
+// in a single walk over the profile.
+func (s *Spec) ConstsAt(done, now float64) Consts {
+	c := Consts{Now: now, Deadline: s.Deadline, RelativeGoal: s.RelativeGoal()}
+	if len(s.Stages) == 0 {
+		c.UtilityCap = completionUtility(c.Deadline, c.RelativeGoal, now)
+		return c
+	}
+	// cum ends as TotalWork; idx is StageAt's stage; minTime sums, in
+	// stage order, what is left of that stage and all of the later ones.
+	var cum, minTime float64
+	idx := -1
+	for i, st := range s.Stages {
+		cum += st.WorkMcycles
+		switch {
+		case idx >= 0:
+			minTime += st.WorkMcycles / st.MaxSpeedMHz
+		case done < cum:
+			idx = i
+			minTime = (cum - done) / st.MaxSpeedMHz
+		}
+	}
+	if idx < 0 {
+		idx = len(s.Stages) - 1
+	}
+	st := &s.Stages[idx]
+	c.MaxSpeed, c.MinSpeed, c.Memory = st.MaxSpeedMHz, st.MinSpeedMHz, st.MemoryMB
+	if rem := cum - done; rem > 0 {
+		c.Remaining = rem
+		c.MinTime = minTime
+		c.Sustainable = rem / minTime
+		now += minTime
+	}
+	c.UtilityCap = completionUtility(c.Deadline, c.RelativeGoal, now)
+	return c
+}
+
+// RequiredSpeed returns ω_m(u): the average speed, sustained from Now,
+// needed to finish with relative performance u — equation (3) — clamped
+// to the job's sustainable maximum (equation (4)). The boolean reports
+// whether the level is achievable (false means the clamp applied).
+func (c *Consts) RequiredSpeed(u float64) (float64, bool) {
+	if c.Remaining == 0 || u <= rpf.MinUtility {
+		return 0, true
+	}
+	t := c.Deadline - u*c.RelativeGoal
+	if t <= c.Now {
+		return c.Sustainable, false
+	}
+	omega := c.Remaining / (t - c.Now)
+	if omega >= c.Sustainable {
+		return c.Sustainable, u <= c.UtilityCap+1e-12
+	}
+	return omega, true
+}
+
+// UtilityAtSpeed returns the relative performance achieved by sustaining
+// the average speed omega from Now to completion (capped by the
+// sustainable speed), i.e. the inverse of RequiredSpeed.
+func (c *Consts) UtilityAtSpeed(omega float64) float64 {
+	switch {
+	case c.Remaining == 0:
+		return c.UtilityCap
+	case omega <= 0:
+		return rpf.MinUtility
+	case omega >= c.Sustainable:
+		return c.UtilityCap
+	}
+	return completionUtility(c.Deadline, c.RelativeGoal, c.Now+c.Remaining/omega)
+}
+
 // MinRemainingTime returns the shortest time to finish the outstanding
 // work, honoring per-stage speed caps.
 func (s *Spec) MinRemainingTime(done float64) float64 {
-	if s.Remaining(done) == 0 {
-		return 0
-	}
-	idx, remIn := s.StageAt(done)
-	t := remIn / s.Stages[idx].MaxSpeedMHz
-	for i := idx + 1; i < len(s.Stages); i++ {
-		t += s.Stages[i].WorkMcycles / s.Stages[i].MaxSpeedMHz
-	}
-	return t
-}
-
-// SustainableSpeed returns the average speed achieved running flat-out
-// from done to completion: remaining work over minimum remaining time.
-// This is the cap used when clamping required speeds (equations (4)–(5)).
-func (s *Spec) SustainableSpeed(done float64) float64 {
-	rem := s.Remaining(done)
-	if rem == 0 {
-		return 0
-	}
-	return rem / s.MinRemainingTime(done)
+	return s.ConstsAt(done, 0).MinTime
 }
 
 // Advance simulates running the job at allocated speed for dt seconds
@@ -243,10 +323,15 @@ func (s *Spec) TimeToFinish(done, speed float64) float64 {
 	return t
 }
 
+// completionUtility is equation (2): u = (τ − t)/(τ − τ^start).
+func completionUtility(deadline, relativeGoal, t float64) float64 {
+	return rpf.Clamp((deadline - t) / relativeGoal)
+}
+
 // UtilityAtCompletion returns the job's relative performance if it
-// completes at time t: u = (τ − t)/(τ − τ^start), equation (2).
+// completes at time t, equation (2).
 func (s *Spec) UtilityAtCompletion(t float64) float64 {
-	return rpf.Clamp((s.Deadline - t) / s.RelativeGoal())
+	return completionUtility(s.Deadline, s.RelativeGoal(), t)
 }
 
 // CompletionForUtility inverts UtilityAtCompletion.
@@ -254,54 +339,23 @@ func (s *Spec) CompletionForUtility(u float64) float64 {
 	return s.Deadline - u*s.RelativeGoal()
 }
 
-// UtilityCap returns u^max: the best relative performance reachable from
-// the current state, running flat-out starting at now.
+// UtilityCap, RequiredSpeed and UtilityAtSpeed are Consts' methods for
+// callers that evaluate them once: see there.
+
+// UtilityCap returns u^max at (done, now).
 func (s *Spec) UtilityCap(done, now float64) float64 {
-	if s.Remaining(done) == 0 {
-		return s.UtilityAtCompletion(now)
-	}
-	return s.UtilityAtCompletion(now + s.MinRemainingTime(done))
+	return s.ConstsAt(done, now).UtilityCap
 }
 
-// RequiredSpeed returns ω_m(u): the average speed, sustained from now,
-// needed to finish with relative performance u — equation (3) — clamped
-// to the job's sustainable maximum (equation (4)). The boolean reports
-// whether the level is achievable (false means the clamp applied).
+// RequiredSpeed returns ω_m(u) at (done, now) and whether u is achievable.
 func (s *Spec) RequiredSpeed(u, done, now float64) (float64, bool) {
-	rem := s.Remaining(done)
-	if rem == 0 {
-		return 0, true
-	}
-	capSpeed := s.SustainableSpeed(done)
-	if u <= rpf.MinUtility {
-		return 0, true
-	}
-	t := s.CompletionForUtility(u)
-	if t <= now {
-		return capSpeed, false
-	}
-	omega := rem / (t - now)
-	if omega >= capSpeed {
-		achievable := u <= s.UtilityCap(done, now)+1e-12
-		return capSpeed, achievable
-	}
-	return omega, true
+	c := s.ConstsAt(done, now)
+	return c.RequiredSpeed(u)
 }
 
-// UtilityAtSpeed returns the relative performance achieved by sustaining
-// the average speed omega from now to completion (capped by the
-// sustainable speed), i.e. the inverse of RequiredSpeed.
+// UtilityAtSpeed returns the relative performance of sustaining omega
+// from (done, now) to completion.
 func (s *Spec) UtilityAtSpeed(omega, done, now float64) float64 {
-	rem := s.Remaining(done)
-	if rem == 0 {
-		return s.UtilityAtCompletion(now)
-	}
-	if omega <= 0 {
-		return rpf.MinUtility
-	}
-	capSpeed := s.SustainableSpeed(done)
-	if omega >= capSpeed {
-		return s.UtilityCap(done, now)
-	}
-	return s.UtilityAtCompletion(now + rem/omega)
+	c := s.ConstsAt(done, now)
+	return c.UtilityAtSpeed(omega)
 }

@@ -1,0 +1,214 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"dynplace/internal/batch"
+	"dynplace/internal/cluster"
+	"dynplace/internal/trace"
+)
+
+// allocProblem is a contended single-web problem: 24 jobs three to a node
+// on eight nodes that cannot run them all flat out, one web application
+// on three of the nodes, six jobs queued.
+func allocProblem(t *testing.T, webs int) (*Problem, *Placement) {
+	t.Helper()
+	cl, err := cluster.Uniform(8, 9000, 16384)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nJobs = 30
+	apps := make([]*Application, 0, webs+nJobs)
+	pl := NewPlacement(webs + nJobs)
+	for w := 0; w < webs; w++ {
+		apps = append(apps, webApp(fmt.Sprintf("web-%d", w)))
+		for k := 0; k < 3; k++ {
+			pl.Add(w, cluster.NodeID(w+k)) // consecutive web apps share two hosts
+		}
+	}
+	for j := 0; j < nJobs; j++ {
+		spec := batch.SingleStage(fmt.Sprintf("job-%d", j), 4e6+float64(j)*3e5, 3000+float64(j%5)*400, 3500, 0, 9000+float64(j)*700)
+		app := &Application{Name: spec.Name, Kind: KindBatch, Job: spec}
+		if j < 24 {
+			app.Done, app.Started = float64(j)*5e4, true
+			pl.Add(webs+j, cluster.NodeID(j%8))
+		}
+		apps = append(apps, app)
+	}
+	return &Problem{Cluster: cl, Now: 1000, Cycle: 600, Apps: apps, Current: pl, Costs: cluster.DefaultCostModel()}, pl
+}
+
+// deepCopyAllocs measures what it costs to copy an Evaluation out: the
+// floor for anything that returns one.
+func deepCopyAllocs(ev *Evaluation) float64 {
+	var sink *Evaluation
+	allocs := testing.AllocsPerRun(20, func() {
+		cp := *ev
+		cp.PerApp = append([]float64(nil), ev.PerApp...)
+		cp.Utilities = append([]float64(nil), ev.Utilities...)
+		cp.Vector = append(cp.Vector[:0:0], ev.Vector...)
+		if ev.WebShares != nil {
+			cp.WebShares = make(map[int][]float64, len(ev.WebShares))
+			for app, s := range ev.WebShares {
+				cp.WebShares[app] = append([]float64(nil), s...)
+			}
+		}
+		sink = &cp
+	})
+	_ = sink
+	return allocs
+}
+
+// TestWarmProbeAllocatesNothing: with at most one web application placed
+// (no flow network to build), a bisection probe on a warm arena is
+// arithmetic on the constants table and the arena's scratch.
+func TestWarmProbeAllocatesNothing(t *testing.T) {
+	for webs := 0; webs <= 1; webs++ {
+		p, pl := allocProblem(t, webs)
+		var tbl table
+		tbl.build(p)
+		var al allocator
+		al.aim(&tbl, pl)
+		if !al.feasible(-1, -1) {
+			t.Fatalf("%d webs: floor probe infeasible", webs)
+		}
+		level := 0.0
+		allocs := testing.AllocsPerRun(100, func() {
+			al.feasible(level, -1)
+			al.feasible(level, webs+3)
+			level += 1e-3
+		})
+		if allocs != 0 {
+			t.Fatalf("%d webs: a warm probe allocates %v objects, want 0", webs, allocs)
+		}
+	}
+}
+
+// TestWarmEvaluateAllocatesOnlyItsResult: a warm incremental evaluation
+// allocates no more than copying out the Evaluation it returns.
+func TestWarmEvaluateAllocatesOnlyItsResult(t *testing.T) {
+	for webs := 0; webs <= 1; webs++ {
+		p, pl := allocProblem(t, webs)
+		tbl := new(table)
+		tbl.build(p)
+		ctx := &evalContext{t: tbl}
+		ctx.rebase(pl)
+		cand := pl.Clone()
+		cand.Remove(webs+2, 2)
+		cand.Add(webs+25, 2) // a queued job takes the freed slot
+		ar := new(arena)
+		ev, err := ctx.evaluate(ar, cand)
+		if err != nil || !ev.Feasible {
+			t.Fatalf("%d webs: evaluate: feasible=%v err=%v", webs, ev != nil && ev.Feasible, err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := ctx.evaluate(ar, cand); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if floor := deepCopyAllocs(ev); allocs > floor {
+			t.Fatalf("%d webs: a warm evaluate allocates %v objects; deep-copying its result takes %v", webs, allocs, floor)
+		}
+	}
+}
+
+// TestMultiWebProbeAllocations records, without gating it, what a probe
+// still allocates once two web applications share hosts: the flow
+// network routeWeb builds from scratch on every call. That build is the
+// next thing to remove; this is the number it starts from.
+func TestMultiWebProbeAllocations(t *testing.T) {
+	p, pl := allocProblem(t, 3)
+	var tbl table
+	tbl.build(p)
+	var al allocator
+	al.aim(&tbl, pl)
+	if !al.feasible(-1, -1) {
+		t.Fatal("floor probe infeasible")
+	}
+	level := 0.0
+	allocs := testing.AllocsPerRun(100, func() {
+		al.feasible(level, -1)
+		level += 1e-3
+	})
+	t.Logf("multi-web probe (3 web apps on 5 hosts): %v objects, all of them the per-probe flow network", allocs)
+	if allocs == 0 {
+		t.Fatal("a multi-web probe builds a flow network; 0 allocations means this test no longer reaches routeWeb")
+	}
+}
+
+// TestOptimizeAllocationBudget gates the whole solve on the
+// BenchmarkOptimizerCycle shape (batch-only, 25 nodes, 75 placed + 25
+// queued jobs): 49 567 objects before the evaluator stopped allocating
+// per application, a fifth of that as the budget.
+func TestOptimizeAllocationBudget(t *testing.T) {
+	cl, err := cluster.Uniform(25, 15600, 16384)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([]*Application, 100)
+	current := NewPlacement(len(apps))
+	for i := range apps {
+		spec := trace.Experiment1Job(fmt.Sprintf("j%d", i), 0)
+		apps[i] = &Application{
+			Name: spec.Name, Kind: KindBatch, Job: spec,
+			Done: float64(i%30) * 1e6, Started: i < 75,
+		}
+		if i < 75 {
+			current.Add(i, cluster.NodeID(i/3))
+		}
+	}
+	p := &Problem{
+		Cluster: cl, Now: 30000, Cycle: 600, Apps: apps, Current: current,
+		Costs: cluster.DefaultCostModel(), Parallelism: 1,
+	}
+	var res *Result
+	allocs := testing.AllocsPerRun(3, func() {
+		if res, err = Optimize(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Optimize: %v objects for %d candidates, %d probes", allocs, res.CandidatesEvaluated, res.Probes)
+	if allocs > 10000 {
+		t.Fatalf("Optimize allocates %v objects on the optimizer-cycle shape, budget 10000", allocs)
+	}
+}
+
+// TestDistributeWebRejectsBadAllocations: an allocation the flow network
+// cannot take as a capacity must come back as an error from
+// distributeWeb (and so from solve, evaluate and Evaluate), never as a
+// feasible evaluation with a web share silently missing or zero.
+func TestDistributeWebRejectsBadAllocations(t *testing.T) {
+	p, pl := allocProblem(t, 2)
+	var tbl table
+	tbl.build(p)
+	var al allocator
+	al.aim(&tbl, pl)
+	good, _, ok, err := al.solve(false)
+	if err != nil || !ok {
+		t.Fatalf("baseline solve: ok=%v err=%v", ok, err)
+	}
+	if shares, err := al.distributeWeb(good); err != nil || len(shares) != 2 {
+		t.Fatalf("baseline distributeWeb: %d shares, err %v", len(shares), err)
+	}
+	const web, jobOnWebHost = 1, 2 + 1 // job 1 runs on node 1, which hosts both web apps
+	for _, tc := range []struct {
+		name string
+		app  int
+		bad  float64
+	}{
+		{"NaN web allocation", web, math.NaN()},
+		{"negative web allocation", web, -1},
+		{"infinite web allocation", web, math.Inf(1)},
+		{"NaN job allocation poisons the host's residual", jobOnWebHost, math.NaN()},
+		{"-Inf job allocation makes the host's residual infinite", jobOnWebHost, math.Inf(-1)},
+	} {
+		perApp := append([]float64(nil), good...)
+		perApp[tc.app] = tc.bad
+		shares, err := al.distributeWeb(perApp)
+		if err == nil {
+			t.Errorf("%s: distributeWeb returned shares %v and no error", tc.name, shares)
+		}
+	}
+}

@@ -2,11 +2,64 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
 	"dynplace/internal/rpf"
 )
+
+// arena is everything one goroutine needs to evaluate placements one
+// after another without allocating per candidate: an allocator that is
+// re-aimed, a hypothetical RPF that is reset, and the scratch of the
+// prediction and touched-node passes. What an evaluation returns (the
+// Evaluation and its slices) is always freshly allocated; nothing in it
+// aliases the arena.
+//
+// Lifetime: Optimize's evaluation pool takes one arena per worker from
+// arenas when it starts and puts every one back when it closes; Evaluate
+// and Explain's probes take one for the duration of the call. An arena
+// is never shared between goroutines and holds one candidate's worth of
+// scratch, sized by the largest problem it has served.
+type arena struct {
+	al  allocator
+	hyp batch.Hypothetical
+
+	// tbl is the arena's own constants table, for the callers that
+	// evaluate against a Problem without an Optimize around them.
+	tbl table
+
+	// evaluate scratch: hypothetical inputs and outputs, and the jobs
+	// that complete inside the cycle with their completion times.
+	states      []batch.State
+	stateApp    []int
+	preds       []batch.Prediction
+	completed   []int
+	completedAt []float64 // parallel to completed
+
+	// feasibleDelta scratch: the nodes where a candidate differs from the
+	// base, each with the chain of its differences in application order.
+	// touchedIdx maps a node to its slot in touched, -1 between uses.
+	touchedIdx  []int
+	touched     []touchedNode
+	deltas      []delta
+	added, gone []int
+}
+
+type touchedNode struct {
+	node       cluster.NodeID
+	head, tail int // first and last of the node's deltas, -1 when none
+}
+
+type delta struct {
+	app   int
+	added bool // else removed
+	next  int  // next delta on the same node, -1 at the end
+}
+
+// arenas recycles arenas between cycles and calls.
+var arenas = sync.Pool{New: func() any { return new(arena) }}
 
 // Evaluate assesses a candidate placement: it solves the CPU distribution
 // (Section 3.2's load matrix L), advances every placed job by its
@@ -19,16 +72,24 @@ func Evaluate(p *Problem, pl *Placement) (*Evaluation, error) {
 	if pl == nil || pl.Apps() != len(p.Apps) {
 		return nil, fmt.Errorf("%w: placement/app mismatch", ErrBadProblem)
 	}
-	return evaluateWith(p, pl, newAllocator(p, pl, nil))
+	ar := arenas.Get().(*arena)
+	defer arenas.Put(ar)
+	ar.tbl.build(p)
+	return ar.evaluate(&ar.tbl, pl, false)
 }
 
-// evaluateWith runs the CPU-distribution solve on a prepared allocator
-// and derives the per-application predictions. Shared by the full and
-// incremental evaluation paths, which differ only in how feasibility of
-// the placement's memory/anti-collocation constraints is established.
-func evaluateWith(p *Problem, pl *Placement, al *allocator) (*Evaluation, error) {
-	defer al.release()
-	perApp, shares, ok := al.solve()
+// evaluate runs the CPU-distribution solve for pl and derives the
+// per-application predictions. Shared by the full and incremental
+// evaluation paths, which differ only in how feasibility of the
+// placement's memory/anti-collocation constraints is established
+// (skipMemCheck: the caller already has).
+func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool) (*Evaluation, error) {
+	p, al := t.p, &ar.al
+	al.aim(t, pl)
+	perApp, shares, ok, err := al.solve(skipMemCheck)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
 		return &Evaluation{Feasible: false, Probes: al.probes, FlowSolves: al.flowSolves}, nil
 	}
@@ -43,15 +104,14 @@ func evaluateWith(p *Problem, pl *Placement, al *allocator) (*Evaluation, error)
 	}
 
 	horizon := p.Now + p.Cycle
-	states := make([]batch.State, 0, len(p.Apps))
-	stateApp := make([]int, 0, len(p.Apps))
-	completed := make(map[int]float64) // app -> completion time within cycle
+	states, stateApp := ar.states[:0], ar.stateApp[:0]
+	completed, completedAt := ar.completed[:0], ar.completedAt[:0]
 
 	for idx, a := range p.Apps {
 		if a.Kind != KindBatch {
 			continue
 		}
-		if a.Job.Remaining(a.Done) <= 0 {
+		if t.apps[idx].job.Remaining <= 0 {
 			// Completed before this cycle: it demands nothing and cannot
 			// be helped, so it must not drag the objective. The control
 			// loop retires such jobs; this guard covers the boundary.
@@ -62,127 +122,109 @@ func evaluateWith(p *Problem, pl *Placement, al *allocator) (*Evaluation, error)
 		delay := 0.0
 		if pl.Placed(idx) && perApp[idx] > 0 {
 			ev.OmegaG += perApp[idx]
-			cost := actionCost(p, idx, pl.NodesOf(idx)[0])
+			cost := t.actionCost(idx, pl.NodesOf(idx)[0])
 			dt := p.Cycle - cost
 			if dt > 0 {
 				newDone, idle := a.Job.Advance(done, perApp[idx], dt)
 				done = newDone
 				if a.Job.Remaining(done) <= 0 {
-					completed[idx] = p.Now + cost + (dt - idle)
+					completed = append(completed, idx)
+					completedAt = append(completedAt, p.Now+cost+(dt-idle))
 					continue
 				}
 			}
 		} else {
-			delay = restartDelay(p, idx, pl)
+			delay = t.restartDelay(idx, pl)
 		}
 		states = append(states, batch.State{Spec: a.Job, Done: done, Delay: delay})
 		stateApp = append(stateApp, idx)
 	}
+	ar.states, ar.stateApp, ar.completed, ar.completedAt = states, stateApp, completed, completedAt
 
-	var preds []batch.Prediction
 	if len(states) > 0 {
-		h, err := batch.NewHypothetical(horizon, states, p.Levels)
-		if err != nil {
+		if err := ar.hyp.Reset(horizon, states, p.Levels); err != nil {
 			return nil, fmt.Errorf("core: hypothetical: %w", err)
 		}
 		if p.ExactHypothetical {
-			preds = h.PredictExact(ev.OmegaG)
+			ar.preds = ar.hyp.AppendPredictExact(ar.preds[:0], ev.OmegaG)
 		} else {
-			preds = h.Predict(ev.OmegaG)
+			ar.preds = ar.hyp.AppendPredict(ar.preds[:0], ev.OmegaG)
 		}
 	}
 
 	for i, app := range stateApp {
-		ev.Utilities[app] = preds[i].Utility
+		ev.Utilities[app] = ar.preds[i].Utility
 	}
-	for app, t := range completed {
-		ev.Utilities[app] = p.Apps[app].Job.UtilityAtCompletion(t)
+	for i, app := range completed {
+		ev.Utilities[app] = p.Apps[app].Job.UtilityAtCompletion(completedAt[i])
 	}
-	for idx, a := range p.Apps {
-		if a.Kind != KindWeb {
+	for idx := range p.Apps {
+		c := &t.apps[idx]
+		if c.web == nil {
 			continue
 		}
 		if !pl.Placed(idx) {
-			if a.Web.Quiesced() {
+			if c.web.Quiesced() {
 				// A zero-rate app needs nothing; leaving it unplaced is
 				// not a failure and must not drag the max-min objective.
-				ev.Utilities[idx] = a.Web.UtilityCap()
+				ev.Utilities[idx] = c.webCap
 			} else {
 				ev.Utilities[idx] = rpf.MinUtility
 			}
 			continue
 		}
-		ev.Utilities[idx] = a.Web.Utility(perApp[idx])
+		ev.Utilities[idx] = c.web.Utility(perApp[idx])
 	}
 	ev.Vector = rpf.NewVector(ev.Utilities)
 	return ev, nil
 }
 
 // evalContext carries the state shared by the many candidate
-// evaluations of one optimization step: the base placement candidates
-// were derived from, its per-node residents and memory use, and the
-// cluster's capacity vector. A candidate differs from the base on only
-// a handful of nodes, so instead of re-running the full O(nodes × apps)
-// memory scan per candidate, feasibility is re-established on the
-// touched nodes alone. The CPU-distribution solve itself is unchanged,
-// which keeps incremental scores bit-identical to Evaluate's.
+// evaluations of one optimization step: the constants table, the base
+// placement candidates were derived from and its per-node residents. A
+// candidate differs from the base on only a handful of nodes, so instead
+// of re-running the full O(nodes × apps) memory scan per candidate,
+// feasibility is re-established on the touched nodes alone. The
+// CPU-distribution solve itself is unchanged, which keeps incremental
+// scores bit-identical to Evaluate's.
 //
-// The context is immutable after construction and safe for concurrent
-// use by the evaluation worker pool. It must be rebuilt whenever the
-// optimizer adopts a new incumbent placement.
+// Between rebase calls the context is read-only to evaluate, which is
+// what the evaluation workers call concurrently (each with its own
+// arena). rebase and the candidate generators write to it; the
+// optimizer calls them only while no batch is in flight.
 type evalContext struct {
-	p    *Problem
+	t    *table
 	base *Placement
-	// nodeCaps is the per-node CPU capacity vector, borrowed (read-only)
-	// by every allocator built in this step.
-	nodeCaps []float64
-	// residents lists each node's applications in the base placement
-	// (ascending app index).
-	residents [][]int
-	// conflicts reports whether any application declares an
-	// anti-collocation relation; when none does, collocation checks are
-	// skipped entirely.
-	conflicts bool
+	// residents indexes the base placement by node.
+	residents residentIndex
+	// gen is the candidate generators' scratch.
+	gen genScratch
 }
 
-// newEvalContext indexes the base placement. The base must satisfy the
-// memory and anti-collocation constraints (the optimizer guarantees
-// this: the initial placement is repaired and every adopted candidate
-// was evaluated feasible).
-func newEvalContext(p *Problem, base *Placement) *evalContext {
-	n := p.Cluster.Len()
-	ctx := &evalContext{
-		p:         p,
-		base:      base,
-		nodeCaps:  make([]float64, n),
-		residents: make([][]int, n),
-	}
-	for i, nd := range p.Cluster.Nodes() {
-		ctx.nodeCaps[i] = nd.CPUMHz
-	}
-	for app := range p.Apps {
-		for _, nd := range base.NodesOf(app) {
-			ctx.residents[nd] = append(ctx.residents[nd], app)
-		}
-	}
-	for _, a := range p.Apps {
-		if len(a.AntiCollocate) > 0 {
-			ctx.conflicts = true
-			break
-		}
-	}
-	return ctx
+// rebase makes base the placement candidates are derived from. The base
+// must satisfy the memory and anti-collocation constraints (the
+// optimizer guarantees this: the initial placement is repaired and every
+// adopted candidate was evaluated feasible).
+func (c *evalContext) rebase(base *Placement) {
+	c.base = base
+	c.residents.build(base, len(c.t.nodeCaps))
 }
 
 // evaluate scores a candidate placement incrementally. When the problem
 // sets VerifyIncremental it additionally runs the full evaluation and
 // errors out on any divergence.
-func (c *evalContext) evaluate(cand *Placement) (*Evaluation, error) {
-	ev, err := c.evaluateIncremental(cand)
-	if err != nil || !c.p.VerifyIncremental {
+func (c *evalContext) evaluate(ar *arena, cand *Placement) (*Evaluation, error) {
+	if cand == nil || cand.Apps() != len(c.t.apps) {
+		return nil, fmt.Errorf("%w: placement/app mismatch", ErrBadProblem)
+	}
+	if !c.feasibleDelta(ar, cand) {
+		return &Evaluation{Feasible: false}, nil
+	}
+	ev, err := ar.evaluate(c.t, cand, true)
+	if err != nil || !c.t.p.VerifyIncremental {
 		return ev, err
 	}
-	full, err := Evaluate(c.p, cand)
+	full, err := Evaluate(c.t.p, cand)
 	if err != nil {
 		return nil, err
 	}
@@ -192,40 +234,38 @@ func (c *evalContext) evaluate(cand *Placement) (*Evaluation, error) {
 	return ev, nil
 }
 
-func (c *evalContext) evaluateIncremental(cand *Placement) (*Evaluation, error) {
-	if cand == nil || cand.Apps() != len(c.p.Apps) {
-		return nil, fmt.Errorf("%w: placement/app mismatch", ErrBadProblem)
+// note records that cand and the base differ in app's instance on nd.
+func (ar *arena) note(nd cluster.NodeID, app int, added bool) {
+	slot := ar.touchedIdx[nd]
+	if slot < 0 {
+		slot = len(ar.touched)
+		ar.touchedIdx[nd] = slot
+		ar.touched = append(ar.touched, touchedNode{node: nd, head: -1, tail: -1})
 	}
-	if !c.feasibleDelta(cand) {
-		return &Evaluation{Feasible: false}, nil
+	k := len(ar.deltas)
+	ar.deltas = append(ar.deltas, delta{app: app, added: added, next: -1})
+	if tn := &ar.touched[slot]; tn.tail < 0 {
+		tn.head, tn.tail = k, k
+	} else {
+		ar.deltas[tn.tail].next = k
+		tn.tail = k
 	}
-	al := newAllocator(c.p, cand, c.nodeCaps)
-	al.skipMemCheck = true
-	return evaluateWith(c.p, cand, al)
 }
 
 // feasibleDelta checks memory and anti-collocation constraints on the
 // nodes where cand differs from the base placement. Untouched nodes
 // carry the base's residents unchanged and the base is feasible, so
 // they cannot fail; nodes that only lost instances cannot fail either.
-func (c *evalContext) feasibleDelta(cand *Placement) bool {
-	type delta struct {
-		removed []int
-		added   []int
-	}
-	var touched map[cluster.NodeID]*delta
-	note := func(nd cluster.NodeID) *delta {
-		if touched == nil {
-			touched = make(map[cluster.NodeID]*delta)
+func (c *evalContext) feasibleDelta(ar *arena, cand *Placement) bool {
+	t := c.t
+	if n := len(t.nodeCaps); len(ar.touchedIdx) < n {
+		ar.touchedIdx = make([]int, n)
+		for i := range ar.touchedIdx {
+			ar.touchedIdx[i] = -1
 		}
-		d := touched[nd]
-		if d == nil {
-			d = &delta{}
-			touched[nd] = d
-		}
-		return d
 	}
-	for app := 0; app < len(c.p.Apps); app++ {
+	ar.touched, ar.deltas = ar.touched[:0], ar.deltas[:0]
+	for app := range t.apps {
 		a, b := c.base.NodesOf(app), cand.NodesOf(app) // both sorted
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
@@ -234,78 +274,84 @@ func (c *evalContext) feasibleDelta(cand *Placement) bool {
 				i++
 				j++
 			case a[i] < b[j]:
-				d := note(a[i])
-				d.removed = append(d.removed, app)
+				ar.note(a[i], app, false)
 				i++
 			default:
-				d := note(b[j])
-				d.added = append(d.added, app)
+				ar.note(b[j], app, true)
 				j++
 			}
 		}
 		for ; i < len(a); i++ {
-			d := note(a[i])
-			d.removed = append(d.removed, app)
+			ar.note(a[i], app, false)
 		}
 		for ; j < len(b); j++ {
-			d := note(b[j])
-			d.added = append(d.added, app)
+			ar.note(b[j], app, true)
 		}
 	}
-	for nd, d := range touched {
-		if len(d.added) == 0 {
-			continue
+	ok := true
+	for _, tn := range ar.touched {
+		ar.touchedIdx[tn.node] = -1
+		if ok && !c.nodeAccepts(ar, tn) {
+			ok = false
 		}
-		// Sum the candidate's residents in ascending app order — the
-		// exact order (and therefore rounding) memoryFits uses — by
-		// merging the base residents (minus removals) with the
-		// additions. A base-sum-plus-delta shortcut could land a
-		// last-ulp away from the fresh sum right at the capacity
-		// boundary and diverge from the full evaluation.
-		var mem float64
-		res := c.residents[nd]
-		ri, ai, di := 0, 0, 0
-		for ri < len(res) || ai < len(d.added) {
-			if ai >= len(d.added) || (ri < len(res) && res[ri] < d.added[ai]) {
-				app := res[ri]
-				ri++
-				if di < len(d.removed) && d.removed[di] == app {
-					di++
-					continue
-				}
-				mem += c.p.Apps[app].MemoryMB()
-			} else {
-				mem += c.p.Apps[d.added[ai]].MemoryMB()
-				ai++
+	}
+	return ok
+}
+
+// nodeAccepts checks one touched node of a candidate.
+func (c *evalContext) nodeAccepts(ar *arena, tn touchedNode) bool {
+	t := c.t
+	// The node's deltas arrive in ascending application order.
+	added, gone := ar.added[:0], ar.gone[:0]
+	for k := tn.head; k >= 0; k = ar.deltas[k].next {
+		if d := ar.deltas[k]; d.added {
+			added = append(added, d.app)
+		} else {
+			gone = append(gone, d.app)
+		}
+	}
+	ar.added, ar.gone = added, gone
+	if len(added) == 0 {
+		return true
+	}
+	// Sum the candidate's residents in ascending app order — the exact
+	// order (and therefore rounding) memoryFits uses — by merging the
+	// base residents (minus removals) with the additions. A
+	// base-sum-plus-delta shortcut could land a last-ulp away from the
+	// fresh sum right at the capacity boundary and diverge from the full
+	// evaluation.
+	var mem float64
+	res := c.residents.on(tn.node)
+	ri, ai, di := 0, 0, 0
+	for ri < len(res) || ai < len(added) {
+		if ai >= len(added) || (ri < len(res) && res[ri] < added[ai]) {
+			app := res[ri]
+			ri++
+			if di < len(gone) && gone[di] == app {
+				di++
+				continue
+			}
+			mem += t.apps[app].mem
+		} else {
+			mem += t.apps[added[ai]].mem
+			ai++
+		}
+	}
+	if mem > t.nodeMem[tn.node]+capTolerance {
+		return false
+	}
+	if !t.conflicts {
+		return true
+	}
+	for ai, app := range added {
+		for _, other := range res {
+			if !slices.Contains(gone, other) && t.conflict(app, other) {
+				return false
 			}
 		}
-		node, ok := c.p.Cluster.Node(nd)
-		if !ok || mem > node.MemMB+capTolerance {
-			return false
-		}
-		if !c.conflicts {
-			continue
-		}
-		for ai, app := range d.added {
-			for _, other := range c.residents[nd] {
-				removed := false
-				for _, r := range d.removed {
-					if r == other {
-						removed = true
-						break
-					}
-				}
-				if removed {
-					continue
-				}
-				if conflictsWith(c.p.Apps[app], c.p.Apps[other]) {
-					return false
-				}
-			}
-			for _, other := range d.added[:ai] {
-				if conflictsWith(c.p.Apps[app], c.p.Apps[other]) {
-					return false
-				}
+		for _, other := range added[:ai] {
+			if t.conflict(app, other) {
+				return false
 			}
 		}
 	}
@@ -371,9 +417,9 @@ func compareEvaluations(inc, full *Evaluation) error {
 // suspensions bear their true cost, so utility-neutral rotations of
 // identical jobs are never worth a reconfiguration (the paper observes
 // none in Experiment One).
-func restartDelay(p *Problem, app int, pl *Placement) float64 {
-	a := p.Apps[app]
-	footprint := a.MemoryMB()
+func (t *table) restartDelay(app int, pl *Placement) float64 {
+	p, a := t.p, t.p.Apps[app]
+	footprint := t.apps[app].mem
 	switch {
 	case p.Current != nil && p.Current.Placed(app) && !pl.Placed(app):
 		return p.Costs.Suspend(footprint) + p.Costs.Resume(footprint)
@@ -386,9 +432,9 @@ func restartDelay(p *Problem, app int, pl *Placement) float64 {
 
 // actionCost returns the virtual-time cost incurred before the job can run
 // on node target next cycle, given its current placement.
-func actionCost(p *Problem, app int, target cluster.NodeID) float64 {
-	a := p.Apps[app]
-	footprint := a.MemoryMB()
+func (t *table) actionCost(app int, target cluster.NodeID) float64 {
+	p, a := t.p, t.p.Apps[app]
+	footprint := t.apps[app].mem
 	cur := p.Current
 	if cur != nil && cur.Placed(app) {
 		if cur.Has(app, target) {

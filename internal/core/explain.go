@@ -306,19 +306,17 @@ func probeBinding(p *Problem, res *Result, d *AppDecision, probe cluster.NodeID)
 // allocations to freeze against (res.Eval nil), all apps share the
 // bisected level, which still separates feasible from infeasible.
 func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, float64) {
-	al := newAllocator(p, cand, nil)
-	defer al.release()
+	ar := arenas.Get().(*arena)
+	defer arenas.Put(ar)
+	ar.tbl.build(p)
+	al := &ar.al
+	al.aim(&ar.tbl, cand)
 	if res.Eval != nil {
-		for _, other := range al.jobs {
-			if other != app && other < len(res.Eval.PerApp) {
-				al.frozen[other] = true
-				al.fixed[other] = res.Eval.PerApp[other]
-			}
-		}
-		for _, other := range al.webs {
-			if other != app && other < len(res.Eval.PerApp) {
-				al.frozen[other] = true
-				al.fixed[other] = res.Eval.PerApp[other]
+		for _, placed := range [][]int{al.jobs, al.webs} {
+			for _, other := range placed {
+				if other != app && other < len(res.Eval.PerApp) {
+					al.freeze(other, res.Eval.PerApp[other])
+				}
 			}
 		}
 	}
@@ -347,7 +345,7 @@ func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, floa
 			}
 		}
 	}
-	if cap := al.capUtility(app); cap < lo {
+	if cap := ar.tbl.utilityCap(app); cap < lo {
 		lo = cap
 	}
 	return true, lo

@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -18,8 +19,6 @@ import (
 	"dynplace/internal/cluster"
 	"dynplace/internal/txn"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite internal/core/testdata/bit_identity.json from this tree")
 
 // goldenRecord pins one seeded problem's optimizer output bit for bit.
 // The file was recorded before the evaluator was rewritten around
@@ -311,13 +310,17 @@ func TestGoldenBitIdentity(t *testing.T) {
 		{"batch_contended", goldenBatchContended},
 		{"memory_tight", goldenMemoryTight},
 	}
+	// To re-record (only ever from a tree whose output is the reference):
+	// delete the file and run the test once; it writes the file and fails.
 	path := filepath.Join("testdata", "bit_identity.json")
 	want := map[string]goldenRecord{}
-	if !*updateGolden {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read goldens (record with -update-golden): %v", err)
-		}
+	raw, err := os.ReadFile(path)
+	record := errors.Is(err, fs.ErrNotExist)
+	switch {
+	case record:
+	case err != nil:
+		t.Fatal(err)
+	default:
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatalf("parse %s: %v", path, err)
 		}
@@ -333,16 +336,13 @@ func TestGoldenBitIdentity(t *testing.T) {
 			} else if rec != got[pr.name] {
 				t.Errorf("%s: Parallelism 4 diverges from 1:\n got %+v\nwant %+v", pr.name, rec, got[pr.name])
 			}
-			if *updateGolden {
-				continue
-			}
-			if rec != want[pr.name] {
+			if !record && rec != want[pr.name] {
 				t.Errorf("%s (Parallelism %d): output differs from the recorded golden:\n got %+v\nwant %+v",
 					pr.name, par, rec, want[pr.name])
 			}
 		}
 	}
-	if *updateGolden {
+	if record {
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -353,5 +353,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		t.Fatalf("%s was missing: recorded it from this tree; review and re-run", path)
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dynplace/internal/cluster"
 	"dynplace/internal/rpf"
@@ -70,13 +71,15 @@ func Optimize(p *Problem) (*Result, error) {
 	}
 
 	res := &Result{Repaired: repaired}
-	var pool *evalPool
-	if workers := p.parallelism(); workers > 1 {
-		pool = newEvalPool(workers)
-		defer pool.close()
-	}
-	ctx := newEvalContext(p, current)
-	best, err := ctx.evaluate(current)
+	pool := newEvalPool(p.parallelism())
+	defer pool.close()
+	// The constants table is built once, into the calling goroutine's
+	// arena, and only read from here on — by every worker.
+	t := &pool.own.tbl
+	t.build(p)
+	ctx := &evalContext{t: t}
+	ctx.rebase(current)
+	best, err := ctx.evaluate(pool.own, current)
 	if err != nil {
 		return nil, err
 	}
@@ -87,23 +90,23 @@ func Optimize(p *Problem) (*Result, error) {
 
 	eps := p.epsilon()
 	bestQ := best.Vector.Quantize(eps)
+	var counts []int
+	var flat []*Placement
 	for pass := 0; pass < p.maxPasses(); pass++ {
 		improved := false
 		// Web cluster sizing: a transactional application below its λ·c
 		// stability knee gains nothing from a single instance, so the
 		// per-node loop alone cannot bootstrap it. Dedicated expansion
 		// candidates add instances across several nodes at once.
-		webCands := webExpansionCandidates(p, current, best)
+		webCands := ctx.webExpansionCandidates(best)
 		evs, err := pool.evalAll(ctx, webCands)
 		if err != nil {
 			return nil, err
 		}
-		for _, ev := range evs {
-			res.count(ev)
-		}
 		adopted := false
 		for i, cand := range webCands {
 			ev := evs[i]
+			res.count(ev)
 			if !ev.Feasible {
 				continue
 			}
@@ -113,7 +116,7 @@ func Optimize(p *Problem) (*Result, error) {
 			}
 		}
 		if adopted {
-			ctx = newEvalContext(p, current)
+			ctx.rebase(current)
 		}
 		// The per-node loop is sequential by construction — each node's
 		// candidates are generated against the incumbent chosen so far —
@@ -130,19 +133,16 @@ func Optimize(p *Problem) (*Result, error) {
 		// adoptions stay absent (deep batches once the placement has
 		// converged, which is where most of a pass's nodes are).
 		windowMax := 1
-		if pool != nil {
+		if pool.workers > 1 {
 			windowMax = 8 * pool.workers
 		}
 		windowTarget := 1
 		for n := 0; n < p.Cluster.Len(); {
-			windowNodes := 0
-			var counts []int
-			var flat []*Placement
+			counts, flat = counts[:0], flat[:0]
 			for m := n; m < p.Cluster.Len() && (m == n || len(flat) < windowTarget); m++ {
-				cands := candidatesForNode(p, current, best, cluster.NodeID(m))
-				counts = append(counts, len(cands))
-				flat = append(flat, cands...)
-				windowNodes++
+				before := len(flat)
+				flat = ctx.candidatesForNode(best, cluster.NodeID(m), flat)
+				counts = append(counts, len(flat)-before)
 			}
 			evs, err := pool.evalAll(ctx, flat)
 			if err != nil {
@@ -150,14 +150,14 @@ func Optimize(p *Problem) (*Result, error) {
 			}
 			adopted := false
 			off := 0
-			for w := 0; w < windowNodes; w++ {
-				cands := flat[off : off+counts[w]]
-				nodeEvs := evs[off : off+counts[w]]
-				off += counts[w]
-				// CandidatesEvaluated counts only replayed evaluations:
-				// the window tail discarded after an adoption is scored
-				// again next iteration, so the total matches the
-				// sequential solver's at every Parallelism.
+			for _, count := range counts {
+				cands := flat[off : off+count]
+				nodeEvs := evs[off : off+count]
+				off += count
+				// The counters book only replayed evaluations: the window
+				// tail discarded after an adoption is scored again next
+				// iteration, so the totals match the sequential solver's
+				// at every Parallelism.
 				for _, ev := range nodeEvs {
 					res.count(ev)
 				}
@@ -199,7 +199,7 @@ func Optimize(p *Problem) (*Result, error) {
 					current, best, bestQ = bestCand, bestEval, bestCandQ
 					improved = true
 					adopted = true
-					ctx = newEvalContext(p, current)
+					ctx.rebase(current)
 					break // rest of the window is stale
 				}
 			}
@@ -231,32 +231,41 @@ func (r *Result) count(ev *Evaluation) {
 	r.FlowSolves += ev.FlowSolves
 }
 
-// candidatesForNode generates the intermediate-loop configurations for
-// one node: for k = 0..(instances on node), remove the k most-satisfied
-// instances, then greedily add the neediest unplaced applications that
-// fit the freed memory.
-func candidatesForNode(p *Problem, current *Placement, best *Evaluation, node cluster.NodeID) []*Placement {
-	nd, ok := p.Cluster.Node(node)
-	if !ok {
-		return nil
+// genScratch is the candidate generators' reusable storage. It belongs
+// to the goroutine running Optimize.
+type genScratch struct {
+	onNode  []int     // the visited node's residents, most satisfied first
+	addable []int     // applications that could gain an instance there
+	need    []float64 // per addable app: its utility at the comparison resolution
+	picks   []int     // the greedy fill at the current removal depth
+}
+
+// candidatesForNode appends to out the intermediate-loop configurations
+// for one node: for k = 0..(instances on node), remove the k
+// most-satisfied instances, then greedily add the neediest unplaced
+// applications that fit the freed memory.
+func (c *evalContext) candidatesForNode(best *Evaluation, node cluster.NodeID, out []*Placement) []*Placement {
+	t, g := c.t, &c.gen
+	if node < 0 || int(node) >= len(t.nodeCaps) {
+		return out
 	}
-	onNode := current.OnNode(node)
 	// Most satisfied first: removing them frees room for the needy.
-	sort.Slice(onNode, func(i, j int) bool {
-		ui, uj := best.Utilities[onNode[i]], best.Utilities[onNode[j]]
-		if ui != uj {
-			return ui > uj
+	g.onNode = append(g.onNode[:0], c.residents.on(node)...)
+	slices.SortFunc(g.onNode, func(a, b int) int {
+		if c := cmp.Compare(best.Utilities[b], best.Utilities[a]); c != 0 {
+			return c
 		}
-		return onNode[i] < onNode[j]
+		return a - b
 	})
+	addable := c.addableApps(best, node)
 
-	addable := addableApps(p, current, best, node)
-
-	var out []*Placement
-	base := current.Clone()
-	for k := 0; k <= len(onNode); k++ {
+	base := c.base
+	for k := 0; k <= len(g.onNode); k++ {
 		if k > 0 {
-			base.Remove(onNode[k-1], node)
+			if k == 1 {
+				base = base.Clone()
+			}
+			base.Remove(g.onNode[k-1], node)
 			// Pure removal (suspension) frees CPU for the remaining
 			// residents even when nothing is added back.
 			out = append(out, base.Clone())
@@ -264,19 +273,22 @@ func candidatesForNode(p *Problem, current *Placement, best *Evaluation, node cl
 		// Inner loop: place the neediest unplaced (or migratable)
 		// applications. A full greedy fill can overshoot (e.g. moving
 		// every job onto this node), so generate one candidate per
-		// additive prefix: add 1, then 2, ... of the addable apps.
-		prev := 0
-		for adds := 1; adds <= maxAddsPerNode; adds++ {
+		// additive prefix: add 1, then 2, ... of the applications the
+		// fill would take. The fill decides each application from the
+		// ones before it alone, so its prefixes are the fills of smaller
+		// budgets and it is computed once per removal depth.
+		picks := c.greedyFill(node, g.onNode[:k], addable)
+		for adds := 1; adds <= len(picks); adds++ {
 			cand := base.Clone()
-			added := fillNode(p, cand, node, nd.MemMB, addable, adds)
-			if added == 0 || added == prev {
-				break // nothing (more) fits
+			for _, idx := range picks[:adds] {
+				if t.p.Apps[idx].Kind == KindBatch && cand.Placed(idx) {
+					// Single-instance job placed elsewhere: adding it here
+					// is a migration.
+					cand.Clear(idx)
+				}
+				cand.Add(idx, node)
 			}
-			prev = added
 			out = append(out, cand)
-			if added < adds {
-				break
-			}
 		}
 	}
 	return out
@@ -287,15 +299,45 @@ func candidatesForNode(p *Problem, current *Placement, best *Evaluation, node cl
 // node, so four prefixes cover every useful configuration.
 const maxAddsPerNode = 4
 
-// collocationConflict reports whether adding app idx to the node would
-// violate an anti-collocation relation with a resident application.
-func collocationConflict(p *Problem, pl *Placement, node cluster.NodeID, idx int) bool {
-	for _, other := range pl.OnNode(node) {
-		if other != idx && conflictsWith(p.Apps[idx], p.Apps[other]) {
-			return true
+// greedyFill picks up to maxAddsPerNode applications from addable (in
+// order) that the node can take once the removed residents are gone:
+// each must fit the memory left by the residents and the earlier picks,
+// and conflict with none of them.
+func (c *evalContext) greedyFill(node cluster.NodeID, removed, addable []int) []int {
+	t, g := c.t, &c.gen
+	residents := c.residents.on(node)
+	var used float64
+	for _, app := range residents {
+		if !slices.Contains(removed, app) {
+			used += t.apps[app].mem
 		}
 	}
-	return false
+	picks := g.picks[:0]
+	for _, idx := range addable {
+		if len(picks) >= maxAddsPerNode {
+			break
+		}
+		mem := t.apps[idx].mem
+		if used+mem > t.nodeMem[node]+capTolerance {
+			continue
+		}
+		if t.conflicts {
+			clash := false
+			for _, other := range residents {
+				clash = clash || (!slices.Contains(removed, other) && t.conflict(idx, other))
+			}
+			for _, other := range picks {
+				clash = clash || t.conflict(idx, other)
+			}
+			if clash {
+				continue
+			}
+		}
+		picks = append(picks, idx)
+		used += mem
+	}
+	g.picks = picks
+	return picks
 }
 
 // disturbs reports whether the candidate removes or moves any instance
@@ -315,43 +357,41 @@ func disturbs(current, cand *Placement) bool {
 // utility cap, a candidate that replicates it across nodes with free
 // memory until the hosting nodes' combined CPU covers its maximum useful
 // demand.
-func webExpansionCandidates(p *Problem, current *Placement, best *Evaluation) []*Placement {
+func (c *evalContext) webExpansionCandidates(best *Evaluation) []*Placement {
+	t := c.t
 	var out []*Placement
-	for idx, a := range p.Apps {
-		if a.Kind != KindWeb {
+	for idx := range t.apps {
+		ac := &t.apps[idx]
+		if ac.web == nil || best.Utilities[idx] >= ac.webCap-capTolerance {
 			continue
 		}
-		if best.Utilities[idx] >= a.Web.UtilityCap()-capTolerance {
-			continue
-		}
-		cand := current.Clone()
 		var hostCPU float64
-		for _, nd := range cand.NodesOf(idx) {
-			node, _ := p.Cluster.Node(nd)
-			hostCPU += node.CPUMHz
+		for _, nd := range c.base.NodesOf(idx) {
+			hostCPU += t.nodeCaps[nd]
 		}
-		target := a.Web.MaxDemand()
-		added := 0
-		for n := 0; n < p.Cluster.Len() && hostCPU < target; n++ {
-			node, _ := p.Cluster.Node(cluster.NodeID(n))
-			if cand.Has(idx, node.ID) || !a.allows(node.ID) {
+		var cand *Placement
+		for n := 0; n < len(t.nodeCaps) && hostCPU < ac.webMax; n++ {
+			node := cluster.NodeID(n)
+			if c.residents.has(node, idx) || !t.p.Apps[idx].allows(node) {
 				continue
 			}
-			var mem float64
-			for _, other := range cand.OnNode(node.ID) {
-				mem += p.Apps[other].MemoryMB()
+			// The candidate differs from the base only in this app's
+			// instances, so a node it is not on has the base's residents.
+			mem, clash := 0.0, false
+			for _, other := range c.residents.on(node) {
+				mem += t.apps[other].mem
+				clash = clash || t.conflict(idx, other)
 			}
-			if mem+a.MemoryMB() > node.MemMB+capTolerance {
+			if clash || mem+ac.mem > t.nodeMem[n]+capTolerance {
 				continue
 			}
-			if collocationConflict(p, cand, node.ID, idx) {
-				continue
+			if cand == nil {
+				cand = c.base.Clone()
 			}
-			cand.Add(idx, node.ID)
-			hostCPU += node.CPUMHz
-			added++
+			cand.Add(idx, node)
+			hostCPU += t.nodeCaps[n]
 		}
-		if added > 0 {
+		if cand != nil {
 			out = append(out, cand)
 		}
 	}
@@ -360,15 +400,19 @@ func webExpansionCandidates(p *Problem, current *Placement, best *Evaluation) []
 
 // addableApps lists applications that could gain an instance on the node,
 // ordered by ascending current utility (neediest first).
-func addableApps(p *Problem, current *Placement, best *Evaluation, node cluster.NodeID) []int {
-	var out []int
-	for idx, a := range p.Apps {
-		if !a.allows(node) {
+func (c *evalContext) addableApps(best *Evaluation, node cluster.NodeID) []int {
+	t, g := c.t, &c.gen
+	eps := t.p.epsilon()
+	g.need = slices.Grow(g.need[:0], len(t.apps))[:len(t.apps)]
+	out := g.addable[:0]
+	for idx, a := range t.p.Apps {
+		if !a.allows(node) || c.residents.has(node, idx) {
 			continue
 		}
+		need := math.Floor(best.Utilities[idx] / eps)
 		switch a.Kind {
 		case KindBatch:
-			if a.Job.Remaining(a.Done) <= 0 {
+			if t.apps[idx].job.Remaining <= 0 {
 				continue
 			}
 			// A job placed on another node is still "addable" here: a
@@ -376,83 +420,40 @@ func addableApps(p *Problem, current *Placement, best *Evaluation, node cluster.
 			// node is a migration. But a placed job already achieving
 			// its cap at the comparison resolution (running flat out)
 			// cannot be helped by moving.
-			if current.Has(idx, node) {
+			if c.base.Placed(idx) && need >= math.Floor(t.apps[idx].job.UtilityCap/eps) {
 				continue
 			}
-			if current.Placed(idx) {
-				eps := p.epsilon()
-				uBucket := math.Floor(best.Utilities[idx] / eps)
-				capBucket := math.Floor(a.Job.UtilityCap(a.Done, p.Now) / eps)
-				if uBucket >= capBucket {
-					continue
-				}
-			}
-			out = append(out, idx)
 		case KindWeb:
-			if current.Has(idx, node) {
-				continue
-			}
 			// Skip web apps already at their utility cap: another
 			// instance cannot help.
-			if best.Utilities[idx] >= a.Web.UtilityCap()-capTolerance {
+			if best.Utilities[idx] >= t.apps[idx].webCap-capTolerance {
 				continue
 			}
-			out = append(out, idx)
+		default:
+			continue
 		}
+		g.need[idx] = need
+		out = append(out, idx)
 	}
 	// Order by need at the comparison resolution. The hypothetical RPF
 	// equalizes utilities across the batch workload, so raw values tie
 	// only up to numeric noise; comparing quantized values lets the
 	// deliberate tie-breaks apply: start unplaced work before migrating
 	// placed work.
-	eps := p.epsilon()
-	sort.Slice(out, func(i, j int) bool {
-		ui := math.Floor(best.Utilities[out[i]] / eps)
-		uj := math.Floor(best.Utilities[out[j]] / eps)
-		if ui != uj {
-			return ui < uj
+	slices.SortFunc(out, func(a, b int) int {
+		if c := cmp.Compare(g.need[a], g.need[b]); c != 0 {
+			return c
 		}
-		pi, pj := current.Placed(out[i]), current.Placed(out[j])
-		if pi != pj {
-			return !pi
+		if pa, pb := c.base.Placed(a), c.base.Placed(b); pa != pb {
+			if pb {
+				return -1
+			}
+			return 1
 		}
-		return out[i] < out[j]
+		return a - b
 	})
+	g.addable = out
 	return out
-}
-
-// fillNode greedily adds up to maxAdds instances from addable (in order)
-// while the node's memory allows, returning the number added.
-func fillNode(p *Problem, pl *Placement, node cluster.NodeID, memCap float64, addable []int, maxAdds int) int {
-	var used float64
-	for _, app := range pl.OnNode(node) {
-		used += p.Apps[app].MemoryMB()
-	}
-	added := 0
-	for _, idx := range addable {
-		if added >= maxAdds {
-			break
-		}
-		if pl.Has(idx, node) {
-			continue
-		}
-		mem := p.Apps[idx].MemoryMB()
-		if used+mem > memCap+capTolerance {
-			continue
-		}
-		if collocationConflict(p, pl, node, idx) {
-			continue
-		}
-		if p.Apps[idx].Kind == KindBatch && pl.Placed(idx) {
-			// Single-instance job placed elsewhere: adding it here is a
-			// migration.
-			pl.Clear(idx)
-		}
-		pl.Add(idx, node)
-		used += mem
-		added++
-	}
-	return added
 }
 
 // repair evicts instances until the placement satisfies memory and

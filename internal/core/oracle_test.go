@@ -26,10 +26,13 @@ func TestAllocatorAgainstGridSearch(t *testing.T) {
 		}
 		p := &Problem{Cluster: cl, Now: 0, Cycle: 1, Apps: apps,
 			Costs: cluster.FreeCostModel(), ExactHypothetical: true}
-		al := newAllocator(p, pl, nil)
-		perApp, _, ok := al.solve()
-		if !ok {
-			t.Fatalf("trial %d: solver infeasible", trial)
+		var tbl table
+		tbl.build(p)
+		var al allocator
+		al.aim(&tbl, pl)
+		perApp, _, ok, err := al.solve(false)
+		if err != nil || !ok {
+			t.Fatalf("trial %d: solver infeasible (err %v)", trial, err)
 		}
 		solverVec := allocationVector(apps, perApp)
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dynplace/internal/batch"
@@ -124,6 +125,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 			sameResult(t, fmt.Sprintf("seed %d parallelism %d", seed, par), want, got)
 		}
+	}
+}
+
+// TestOptimizeLeavesNoGoroutine: the pool's close waits until every
+// worker has signalled its exit, so Optimize leaves nothing running
+// behind it. The runtime's own lazily started goroutines make an exact
+// count fragile; forty leaked workers (five solves of eight) are not.
+func TestOptimizeLeavesNoGoroutine(t *testing.T) {
+	p := randomProblem(t, 3)
+	p.Parallelism = 8
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := Optimize(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after >= before+p.Parallelism {
+		t.Fatalf("%d goroutines after five solves, %d before", after, before)
 	}
 }
 

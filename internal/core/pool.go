@@ -15,7 +15,12 @@ import (
 // sequential solver at any pool size.
 type evalPool struct {
 	workers int
+	// own is the calling goroutine's arena: batches too small to split,
+	// and every batch of a sequential pool, are evaluated on it.
+	own     *arena
+	arenas  []*arena // one per worker goroutine
 	batches chan *evalBatch
+	exited  sync.WaitGroup
 }
 
 type evalBatch struct {
@@ -28,25 +33,33 @@ type evalBatch struct {
 	wg    sync.WaitGroup
 }
 
-// newEvalPool starts workers goroutines; close releases them. A pool is
-// only created for Parallelism > 1 — at 1 the (nil) pool evaluates on
-// the calling goroutine and no goroutines are spawned at all.
+// newEvalPool takes its arenas from the package pool and, for
+// workers > 1, starts that many goroutines; close releases both. At
+// workers == 1 evaluation happens on the calling goroutine and no
+// goroutine is spawned at all.
 func newEvalPool(workers int) *evalPool {
-	p := &evalPool{workers: workers, batches: make(chan *evalBatch)}
-	for i := 0; i < workers; i++ {
-		go p.run()
+	p := &evalPool{workers: workers, own: arenas.Get().(*arena)}
+	if workers > 1 {
+		p.batches = make(chan *evalBatch)
+		p.exited.Add(workers)
+		for i := 0; i < workers; i++ {
+			ar := arenas.Get().(*arena)
+			p.arenas = append(p.arenas, ar)
+			go p.run(ar)
+		}
 	}
 	return p
 }
 
-func (p *evalPool) run() {
+func (p *evalPool) run(ar *arena) {
+	defer p.exited.Done()
 	for b := range p.batches {
 		for !b.fail.Load() {
 			i := int(b.next.Add(1)) - 1
 			if i >= len(b.cands) {
 				break
 			}
-			ev, err := b.ctx.evaluate(b.cands[i])
+			ev, err := b.ctx.evaluate(ar, b.cands[i])
 			if err != nil {
 				b.errs[i] = err
 				b.fail.Store(true)
@@ -58,20 +71,30 @@ func (p *evalPool) run() {
 	}
 }
 
+// close stops the workers, waits until the last one has returned, and
+// hands every arena back from the calling goroutine — so when Optimize
+// returns no goroutine of its is left running, and where the next
+// cycle finds the arenas does not depend on how the workers happened to
+// be scheduled.
 func (p *evalPool) close() {
-	if p != nil {
+	if p.batches != nil {
 		close(p.batches)
+		p.exited.Wait()
 	}
+	for _, ar := range p.arenas {
+		arenas.Put(ar)
+	}
+	arenas.Put(p.own)
 }
 
 // evalAll evaluates every candidate against ctx and returns the
-// evaluations in candidate order. A nil pool, or a batch too small to
-// split, evaluates sequentially on the calling goroutine.
+// evaluations in candidate order. A sequential pool, or a batch too
+// small to split, evaluates on the calling goroutine.
 func (p *evalPool) evalAll(ctx *evalContext, cands []*Placement) ([]*Evaluation, error) {
 	evs := make([]*Evaluation, len(cands))
-	if p == nil || len(cands) <= 1 {
+	if p.workers <= 1 || len(cands) <= 1 {
 		for i, cand := range cands {
-			ev, err := ctx.evaluate(cand)
+			ev, err := ctx.evaluate(p.own, cand)
 			if err != nil {
 				return nil, err
 			}

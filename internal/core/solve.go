@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"dynplace/internal/cluster"
 	"dynplace/internal/flow"
@@ -155,23 +155,18 @@ const (
 	probeDelta      = 1e-3
 )
 
-// jobSpeedCap returns the per-cycle allocation ceiling for a placed job:
-// the current stage's maximum speed. Stage transitions within the cycle
-// are handled by the stage-aware progress model, which wastes any excess
-// over a later stage's cap — the price of cycle-granular control.
-func jobSpeedCap(a *Application) float64 {
-	return a.Job.MaxSpeedAt(a.Done)
-}
-
 // allocator computes the lexicographic max-min CPU distribution for a
-// fixed placement.
+// fixed placement. One allocator lives in each evaluation arena and is
+// re-aimed at candidate after candidate: its slices keep their storage,
+// and its app- and cluster-sized vectors keep their invariants (frozen
+// all false, nodeLoad all zero, hostIdx all -1) between uses because aim
+// undoes exactly the entries the previous use touched.
 type allocator struct {
-	p  *Problem
+	t  *table
 	pl *Placement
 
-	nodeCaps []float64
 	// placed apps partitioned by kind.
-	jobs    []int // app indices of placed batch jobs
+	jobs    []int // app indices of placed batch jobs with work left
 	jobNode []int // node index per placed job (parallel to jobs)
 	webs    []int // app indices of placed web apps
 
@@ -180,209 +175,129 @@ type allocator struct {
 	// resets touch O(jobs) entries instead of every node in the cluster.
 	jobNodes []int
 	// webHosts lists the distinct nodes hosting web instances (ascending)
-	// and webHostIdx maps a node to its position in webHosts (-1
-	// otherwise). Flow networks for multi-web routing include only these
-	// nodes: the rest have no incoming edges and would only inflate the
-	// graph at cluster scale. Built when len(webs) > 1.
-	webHosts   []int
-	webHostIdx []int
+	// and hostIdx maps a node to its position in webHosts (-1 otherwise).
+	// Flow networks for multi-web routing include only these nodes: the
+	// rest have no incoming edges and would only inflate the graph at
+	// cluster scale. Built when len(webs) > 1.
+	webHosts []int
+	hostIdx  []int
 
-	// skipMemCheck elides the full per-node memory/anti-collocation scan:
-	// the incremental evaluation path has already verified the nodes the
-	// candidate touches against a known-feasible base placement.
-	skipMemCheck bool
-
-	frozen map[int]bool
-	fixed  map[int]float64 // allocation of frozen apps
+	// frozen and fixed, indexed by app: whether the level search has
+	// settled the app, and at which allocation.
+	frozen []bool
+	fixed  []float64
 
 	// work counters, copied into the Evaluation.
 	probes, flowSolves int
 
 	// scratch
-	jobDemand []float64
-	nodeLoad  []float64
-	scratch   *allocScratch
+	jobDemand, webDemand []float64
+	active, blocked      []int
+	nodeLoad             []float64
+	residual             []float64 // no invariant: written before read
+	residents            residentIndex
 }
 
-// allocScratch holds the allocator's cluster-sized scratch vectors.
-// They are recycled through a pool so the thousands of candidate
-// evaluations of one optimization pass do not each allocate (and the GC
-// sweep) O(cluster) memory. Invariants between uses: nodeLoad all zero,
-// seen all false, hostIdx all -1 — restored cheaply on release by
-// undoing only the entries this use touched.
-type allocScratch struct {
-	nodeLoad []float64
-	seen     []bool
-	hostIdx  []int
-	residual []float64 // no invariant: fully overwritten before use
-}
-
-// allocScratchPools holds one sync.Pool per cluster size, so problems
-// of different sizes (the scale sweep, a daemon, tests) interleave
-// without evicting each other's scratch.
-var allocScratchPools sync.Map // int -> *sync.Pool
-
-func scratchPoolFor(n int) *sync.Pool {
-	if p, ok := allocScratchPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := allocScratchPools.LoadOrStore(n, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-func getAllocScratch(n int) *allocScratch {
-	if s, ok := scratchPoolFor(n).Get().(*allocScratch); ok {
-		return s
-	}
-	s := &allocScratch{
-		nodeLoad: make([]float64, n),
-		seen:     make([]bool, n),
-		hostIdx:  make([]int, n),
-		residual: make([]float64, n),
-	}
-	for i := range s.hostIdx {
-		s.hostIdx[i] = -1
-	}
-	return s
-}
-
-// release restores the scratch invariants and returns it to the pool.
-// The allocator must not be used afterwards.
-func (al *allocator) release() {
-	s := al.scratch
-	if s == nil {
-		return
-	}
+// aim points the allocator at one placement of t's problem.
+func (al *allocator) aim(t *table, pl *Placement) {
+	// Undo the previous use before anything is resized.
 	for _, nd := range al.jobNodes {
-		s.nodeLoad[nd] = 0
+		al.nodeLoad[nd] = 0
 	}
 	for _, nd := range al.webHosts {
-		s.hostIdx[nd] = -1
+		al.hostIdx[nd] = -1
 	}
-	al.scratch, al.nodeLoad, al.webHostIdx = nil, nil, nil
-	scratchPoolFor(len(s.nodeLoad)).Put(s)
-}
+	for _, app := range al.jobs {
+		al.frozen[app] = false
+	}
+	for _, app := range al.webs {
+		al.frozen[app] = false
+	}
+	al.t, al.pl = t, pl
+	al.jobs, al.jobNode, al.webs = al.jobs[:0], al.jobNode[:0], al.webs[:0]
+	al.jobNodes, al.webHosts = al.jobNodes[:0], al.webHosts[:0]
+	al.probes, al.flowSolves = 0, 0
 
-// newAllocator prepares the solver for one placement. caps, when
-// non-nil, is a borrowed per-node CPU capacity vector (read-only) so the
-// many evaluations of one optimization step share a single allocation.
-func newAllocator(p *Problem, pl *Placement, caps []float64) *allocator {
-	al := &allocator{
-		p:      p,
-		pl:     pl,
-		frozen: make(map[int]bool),
-		fixed:  make(map[int]float64),
+	if len(al.frozen) < len(t.apps) {
+		al.frozen = make([]bool, len(t.apps))
+		al.fixed = make([]float64, len(t.apps))
 	}
-	if caps != nil {
-		al.nodeCaps = caps
-	} else {
-		al.nodeCaps = make([]float64, p.Cluster.Len())
-		for i, n := range p.Cluster.Nodes() {
-			al.nodeCaps[i] = n.CPUMHz
+	if n := len(t.nodeCaps); len(al.nodeLoad) < n {
+		al.nodeLoad = make([]float64, n)
+		al.residual = make([]float64, n)
+		al.hostIdx = make([]int, n)
+		for i := range al.hostIdx {
+			al.hostIdx[i] = -1
 		}
 	}
-	for idx, a := range p.Apps {
+
+	for idx := range t.apps {
 		nodes := pl.NodesOf(idx)
 		if len(nodes) == 0 {
 			continue
 		}
-		switch a.Kind {
-		case KindBatch:
-			if a.Job.Remaining(a.Done) <= 0 {
-				continue // nothing to run
-			}
+		if t.apps[idx].web != nil {
+			al.webs = append(al.webs, idx)
+		} else if t.apps[idx].job.Remaining > 0 { // else nothing to run
 			al.jobs = append(al.jobs, idx)
 			al.jobNode = append(al.jobNode, int(nodes[0]))
-		case KindWeb:
-			al.webs = append(al.webs, idx)
 		}
 	}
-	al.jobDemand = make([]float64, len(al.jobs))
-	al.scratch = getAllocScratch(len(al.nodeCaps))
-	al.nodeLoad = al.scratch.nodeLoad
-	seen := al.scratch.seen
+	al.jobDemand = slices.Grow(al.jobDemand[:0], len(al.jobs))[:len(al.jobs)]
+	al.webDemand = slices.Grow(al.webDemand[:0], len(al.webs))[:len(al.webs)]
+	// hostIdx doubles as the "seen" marker while the distinct job nodes
+	// are collected; it is restored before the web hosts claim it.
 	for _, nd := range al.jobNode {
-		if !seen[nd] {
-			seen[nd] = true
+		if al.hostIdx[nd] == -1 {
+			al.hostIdx[nd] = 0
 			al.jobNodes = append(al.jobNodes, nd)
 		}
 	}
 	for _, nd := range al.jobNodes {
-		seen[nd] = false // restore the scratch invariant
+		al.hostIdx[nd] = -1
 	}
 	if len(al.webs) > 1 {
-		al.webHostIdx = al.scratch.hostIdx
 		for _, app := range al.webs {
 			for _, nd := range pl.NodesOf(app) {
-				if al.webHostIdx[nd] == -1 {
-					al.webHostIdx[nd] = 0
+				if al.hostIdx[nd] == -1 {
+					al.hostIdx[nd] = 0
 					al.webHosts = append(al.webHosts, int(nd))
 				}
 			}
 		}
 		sort.Ints(al.webHosts)
 		for k, nd := range al.webHosts {
-			al.webHostIdx[nd] = k
+			al.hostIdx[nd] = k
 		}
 	}
-	return al
 }
 
-// capUtility returns the highest utility level the app can use.
-func (al *allocator) capUtility(app int) float64 {
-	a := al.p.Apps[app]
-	if a.Kind == KindWeb {
-		return a.Web.UtilityCap()
-	}
-	return a.Job.UtilityCap(a.Done, al.p.Now)
-}
-
-// demandAt returns the CPU the app needs to reach level u (clamped to its
-// achievable cap and speed limits, floored by the job's minimum speed).
-func (al *allocator) demandAt(app int, u float64) float64 {
-	a := al.p.Apps[app]
-	if a.Kind == KindWeb {
-		capU := a.Web.UtilityCap()
-		if u > capU {
-			u = capU
-		}
-		return a.Web.Demand(u)
-	}
-	capU := a.Job.UtilityCap(a.Done, al.p.Now)
-	var d float64
-	if u >= capU {
-		// At the achievable cap the job runs flat out: allocate the
-		// current stage's full speed (the fluid average would under-buy
-		// a fast stage ahead of a slow one).
-		d = jobSpeedCap(a)
-	} else {
-		d, _ = a.Job.RequiredSpeed(u, a.Done, al.p.Now)
-		if maxSpeed := jobSpeedCap(a); d > maxSpeed {
-			d = maxSpeed
-		}
-	}
-	if minSpeed := a.Job.MinSpeedAt(a.Done); d < minSpeed {
-		d = minSpeed
-	}
-	return d
+// freeze settles app at the given allocation.
+func (al *allocator) freeze(app int, alloc float64) {
+	al.frozen[app] = true
+	al.fixed[app] = alloc
 }
 
 // memoryFits reports whether every node satisfies its memory constraint
 // and no anti-collocation relation is violated.
 func (al *allocator) memoryFits() bool {
-	for n := range al.nodeCaps {
-		onNode := al.pl.OnNode(cluster.NodeID(n))
+	t := al.t
+	al.residents.build(al.pl, len(t.nodeCaps))
+	for n := range t.nodeCaps {
+		onNode := al.residents.on(cluster.NodeID(n))
 		var mem float64
 		for _, app := range onNode {
-			mem += al.p.Apps[app].MemoryMB()
+			mem += t.apps[app].mem
 		}
-		node, _ := al.p.Cluster.Node(cluster.NodeID(n))
-		if mem > node.MemMB+capTolerance {
+		if mem > t.nodeMem[n]+capTolerance {
 			return false
+		}
+		if !t.conflicts {
+			continue
 		}
 		for i := 0; i < len(onNode); i++ {
 			for j := i + 1; j < len(onNode); j++ {
-				if conflictsWith(al.p.Apps[onNode[i]], al.p.Apps[onNode[j]]) {
+				if t.conflict(onNode[i], onNode[j]) {
 					return false
 				}
 			}
@@ -391,11 +306,25 @@ func (al *allocator) memoryFits() bool {
 	return true
 }
 
+// demand returns the allocation the probe gives app: its fixed value
+// when frozen, else what level u (or u+probeDelta for the raised app)
+// requires.
+func (al *allocator) demand(app int, u float64, raised int) float64 {
+	if al.frozen[app] {
+		return al.fixed[app]
+	}
+	if app == raised {
+		u += probeDelta
+	}
+	return al.t.demandAt(app, u)
+}
+
 // feasible reports whether setting every unfrozen app to level u (frozen
 // apps keep their fixed allocations) fits node CPU capacities. When
 // raised >= 0, that app is probed at u+probeDelta instead.
 func (al *allocator) feasible(u float64, raised int) bool {
 	al.probes++
+	nodeCaps := al.t.nodeCaps
 	// Only nodes hosting jobs ever accumulate load; resetting and
 	// checking just those keeps each probe independent of cluster size.
 	for _, nd := range al.jobNodes {
@@ -403,22 +332,13 @@ func (al *allocator) feasible(u float64, raised int) bool {
 	}
 	// Batch jobs are pinned: accumulate directly.
 	for k, app := range al.jobs {
-		var d float64
-		if al.frozen[app] {
-			d = al.fixed[app]
-		} else {
-			lv := u
-			if app == raised {
-				lv = u + probeDelta
-			}
-			d = al.demandAt(app, lv)
-		}
+		d := al.demand(app, u, raised)
 		al.jobDemand[k] = d
 		al.nodeLoad[al.jobNode[k]] += d
 	}
 	tol := capTolerance * 1000
 	for _, nd := range al.jobNodes {
-		if al.nodeLoad[nd] > al.nodeCaps[nd]+tol {
+		if al.nodeLoad[nd] > nodeCaps[nd]+tol {
 			return false
 		}
 	}
@@ -426,32 +346,23 @@ func (al *allocator) feasible(u float64, raised int) bool {
 		return true
 	}
 	// Web demands route through their placed nodes.
-	webDemand := make([]float64, len(al.webs))
 	var totalWeb float64
 	for i, app := range al.webs {
-		if al.frozen[app] {
-			webDemand[i] = al.fixed[app]
-		} else {
-			lv := u
-			if app == raised {
-				lv = u + probeDelta
-			}
-			webDemand[i] = al.demandAt(app, lv)
-		}
-		totalWeb += webDemand[i]
+		al.webDemand[i] = al.demand(app, u, raised)
+		totalWeb += al.webDemand[i]
 	}
 	if len(al.webs) == 1 {
 		var residual float64
 		for _, n := range al.pl.NodesOf(al.webs[0]) {
-			r := al.nodeCaps[n] - al.nodeLoad[n]
+			r := nodeCaps[n] - al.nodeLoad[n]
 			if r > 0 {
 				residual += r
 			}
 		}
-		return webDemand[0] <= residual+tol
+		return al.webDemand[0] <= residual+tol
 	}
 	// General case: bipartite feasibility by max-flow.
-	routed, err := al.routeWeb(webDemand)
+	routed, err := al.routeWeb(al.webDemand)
 	if err != nil {
 		return false
 	}
@@ -469,7 +380,7 @@ func (al *allocator) routeWeb(webDemand []float64) (float64, error) {
 	g := flow.NewNetwork(n)
 	src, sink := 0, n-1
 	appVertex := func(i int) int { return 1 + i }
-	nodeVertex := func(nd int) int { return 1 + len(al.webs) + al.webHostIdx[nd] }
+	nodeVertex := func(nd int) int { return 1 + len(al.webs) + al.hostIdx[nd] }
 	for i, app := range al.webs {
 		if _, err := g.AddEdge(src, appVertex(i), webDemand[i]); err != nil {
 			return 0, err
@@ -481,7 +392,7 @@ func (al *allocator) routeWeb(webDemand []float64) (float64, error) {
 		}
 	}
 	for _, nd := range al.webHosts {
-		r := al.nodeCaps[nd] - al.nodeLoad[nd]
+		r := al.t.nodeCaps[nd] - al.nodeLoad[nd]
 		if r < 0 {
 			r = 0
 		}
@@ -494,23 +405,23 @@ func (al *allocator) routeWeb(webDemand []float64) (float64, error) {
 }
 
 // solve runs the lexicographic max-min level search and returns the
-// per-app allocations, or feasible=false.
-func (al *allocator) solve() (perApp []float64, shares map[int][]float64, feasibleOK bool) {
-	if !al.skipMemCheck && !al.memoryFits() {
-		return nil, nil, false
+// per-app allocations, or feasibleOK=false. skipMemCheck elides the full
+// per-node memory/anti-collocation scan: the incremental evaluation path
+// has already verified the nodes the candidate touches against a
+// known-feasible base placement. perApp and shares are freshly
+// allocated; everything else the search needs is the allocator's own.
+func (al *allocator) solve(skipMemCheck bool) (perApp []float64, shares map[int][]float64, feasibleOK bool, err error) {
+	if !skipMemCheck && !al.memoryFits() {
+		return nil, nil, false, nil
 	}
 	// The floor level must fit (minimum speeds and frozen demands).
 	if !al.feasible(rpf.MinUtility, -1) {
-		return nil, nil, false
+		return nil, nil, false, nil
 	}
-	unfrozenCount := len(al.jobs) + len(al.webs)
-	active := make([]int, 0, unfrozenCount)
-	for _, app := range al.jobs {
-		active = append(active, app)
-	}
-	for _, app := range al.webs {
-		active = append(active, app)
-	}
+	t := al.t
+	active := append(append(al.active[:0], al.jobs...), al.webs...)
+	al.active = active
+	unfrozenCount := len(active)
 
 	for rounds := 0; unfrozenCount > 0 && rounds <= len(active)+1; rounds++ {
 		// Bisect the highest common feasible level for unfrozen apps.
@@ -534,9 +445,8 @@ func (al *allocator) solve() (perApp []float64, shares map[int][]float64, feasib
 			if al.frozen[app] {
 				continue
 			}
-			if al.capUtility(app) <= level+capTolerance {
-				al.frozen[app] = true
-				al.fixed[app] = al.demandAt(app, al.capUtility(app))
+			if capU := t.utilityCap(app); capU <= level+capTolerance {
+				al.freeze(app, t.demandAt(app, capU))
 				newlyFrozen++
 				unfrozenCount--
 			}
@@ -545,7 +455,7 @@ func (al *allocator) solve() (perApp []float64, shares map[int][]float64, feasib
 			break
 		}
 		// Freeze apps blocked by capacity: a probe at level+δ fails.
-		blocked := make([]int, 0)
+		blocked := al.blocked[:0]
 		for _, app := range active {
 			if al.frozen[app] {
 				continue
@@ -554,9 +464,9 @@ func (al *allocator) solve() (perApp []float64, shares map[int][]float64, feasib
 				blocked = append(blocked, app)
 			}
 		}
+		al.blocked = blocked
 		for _, app := range blocked {
-			al.frozen[app] = true
-			al.fixed[app] = al.demandAt(app, level)
+			al.freeze(app, t.demandAt(app, level))
 			newlyFrozen++
 			unfrozenCount--
 		}
@@ -565,31 +475,46 @@ func (al *allocator) solve() (perApp []float64, shares map[int][]float64, feasib
 			// at the found level.
 			for _, app := range active {
 				if !al.frozen[app] {
-					al.frozen[app] = true
-					al.fixed[app] = al.demandAt(app, level)
+					al.freeze(app, t.demandAt(app, level))
 					unfrozenCount--
 				}
 			}
 		}
 	}
 
-	perApp = make([]float64, len(al.p.Apps))
-	for app, alloc := range al.fixed {
-		perApp[app] = alloc
+	perApp = make([]float64, len(t.apps))
+	for _, app := range active {
+		if al.frozen[app] {
+			perApp[app] = al.fixed[app]
+		}
 	}
-	shares = al.distributeWeb(perApp)
-	return perApp, shares, true
+	shares, err = al.distributeWeb(perApp)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return perApp, shares, true, nil
 }
 
 // distributeWeb splits each web app's total allocation across its nodes,
-// honoring node residual capacity after job allocations.
-func (al *allocator) distributeWeb(perApp []float64) map[int][]float64 {
-	shares := make(map[int][]float64, len(al.webs))
+// honoring node residual capacity after job allocations. A capacity the
+// flow network rejects (NaN, negative, infinite) is an error, not a
+// feasible evaluation with a share missing.
+func (al *allocator) distributeWeb(perApp []float64) (map[int][]float64, error) {
 	if len(al.webs) == 0 {
-		return shares
+		return nil, nil
 	}
-	residual := al.scratch.residual
-	copy(residual, al.nodeCaps)
+	shares := make(map[int][]float64, len(al.webs))
+	// Node residuals after the jobs, for the nodes that are read: the
+	// capacity first, then the jobs subtracted in job order.
+	residual, nodeCaps := al.residual, al.t.nodeCaps
+	for _, nd := range al.jobNodes {
+		residual[nd] = nodeCaps[nd]
+	}
+	for _, app := range al.webs {
+		for _, nd := range al.pl.NodesOf(app) {
+			residual[nd] = nodeCaps[nd]
+		}
+	}
 	for k, app := range al.jobs {
 		residual[al.jobNode[k]] -= perApp[app]
 	}
@@ -607,7 +532,7 @@ func (al *allocator) distributeWeb(perApp []float64) map[int][]float64 {
 			}
 		}
 		shares[app] = out
-		return shares
+		return shares, nil
 	}
 	// Multiple web apps: route with max-flow and read back edge flows.
 	// As in routeWeb, only web-hosting nodes appear in the network.
@@ -618,25 +543,25 @@ func (al *allocator) distributeWeb(perApp []float64) map[int][]float64 {
 	refs := make(map[edgeKey]flow.EdgeRef)
 	for i, app := range al.webs {
 		if _, err := g.AddEdge(src, 1+i, perApp[app]); err != nil {
-			continue
+			return nil, fmt.Errorf("core: web share of %q: %w", al.t.p.Apps[app].Name, err)
 		}
 		for s, nd := range al.pl.NodesOf(app) {
-			ref, err := g.AddEdge(1+i, 1+len(al.webs)+al.webHostIdx[nd], perApp[app])
+			ref, err := g.AddEdge(1+i, 1+len(al.webs)+al.hostIdx[nd], perApp[app])
 			if err != nil {
-				continue
+				return nil, fmt.Errorf("core: web share of %q: %w", al.t.p.Apps[app].Name, err)
 			}
 			refs[edgeKey{app: i, slot: s}] = ref
 		}
 	}
 	for _, nd := range al.webHosts {
 		r := math.Max(0, residual[nd])
-		if _, err := g.AddEdge(1+len(al.webs)+al.webHostIdx[nd], sink, r); err != nil {
-			continue
+		if _, err := g.AddEdge(1+len(al.webs)+al.hostIdx[nd], sink, r); err != nil {
+			return nil, fmt.Errorf("core: web residual of node %d: %w", nd, err)
 		}
 	}
 	al.flowSolves++
 	if _, err := g.MaxFlow(src, sink); err != nil {
-		return shares
+		return nil, fmt.Errorf("core: web shares: %w", err)
 	}
 	for i, app := range al.webs {
 		nodes := al.pl.NodesOf(app)
@@ -648,5 +573,5 @@ func (al *allocator) distributeWeb(perApp []float64) map[int][]float64 {
 		}
 		shares[app] = out
 	}
-	return shares
+	return shares, nil
 }

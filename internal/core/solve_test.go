@@ -294,6 +294,13 @@ func TestActionCosts(t *testing.T) {
 	}
 	fresh := batchApp("fresh", 10000, 1000, 1000, 0, 100)
 	p := &Problem{Cluster: cl, Now: 0, Cycle: 10, Apps: []*Application{fresh}, Costs: costs}
+	// The table reads Current, Started and LastNode through p at call
+	// time, so one build serves every case below.
+	var tbl table
+	tbl.build(p)
+	actionCost := func(_ *Problem, app int, target cluster.NodeID) float64 {
+		return tbl.actionCost(app, target)
+	}
 	// Boot cost for a first start.
 	if got := actionCost(p, 0, 0); got != 3.6 {
 		t.Fatalf("boot cost = %v, want 3.6", got)
@@ -392,7 +399,7 @@ func TestQuickAllocationRespectsCapacity(t *testing.T) {
 		for i, a := range apps {
 			if a.Kind == KindBatch && pl.Placed(i) {
 				load[pl.NodesOf(i)[0]] += ev.PerApp[i]
-				capSpeed := jobSpeedCap(a)
+				capSpeed := a.Job.MaxSpeedAt(a.Done)
 				if ev.PerApp[i] > capSpeed+1e-6 {
 					t.Fatalf("trial %d: job alloc %v above speed cap %v", trial, ev.PerApp[i], capSpeed)
 				}

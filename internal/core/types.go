@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
@@ -136,12 +135,21 @@ func NewPlacement(numApps int) *Placement {
 	return &Placement{nodes: make([][]cluster.NodeID, numApps)}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The copy's node lists share one backing
+// array (each capped at its own length, so a later Add reallocates that
+// list alone): cloning costs three allocations whatever the number of
+// applications, which matters because every candidate starts as a clone.
 func (p *Placement) Clone() *Placement {
+	total := 0
+	for _, ns := range p.nodes {
+		total += len(ns)
+	}
 	cp := &Placement{nodes: make([][]cluster.NodeID, len(p.nodes))}
+	buf := make([]cluster.NodeID, total)
 	for i, ns := range p.nodes {
-		if len(ns) > 0 {
-			cp.nodes[i] = append([]cluster.NodeID(nil), ns...)
+		if n := copy(buf, ns); n > 0 {
+			cp.nodes[i] = buf[:n:n]
+			buf = buf[n:]
 		}
 	}
 	return cp
@@ -172,13 +180,23 @@ func (p *Placement) Has(app int, n cluster.NodeID) bool {
 	return false
 }
 
-// Add places an instance of app on node n (idempotent).
+// Add places an instance of app on node n (idempotent), keeping the
+// application's node list sorted.
 func (p *Placement) Add(app int, n cluster.NodeID) {
-	if app < 0 || app >= len(p.nodes) || p.Has(app, n) {
+	if app < 0 || app >= len(p.nodes) {
 		return
 	}
-	ns := append(p.nodes[app], n)
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	ns := p.nodes[app]
+	pos := len(ns)
+	for pos > 0 && ns[pos-1] >= n {
+		pos--
+	}
+	if pos < len(ns) && ns[pos] == n {
+		return
+	}
+	ns = append(ns, n)
+	copy(ns[pos+1:], ns[pos:])
+	ns[pos] = n
 	p.nodes[app] = ns
 }
 
@@ -187,7 +205,8 @@ func (p *Placement) Remove(app int, n cluster.NodeID) {
 	ns := p.nodes[app]
 	for i, x := range ns {
 		if x == n {
-			p.nodes[app] = append(ns[:i:i], ns[i+1:]...)
+			copy(ns[i:], ns[i+1:])
+			p.nodes[app] = ns[:len(ns)-1]
 			return
 		}
 	}

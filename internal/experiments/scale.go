@@ -103,7 +103,7 @@ func RunScaleSweep(opts ScaleSweepOptions) ([]ScaleSweepRow, error) {
 		}
 
 		// Untimed warm-up solve: both timed legs then run with warm
-		// caches and a populated scratch pool, so the speedup column
+		// caches and warm evaluation arenas, so the speedup column
 		// compares evaluation strategies rather than process warm-up.
 		p.Parallelism = 1
 		if _, err := core.Optimize(p); err != nil {
