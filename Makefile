@@ -50,16 +50,16 @@ test:
 shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
 
-# The CI bench-smoke job: one scale-sweep + churn-sweep + recovery-sweep
-# + obs-overhead + router-sweep + replay-sweep run, tables on stdout and
-# BENCH_*.json rows in the working directory. The router sweep gates
-# dispatch ns/op and allocs/op against scripts/router_baseline.json;
-# the replay sweep gates forecast-driven control against reactive.
+# The CI bench-smoke job: one scale-sweep + router-sweep + replay-sweep
+# run, tables on stdout and BENCH_*.json rows in the working directory.
+# The router sweep gates dispatch ns/op and allocs/op against
+# scripts/router_baseline.json; the replay sweep gates forecast-driven
+# control against reactive.
 # Then the two solver micro-benchmarks, which print the solver's work
 # counts (candidates, probes, flow solves per op) beside time and
 # allocations.
 bench:
-	BENCH_JSON_DIR=. $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep|BenchmarkChurnSweep|BenchmarkRecoverySweep|BenchmarkObsOverhead|BenchmarkRouterSweep|BenchmarkReplaySweep' -benchtime=1x .
+	BENCH_JSON_DIR=. $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep|BenchmarkRouterSweep|BenchmarkReplaySweep' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizerCycle|BenchmarkAllocationSolver' -benchmem -benchtime=5x .
 
 # The repository's benchmark (cmd/dynbench/README.md): the whole

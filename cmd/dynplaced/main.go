@@ -7,10 +7,10 @@
 // gracefully (POST /v1/nodes/{name}/drain), fail abruptly
 // (POST /v1/nodes/{name}/fail — jobs are rescued with progress intact)
 // and leave (DELETE /v1/nodes/{name}) while the daemon runs. The
-// -cluster flag only seeds the initial inventory. The API is versioned
-// under /v1 with the unversioned paths kept as deprecated aliases for
-// one release; errors carry the {"error": {"code", "message"}} envelope
-// (see docs/API.md). Request dispatch (POST /v1/route/{name}) goes
+// -cluster flag only seeds the initial inventory. Every route lives
+// under /v1 (a bare path is a plain 404); errors carry the
+// {"error": {"code", "message"}} envelope (see docs/API.md). Request
+// dispatch (POST /v1/route/{name}) goes
 // through a lock-free router dataplane and accepts a {"n": N} body to
 // route a batch in one call.
 //
@@ -21,8 +21,8 @@
 // the node inventory survive kill -9. Jobs that were running when the
 // process died are rescued onto the recovered placement. SIGTERM exits
 // gracefully: the cycle loop drains, a final snapshot is written, and
-// the process exits 0. GET /state reports durability status; POST
-// /state/snapshot compacts on demand.
+// the process exits 0. GET /v1/state reports durability status; POST
+// /v1/state/snapshot compacts on demand.
 //
 // With -forecast the control loop plans each cycle against predicted
 // next-cycle demand instead of the last observed arrival rate: an
@@ -33,16 +33,16 @@
 // prediction and the scorecard; dynplace_forecast_* gauges expose it
 // to Prometheus (see docs/OPERATIONS.md for the fallback runbook).
 //
-// /healthz reports the control loop's real state: "recovering" while a
-// boot-time replay is rebuilding state (mutating endpoints answer 503
+// /v1/healthz reports the control loop's real state: "recovering" while
+// a boot-time replay is rebuilding state (mutating endpoints answer 503
 // until it completes), "ok", "degraded" while placement is infeasible
 // (e.g. after losing too many nodes), or "failing" when cycles error,
 // with the last error attached.
 //
-// Observability: GET /metrics/prom serves the Prometheus text
+// Observability: GET /v1/metrics/prom serves the Prometheus text
 // exposition (cycle/span/zone latency histograms, router and WAL
 // timings, lifetime counters; gzip-encoded when the scraper sends
-// Accept-Encoding: gzip), GET /debug/cycles/{n} the span timeline
+// Accept-Encoding: gzip), GET /v1/debug/cycles/{n} the span timeline
 // of a recent control cycle. Every cycle's decision provenance — who
 // was placed, moved, evicted or denied, and which constraint bound —
 // is kept in a bounded flight recorder: GET /v1/explain serves the
@@ -62,18 +62,18 @@
 //
 //	dynplaced -listen :8080 -cluster 4x3000/4096 -cycle 30
 //
-//	curl -s localhost:8080/healthz
-//	curl -s -X POST localhost:8080/apps -d '{"app":{"name":"shop",
+//	curl -s localhost:8080/v1/healthz
+//	curl -s -X POST localhost:8080/v1/apps -d '{"app":{"name":"shop",
 //	  "arrivalRate":20,"demandPerRequest":50,"goalResponseTime":0.25,
 //	  "memoryMB":1200}}'
-//	curl -s -X POST localhost:8080/jobs -d '{"relative":true,"job":{
+//	curl -s -X POST localhost:8080/v1/jobs -d '{"relative":true,"job":{
 //	  "name":"nightly","workMcycles":3.9e6,"maxSpeedMHz":3000,
 //	  "memoryMB":2000,"deadline":14400}}'
-//	curl -s -X POST localhost:8080/nodes -d '{"name":"spare-1",
+//	curl -s -X POST localhost:8080/v1/nodes -d '{"name":"spare-1",
 //	  "cpuMHz":3000,"memMB":4096}'
-//	curl -s -X POST localhost:8080/nodes/node-2/drain
-//	curl -s localhost:8080/placement
-//	curl -s localhost:8080/metrics/prom
+//	curl -s -X POST localhost:8080/v1/nodes/node-2/drain
+//	curl -s localhost:8080/v1/placement
+//	curl -s localhost:8080/v1/metrics/prom
 package main
 
 import (
@@ -103,7 +103,7 @@ func main() {
 		spec      = flag.String("cluster", "4x3000/4096", "cluster inventory: comma-separated COUNTxCPU_MHZ/MEM_MB groups")
 		cycle     = flag.Float64("cycle", 30, "control cycle length in seconds")
 		queueCap  = flag.Int("queue", 128, "per-app overload-protection queue capacity (0 rejects immediately)")
-		history   = flag.Int("history", 512, "per-cycle snapshots retained for /metrics")
+		history   = flag.Int("history", 512, "per-cycle snapshots retained for /v1/metrics")
 		epsilon   = flag.Float64("epsilon", 0, "optimizer comparison resolution (0 = default)")
 		passes    = flag.Int("passes", 0, "optimizer improvement passes per cycle (0 = default)")
 		par       = flag.Int("parallelism", 0, "optimizer candidate-evaluation workers (1 = sequential, 0 = all CPUs)")
@@ -117,7 +117,7 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log encoding: text or json")
 		slowCycle = flag.Float64("slow-cycle", 0, "warn when a control cycle takes longer than this many seconds (0 = 80% of -cycle, negative disables)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
-		traceN    = flag.Int("trace-cycles", 64, "cycle span timelines retained for /debug/cycles")
+		traceN    = flag.Int("trace-cycles", 64, "cycle span timelines retained for /v1/debug/cycles")
 		explainN  = flag.Int("explain-history", 128, "cycle decision explanations retained for /v1/explain")
 		version   = flag.Bool("version", false, "print the build version and exit")
 		fcOn      = flag.Bool("forecast", false, "plan each cycle against predicted next-cycle demand instead of the last observation")
@@ -233,7 +233,7 @@ func main() {
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	// Serve before recovering so /healthz can answer "recovering" while
+	// Serve before recovering so /v1/healthz can answer "recovering" while
 	// the replay rebuilds state — load balancers keep traffic away
 	// instead of timing out. The daemon refuses mutating requests with
 	// 503 until Recover completes, so a request routed early cannot be

@@ -54,14 +54,15 @@
 // Beyond the deterministic simulator, the placement controller also runs
 // as a long-lived service: cmd/dynplaced hosts the control loop from
 // internal/control on a real clock, accepts workload submissions over a
-// JSON HTTP API (POST /apps, POST /jobs), swaps each cycle's placement
-// in atomically, and republishes per-instance CPU shares to the request
-// router as dispatch weights (POST /route/{app} routes one request).
-// GET /placement, GET /metrics and GET /healthz expose the controller's
-// state: current placement with relative-performance values, a
+// JSON HTTP API (POST /v1/apps, POST /v1/jobs), swaps each cycle's
+// placement in atomically, and republishes per-instance CPU shares to
+// the request router as dispatch weights (POST /v1/route/{app} routes
+// one request). GET /v1/placement, GET /v1/metrics and GET /v1/healthz
+// expose the controller's state: current placement with
+// relative-performance values, a
 // ring-buffer history of per-cycle observations, and a truthful health
 // status (degraded/failing with the last error while cycles cannot
-// plan). The node inventory is live too: machines join (POST /nodes),
+// plan). The node inventory is live too: machines join (POST /v1/nodes),
 // drain gracefully, fail abruptly (jobs are rescued with progress
 // intact) and leave while the daemon runs, and the controller replans
 // against the current inventory every cycle. In the simulator the same
@@ -81,7 +82,7 @@
 // periodic compacting snapshots, and a restart replays them — apps,
 // jobs with accumulated progress, and the node inventory survive
 // kill -9, with previously running jobs rescued onto the recovered
-// placement. GET /state and the shared SystemMetrics gauges
+// placement. GET /v1/state and the shared SystemMetrics gauges
 // (UptimeCycles, Restarts, ReplayDurationSeconds — see System.Metrics)
 // report the recovery trajectory.
 //

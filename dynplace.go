@@ -302,7 +302,7 @@ func convertPoints(in []metrics.Point) []Point {
 }
 
 // SystemMetrics is the durability-and-uptime gauge set shared by the
-// simulated System and the live daemon's /metrics payload (the daemon
+// simulated System and the live daemon's /v1/metrics payload (the daemon
 // inlines these fields in its metrics and state views, under the same
 // JSON names). For a System — which lives and dies with one process —
 // Restarts and ReplayDurationSeconds are always zero; the dynplaced

@@ -3,6 +3,7 @@ package dynplace
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -138,6 +139,49 @@ func TestInvalidSpecsRejected(t *testing.T) {
 	}
 	if err := sys.AddWebApp(WebAppSpec{Name: "bad"}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("bad web app: err = %v", err)
+	}
+}
+
+// TestSpecDecompileRoundTrip: compile → decompile → compile is the
+// identity on the compiled form, for the flat single-stage shorthand
+// (which decompiles to an explicit stage), a multi-stage profile, and a
+// web application — what lets the daemon journal JobSpecOf/WebAppSpecOf
+// and rebuild the same registry on replay.
+func TestSpecDecompileRoundTrip(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Name: "flat", WorkMcycles: 5000, MaxSpeedMHz: 1000, MemoryMB: 750, Submit: 3, Deadline: 60},
+		{Name: "staged", Submit: 1, DesiredStart: 2, Deadline: 90, AntiCollocate: []string{"flat"},
+			Stages: []Stage{
+				{WorkMcycles: 100, MaxSpeedMHz: 500, MinSpeedMHz: 50, MemoryMB: 300},
+				{WorkMcycles: 200, MaxSpeedMHz: 800, MemoryMB: 600},
+			}},
+	} {
+		first, err := CompileJob(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		again, err := CompileJob(JobSpecOf(first))
+		if err != nil {
+			t.Fatalf("%s: decompiled spec does not compile: %v", spec.Name, err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Errorf("%s: round trip changed the compiled job:\n%+v\n%+v", spec.Name, first, again)
+		}
+	}
+	first, err := CompileWebApp(WebAppSpec{
+		Name: "shop", ArrivalRate: 20, DemandPerRequest: 50, BaseLatency: 0.02,
+		GoalResponseTime: 0.25, MaxPowerMHz: 4000, MemoryMB: 800,
+		AntiCollocate: []string{"staged"}, GoalPercentile: 95,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := CompileWebApp(WebAppSpecOf(first))
+	if err != nil {
+		t.Fatalf("decompiled web spec does not compile: %v", err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("round trip changed the compiled web app:\n%+v\n%+v", first, again)
 	}
 }
 

@@ -2,6 +2,7 @@ package control
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -488,6 +489,67 @@ func TestRunnerAddNodeExpandsCapacity(t *testing.T) {
 	}
 	if rate := run(true).OnTimeRate(); rate != 1 {
 		t.Fatalf("with the spare node on-time rate = %v, want 1", rate)
+	}
+
+	// Kill and recover beside a web application: two of four paper-spec
+	// nodes die at t=600, same-sized replacements join at t=1200. No job
+	// is abandoned (those on the dead nodes are rescued), the web
+	// utility dips while capacity is short, and it is back within 0.02
+	// of its pre-failure value by the horizon.
+	const failAt, recoverAt, horizon = 600, 1200, 3000
+	r := mustRunner(t, Config{
+		Cluster: mustCluster(t, 4, 15600, 16384), CycleSeconds: 60,
+		Costs:   cluster.DefaultCostModel(),
+		Dynamic: &DynamicConfig{MaxPasses: 1},
+		WebApps: []*txn.App{{
+			Name: "web", ArrivalRate: 150, DemandPerRequest: 120,
+			BaseLatency: 0.04, GoalResponseTime: 0.25,
+			MaxPowerMHz: 30000, MemoryMB: 2000,
+		}},
+	})
+	for j := 0; j < 8; j++ {
+		// ~1000 s of work at full speed against a generous deadline.
+		if err := r.Submit(batch.SingleStage(fmt.Sprintf("job-%d", j),
+			3.9e6, 3900, 4320, 0, horizon*5/6)); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	for k := 0; k < 2; k++ {
+		if err := r.FailNode(failAt, cluster.NodeID(3-k)); err != nil {
+			t.Fatalf("FailNode: %v", err)
+		}
+		if err := r.AddNode(recoverAt, cluster.Node{
+			Name: fmt.Sprintf("spare-%d", k), CPUMHz: 15600, MemMB: 16384,
+		}); err != nil {
+			t.Fatalf("AddNode: %v", err)
+		}
+	}
+	if err := r.Run(horizon); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, j := range r.Jobs() {
+		if j.Status != scheduler.Completed {
+			t.Errorf("job %s lost to the node failure", j.Spec.Name)
+		}
+	}
+	if n := r.Actions().Get(scheduler.ActionRescue); n < 1 {
+		t.Errorf("rescues = %d, want ≥ 1 (jobs on the dead nodes must be rescued)", n)
+	}
+	var baseline, final float64
+	dip := 1.0
+	for _, pt := range r.WebUtility(0).Points() {
+		if pt.T < failAt {
+			baseline = pt.V
+		} else {
+			dip = math.Min(dip, pt.V)
+		}
+		final = pt.V
+	}
+	if baseline <= 0 || dip >= baseline {
+		t.Errorf("no web utility dip through a 2-node failure: baseline %v, dip %v", baseline, dip)
+	}
+	if final < baseline-0.02 {
+		t.Errorf("web utility did not recover: baseline %v, final %v", baseline, final)
 	}
 }
 

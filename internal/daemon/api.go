@@ -20,9 +20,9 @@ import (
 	"dynplace/internal/router"
 )
 
-// Handler returns the daemon's HTTP API. The canonical surface is
-// versioned under /v1; the unversioned paths remain as deprecated
-// aliases for one release (see docs/API.md):
+// Handler returns the daemon's HTTP API. Every route lives under /v1;
+// any other path, the bare unversioned ones included, is the mux's
+// plain 404 (see docs/API.md):
 //
 //	GET    /v1/healthz            liveness, cycle progress, truthful status
 //	GET    /v1/placement          the latest placement snapshot
@@ -58,14 +58,13 @@ import (
 // machine-readable codes (see codeFor); 503 responses carry a
 // Retry-After header sized to the control cycle. Every route is wrapped
 // in latency/status instrumentation feeding the dynplace_http_* series
-// on /metrics/prom, labeled by the pattern actually hit so v1 and
-// legacy traffic are distinguishable.
+// on /v1/metrics/prom, labeled by its registered pattern.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	classes := d.obs.responseClasses()
 	// Each route's histogram is pre-registered here, so request
 	// handling itself never takes a registry lock.
-	handle := func(pattern string, h http.HandlerFunc) {
+	route := func(pattern string, h http.HandlerFunc) {
 		ins := d.obs.newHTTPInstrument(pattern, &classes)
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 			//dynplace:ignore clockhygiene HTTP latency histogram; measures real elapsed time, never feeds placement
@@ -78,40 +77,30 @@ func (d *Daemon) Handler() http.Handler {
 			}
 		})
 	}
-	// Every route registers twice: the canonical /v1 pattern and the
-	// legacy unversioned alias, each with its own instrument label.
-	route := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic(fmt.Sprintf("daemon: route pattern %q has no method", pattern))
-		}
-		handle(method+" /v1"+path, h)
-		handle(pattern, h)
-	}
-	route("GET /healthz", d.handleHealthz)
-	route("GET /placement", d.handlePlacement)
-	route("GET /metrics", d.handleMetrics)
-	route("GET /metrics/prom", d.handleMetricsProm)
-	route("GET /explain", d.handleExplain)
-	route("GET /explain/apps/{name}", d.handleExplainApp)
-	route("GET /debug/cycles", d.handleCycles)
-	route("GET /debug/cycles/{n}", d.handleCycle)
-	route("GET /debug/bundle", d.handleBundle)
-	route("GET /apps", d.handleListApps)
-	route("POST /apps", d.handleAddApp)
-	route("DELETE /apps/{name}", d.handleRemoveApp)
-	route("POST /apps/{name}/load", d.handleSetLoad)
-	route("GET /apps/{name}/forecast", d.handleForecast)
-	route("POST /route/{name}", d.handleRoute)
-	route("GET /jobs", d.handleJobs)
-	route("POST /jobs", d.handleSubmitJob)
-	route("GET /nodes", d.handleListNodes)
-	route("POST /nodes", d.handleAddNode)
-	route("POST /nodes/{name}/drain", d.handleDrainNode)
-	route("POST /nodes/{name}/fail", d.handleFailNode)
-	route("DELETE /nodes/{name}", d.handleRemoveNode)
-	route("GET /state", d.handleState)
-	route("POST /state/snapshot", d.handleSnapshot)
+	route("GET /v1/healthz", d.handleHealthz)
+	route("GET /v1/placement", d.handlePlacement)
+	route("GET /v1/metrics", d.handleMetrics)
+	route("GET /v1/metrics/prom", d.handleMetricsProm)
+	route("GET /v1/explain", d.handleExplain)
+	route("GET /v1/explain/apps/{name}", d.handleExplainApp)
+	route("GET /v1/debug/cycles", d.handleCycles)
+	route("GET /v1/debug/cycles/{n}", d.handleCycle)
+	route("GET /v1/debug/bundle", d.handleBundle)
+	route("GET /v1/apps", d.handleListApps)
+	route("POST /v1/apps", d.handleAddApp)
+	route("DELETE /v1/apps/{name}", d.handleRemoveApp)
+	route("POST /v1/apps/{name}/load", d.handleSetLoad)
+	route("GET /v1/apps/{name}/forecast", d.handleForecast)
+	route("POST /v1/route/{name}", d.handleRoute)
+	route("GET /v1/jobs", d.handleJobs)
+	route("POST /v1/jobs", d.handleSubmitJob)
+	route("GET /v1/nodes", d.handleListNodes)
+	route("POST /v1/nodes", d.handleAddNode)
+	route("POST /v1/nodes/{name}/drain", d.handleDrainNode)
+	route("POST /v1/nodes/{name}/fail", d.handleFailNode)
+	route("DELETE /v1/nodes/{name}", d.handleRemoveNode)
+	route("GET /v1/state", d.handleState)
+	route("POST /v1/state/snapshot", d.handleSnapshot)
 	return mux
 }
 
@@ -128,27 +117,27 @@ func (s *statusRecorder) WriteHeader(code int) {
 	s.ResponseWriter.WriteHeader(code)
 }
 
-// AddAppRequest is the POST /apps body. Relative interprets the load
+// AddAppRequest is the POST /v1/apps body. Relative interprets the load
 // schedule's phase times as offsets from the current clock reading.
 type AddAppRequest struct {
 	App      dynplace.WebAppSpec `json:"app"`
 	Relative bool                `json:"relative,omitempty"`
 }
 
-// SubmitJobRequest is the POST /jobs body. Relative interprets Submit,
+// SubmitJobRequest is the POST /v1/jobs body. Relative interprets Submit,
 // DesiredStart and Deadline as offsets from the current clock reading.
 type SubmitJobRequest struct {
 	Job      dynplace.JobSpec `json:"job"`
 	Relative bool             `json:"relative,omitempty"`
 }
 
-// SetLoadRequest is the POST /apps/{name}/load body. Rate 0 quiesces
+// SetLoadRequest is the POST /v1/apps/{name}/load body. Rate 0 quiesces
 // the application without deregistering it.
 type SetLoadRequest struct {
 	ArrivalRate float64 `json:"arrivalRate"`
 }
 
-// AddNodeRequest is the POST /nodes body. An empty name is assigned
+// AddNodeRequest is the POST /v1/nodes body. An empty name is assigned
 // automatically ("node-<id>").
 type AddNodeRequest struct {
 	Name   string  `json:"name,omitempty"`
@@ -163,7 +152,7 @@ type RouteRequest struct {
 	N int `json:"n,omitempty"`
 }
 
-// RouteResponse is the single-request POST /route/{name} body on
+// RouteResponse is the single-request POST /v1/route/{name} body on
 // success.
 type RouteResponse struct {
 	Node   string `json:"node,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dynplace"
@@ -25,10 +26,14 @@ func decodeErrorEnvelope(t *testing.T, body []byte) ErrorDetail {
 	return env.Error
 }
 
-// TestV1Aliases checks every v1 route answers and its legacy
-// unversioned alias still works during the deprecation window, with
-// identical semantics.
+// TestV1Aliases checks the daemon has one URL tree: every route of
+// docs/API.md answers under /v1, its bare unversioned twin (the alias
+// earlier releases kept) is the mux's plain 404, and the exposition
+// carries one route label per registered pattern.
 func TestV1Aliases(t *testing.T) {
+	// net/http's own 404 body: what ServeMux writes for a path no
+	// pattern matches, as opposed to the daemon's JSON envelope.
+	const muxNotFound = "404 page not found\n"
 	d, clock, srv := newTestDaemon(t)
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
@@ -45,24 +50,69 @@ func TestV1Aliases(t *testing.T) {
 	}
 	clock.Advance(120)
 
-	for _, path := range []string{
-		"/healthz", "/placement", "/metrics", "/metrics/prom",
-		"/apps", "/jobs", "/nodes", "/state", "/debug/cycles",
-	} {
-		for _, prefix := range []string{"/v1", ""} {
-			status, body := do(t, http.MethodGet, srv.URL+prefix+path, nil)
-			if status != http.StatusOK {
-				t.Errorf("GET %s%s: status %d: %s", prefix, path, status, body)
-			}
+	// Pattern as registered, then the path that exercises it. Statuses
+	// other than 200 are the handler's own answer to an empty body or a
+	// daemon without forecasting or a store — still not the mux's 404.
+	routes := []struct {
+		pattern, path string
+		want          int
+	}{
+		{"GET /v1/healthz", "/healthz", http.StatusOK},
+		{"GET /v1/placement", "/placement", http.StatusOK},
+		{"GET /v1/metrics", "/metrics", http.StatusOK},
+		{"GET /v1/metrics/prom", "/metrics/prom", http.StatusOK},
+		{"GET /v1/explain", "/explain", http.StatusOK},
+		{"GET /v1/explain/apps/{name}", "/explain/apps/shop", http.StatusOK},
+		{"GET /v1/debug/cycles", "/debug/cycles", http.StatusOK},
+		{"GET /v1/debug/cycles/{n}", "/debug/cycles/1", http.StatusOK},
+		{"GET /v1/debug/bundle", "/debug/bundle", http.StatusOK},
+		{"GET /v1/apps", "/apps", http.StatusOK},
+		{"POST /v1/apps", "/apps", http.StatusBadRequest},
+		{"GET /v1/apps/{name}/forecast", "/apps/shop/forecast", http.StatusConflict},
+		{"POST /v1/apps/{name}/load", "/apps/shop/load", http.StatusBadRequest},
+		{"POST /v1/route/{name}", "/route/shop", http.StatusOK},
+		{"GET /v1/jobs", "/jobs", http.StatusOK},
+		{"POST /v1/jobs", "/jobs", http.StatusBadRequest},
+		{"GET /v1/nodes", "/nodes", http.StatusOK},
+		{"POST /v1/nodes", "/nodes", http.StatusBadRequest},
+		{"POST /v1/nodes/{name}/drain", "/nodes/ghost/drain", http.StatusNotFound},
+		{"POST /v1/nodes/{name}/fail", "/nodes/ghost/fail", http.StatusNotFound},
+		{"DELETE /v1/nodes/{name}", "/nodes/ghost", http.StatusNotFound},
+		{"GET /v1/state", "/state", http.StatusOK},
+		{"POST /v1/state/snapshot", "/state/snapshot", http.StatusConflict},
+		{"DELETE /v1/apps/{name}", "/apps/shop", http.StatusOK},
+	}
+	for _, r := range routes {
+		method, _, _ := strings.Cut(r.pattern, " ")
+		status, body := do(t, method, srv.URL+"/v1"+r.path, nil)
+		if status != r.want || string(body) == muxNotFound {
+			t.Errorf("%s /v1%s: status %d, want %d: %s", method, r.path, status, r.want, body)
+		}
+		status, body = do(t, method, srv.URL+r.path, nil)
+		if status != http.StatusNotFound || string(body) != muxNotFound {
+			t.Errorf("%s %s: status %d %q, want the mux's plain 404", method, r.path, status, body)
 		}
 	}
 
-	// Dispatch succeeds through both surfaces.
-	for _, prefix := range []string{"/v1", ""} {
-		status, body := do(t, http.MethodPost, srv.URL+prefix+"/route/shop", nil)
-		if status != http.StatusOK {
-			t.Errorf("POST %s/route/shop: status %d: %s", prefix, status, body)
+	// One dynplace_http_* series set per registered pattern: the route
+	// label values are exactly the table above.
+	labels := map[string]bool{}
+	for _, s := range scrapeProm(t, srv.URL).Families["dynplace_http_request_duration_seconds"].Samples {
+		if route, ok := s.Label("route"); ok && s.Name == "dynplace_http_request_duration_seconds_count" {
+			if labels[route] {
+				t.Errorf("route label %q exposed twice", route)
+			}
+			labels[route] = true
 		}
+	}
+	for _, r := range routes {
+		if !labels[r.pattern] {
+			t.Errorf("no dynplace_http_request_duration_seconds series for route %q", r.pattern)
+		}
+		delete(labels, r.pattern)
+	}
+	for route := range labels {
+		t.Errorf("route label %q matches no /v1 route of docs/API.md", route)
 	}
 }
 

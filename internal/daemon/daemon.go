@@ -74,7 +74,7 @@ type Config struct {
 	// the warning the operator thought they configured.
 	SlowCycleWarn float64
 	// TraceCycles is how many recent cycle span-timelines the tracer
-	// retains for GET /debug/cycles (default 64).
+	// retains for GET /v1/debug/cycles (default 64).
 	TraceCycles int
 	// ExplainHistory is how many per-cycle decision explanations the
 	// flight recorder retains for GET /v1/explain (default 128).
@@ -116,7 +116,7 @@ type Daemon struct {
 	// walErrors counts journal appends that failed; mutations are
 	// refused on failure, but cycle records are best-effort (the loop
 	// must keep running), so a nonzero count means durability is
-	// degraded and is surfaced by GET /state.
+	// degraded and is surfaced by GET /v1/state.
 	walErrors int
 	// replayDuration, replayedRecords and baseCycles describe the last
 	// Recover: how long replay took, how many WAL records it applied,
@@ -171,13 +171,13 @@ type Daemon struct {
 	cancelTick func() bool
 	// infeasibleStreak counts consecutive cycles whose planning failed
 	// with core.ErrInfeasible; it resets to zero when a cycle succeeds
-	// and is published on every snapshot so /healthz can report a
+	// and is published on every snapshot so /v1/healthz can report a
 	// degraded state truthfully.
 	// dynplace:guardedby mu
 	infeasibleStreak int
 
 	// cycles and placement are written under mu but read lock-free so
-	// /healthz and /placement never wait out an optimization pass;
+	// /v1/healthz and /v1/placement never wait out an optimization pass;
 	// recovering, recovered and restarts are lock-free for the same
 	// reason (the health endpoint reports "recovering" while replay
 	// holds mu).
@@ -378,7 +378,7 @@ func (d *Daemon) AddWebApp(spec dynplace.WebAppSpec, relative bool) error {
 	if err := d.journalLocked(store.Record{
 		Time: now,
 		Op:   store.OpAddApp,
-		App:  &store.AppState{Spec: appSpecOf(app), Schedule: phases},
+		App:  &store.AppState{Spec: dynplace.WebAppSpecOf(app), Schedule: phases},
 	}); err != nil {
 		return err
 	}
@@ -479,7 +479,7 @@ func (d *Daemon) applySetLoad(name string, rate, now float64) {
 // is well-formed, the daemon's configuration conflicts with it (409).
 var errForecastDisabled = errors.New("forecast-driven control is disabled; start the daemon with -forecast")
 
-// ForecastView is the GET /apps/{name}/forecast response: the demand
+// ForecastView is the GET /v1/apps/{name}/forecast response: the demand
 // estimator's state and scorecard for one application, plus the rate it
 // would predict for one control cycle out.
 type ForecastView struct {
@@ -552,7 +552,7 @@ func (d *Daemon) SubmitJob(spec dynplace.JobSpec, relative bool) error {
 	if d.jobSeen[internal.Name] {
 		return fmt.Errorf("%w: duplicate job %q", ErrDaemon, internal.Name)
 	}
-	abs := jobSpecOf(internal)
+	abs := dynplace.JobSpecOf(internal)
 	if err := d.journalLocked(store.Record{
 		Time: d.clock().Now(), Op: store.OpSubmitJob, Job: &abs,
 	}); err != nil {
@@ -1046,7 +1046,7 @@ func (d *Daemon) runCycle(now float64) {
 		// leaving the previous one up with a stale cycle number: the
 		// workload views keep the last successfully planned state (which
 		// is what remains deployed), while Err/Infeasible make
-		// /placement, /healthz and the cycle history agree the cycle
+		// /v1/placement, /v1/healthz and the cycle history agree the cycle
 		// failed.
 		infeasible := errors.Is(err, core.ErrInfeasible)
 		if infeasible {

@@ -74,13 +74,13 @@ func jobSpeed(s PlacementSnapshot) float64 {
 
 func getPlacement(t *testing.T, url string) PlacementSnapshot {
 	t.Helper()
-	status, body := do(t, http.MethodGet, url+"/placement", nil)
+	status, body := do(t, http.MethodGet, url+"/v1/placement", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /placement: status %d: %s", status, body)
+		t.Fatalf("GET /v1/placement: status %d: %s", status, body)
 	}
 	var snap PlacementSnapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("GET /placement: %v", err)
+		t.Fatalf("GET /v1/placement: %v", err)
 	}
 	return snap
 }
@@ -96,19 +96,19 @@ func TestDaemonReactsToLoadChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status, body := do(t, http.MethodPost, srv.URL+"/apps", AddAppRequest{
+	status, body := do(t, http.MethodPost, srv.URL+"/v1/apps", AddAppRequest{
 		App: dynplace.WebAppSpec{
 			Name: "shop", ArrivalRate: 5, DemandPerRequest: 50,
 			BaseLatency: 0.02, GoalResponseTime: 0.2, MemoryMB: 1000,
 		},
 	})
 	if status != http.StatusCreated {
-		t.Fatalf("POST /apps: status %d: %s", status, body)
+		t.Fatalf("POST /v1/apps: status %d: %s", status, body)
 	}
 	// Two jobs that together can absorb nearly the whole cluster, so web
 	// and batch genuinely contend for CPU.
 	for k := 0; k < 2; k++ {
-		status, body = do(t, http.MethodPost, srv.URL+"/jobs", SubmitJobRequest{
+		status, body = do(t, http.MethodPost, srv.URL+"/v1/jobs", SubmitJobRequest{
 			Job: dynplace.JobSpec{
 				Name: fmt.Sprintf("crunch-%d", k), WorkMcycles: 5e6, MaxSpeedMHz: 2800,
 				MemoryMB: 1000, Deadline: 2400,
@@ -116,7 +116,7 @@ func TestDaemonReactsToLoadChange(t *testing.T) {
 			Relative: true,
 		})
 		if status != http.StatusCreated {
-			t.Fatalf("POST /jobs: status %d: %s", status, body)
+			t.Fatalf("POST /v1/jobs: status %d: %s", status, body)
 		}
 	}
 
@@ -137,9 +137,9 @@ func TestDaemonReactsToLoadChange(t *testing.T) {
 	}
 
 	// The live sensor reports a demand surge: λ 5 → 40 req/s.
-	status, body = do(t, http.MethodPost, srv.URL+"/apps/shop/load", SetLoadRequest{ArrivalRate: 40})
+	status, body = do(t, http.MethodPost, srv.URL+"/v1/apps/shop/load", SetLoadRequest{ArrivalRate: 40})
 	if status != http.StatusOK {
-		t.Fatalf("POST /apps/shop/load: status %d: %s", status, body)
+		t.Fatalf("POST /v1/apps/shop/load: status %d: %s", status, body)
 	}
 
 	// At least two more cycles under high load (t=120, t=180).
@@ -173,9 +173,9 @@ func TestDaemonReactsToLoadChange(t *testing.T) {
 	}
 
 	// The metrics history retains the whole trajectory.
-	status, body = do(t, http.MethodGet, srv.URL+"/metrics", nil)
+	status, body = do(t, http.MethodGet, srv.URL+"/v1/metrics", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d: %s", status, body)
+		t.Fatalf("GET /v1/metrics: status %d: %s", status, body)
 	}
 	var mv MetricsView
 	if err := json.Unmarshal(body, &mv); err != nil {
@@ -213,9 +213,9 @@ func TestDaemonRoutesTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				status, body := do(t, http.MethodPost, srv.URL+"/route/api", nil)
+				status, body := do(t, http.MethodPost, srv.URL+"/v1/route/api", nil)
 				if status != http.StatusOK && status != http.StatusAccepted {
-					t.Errorf("POST /route/api: status %d: %s", status, body)
+					t.Errorf("POST /v1/route/api: status %d: %s", status, body)
 					return
 				}
 				if status == http.StatusOK {
@@ -240,7 +240,7 @@ func TestDaemonRoutesTraffic(t *testing.T) {
 	if stats.Dispatched != routed {
 		t.Errorf("router dispatched %d, handlers saw %d", stats.Dispatched, routed)
 	}
-	if status, _ := do(t, http.MethodPost, srv.URL+"/route/ghost", nil); status != http.StatusNotFound {
+	if status, _ := do(t, http.MethodPost, srv.URL+"/v1/route/ghost", nil); status != http.StatusNotFound {
 		t.Errorf("routing to unknown app: status %d, want 404", status)
 	}
 }
@@ -253,7 +253,7 @@ func TestDaemonAPIValidation(t *testing.T) {
 	}
 
 	// Invalid spec: zero goal.
-	status, _ := do(t, http.MethodPost, srv.URL+"/apps", AddAppRequest{
+	status, _ := do(t, http.MethodPost, srv.URL+"/v1/apps", AddAppRequest{
 		App: dynplace.WebAppSpec{Name: "bad", ArrivalRate: 1},
 	})
 	if status != http.StatusBadRequest {
@@ -264,38 +264,38 @@ func TestDaemonAPIValidation(t *testing.T) {
 		Name: "dup", ArrivalRate: 2, DemandPerRequest: 40,
 		GoalResponseTime: 0.5, MemoryMB: 500,
 	}
-	if status, _ = do(t, http.MethodPost, srv.URL+"/apps", AddAppRequest{App: ok}); status != http.StatusCreated {
+	if status, _ = do(t, http.MethodPost, srv.URL+"/v1/apps", AddAppRequest{App: ok}); status != http.StatusCreated {
 		t.Fatalf("valid app: status %d, want 201", status)
 	}
-	if status, _ = do(t, http.MethodPost, srv.URL+"/apps", AddAppRequest{App: ok}); status != http.StatusBadRequest {
+	if status, _ = do(t, http.MethodPost, srv.URL+"/v1/apps", AddAppRequest{App: ok}); status != http.StatusBadRequest {
 		t.Errorf("duplicate app: status %d, want 400", status)
 	}
 
 	// Before the first cycle places the app, requests queue under
 	// overload protection rather than bouncing as unknown.
-	if status, body := do(t, http.MethodPost, srv.URL+"/route/dup", nil); status != http.StatusAccepted {
+	if status, body := do(t, http.MethodPost, srv.URL+"/v1/route/dup", nil); status != http.StatusAccepted {
 		t.Errorf("route before first placement: status %d (%s), want 202", status, body)
 	}
 
 	// Unknown app operations.
-	if status, _ = do(t, http.MethodDelete, srv.URL+"/apps/ghost", nil); status != http.StatusNotFound {
+	if status, _ = do(t, http.MethodDelete, srv.URL+"/v1/apps/ghost", nil); status != http.StatusNotFound {
 		t.Errorf("delete unknown app: status %d, want 404", status)
 	}
-	if status, _ = do(t, http.MethodPost, srv.URL+"/apps/ghost/load", SetLoadRequest{ArrivalRate: 5}); status != http.StatusNotFound {
+	if status, _ = do(t, http.MethodPost, srv.URL+"/v1/apps/ghost/load", SetLoadRequest{ArrivalRate: 5}); status != http.StatusNotFound {
 		t.Errorf("load for unknown app: status %d, want 404", status)
 	}
 
 	// Duplicate job names are rejected, even after completion.
 	job := dynplace.JobSpec{Name: "j", WorkMcycles: 1000, MaxSpeedMHz: 1000, MemoryMB: 100, Deadline: 600}
-	if status, _ = do(t, http.MethodPost, srv.URL+"/jobs", SubmitJobRequest{Job: job, Relative: true}); status != http.StatusCreated {
+	if status, _ = do(t, http.MethodPost, srv.URL+"/v1/jobs", SubmitJobRequest{Job: job, Relative: true}); status != http.StatusCreated {
 		t.Errorf("valid job: status %d, want 201", status)
 	}
-	if status, _ = do(t, http.MethodPost, srv.URL+"/jobs", SubmitJobRequest{Job: job, Relative: true}); status != http.StatusBadRequest {
+	if status, _ = do(t, http.MethodPost, srv.URL+"/v1/jobs", SubmitJobRequest{Job: job, Relative: true}); status != http.StatusBadRequest {
 		t.Errorf("duplicate job: status %d, want 400", status)
 	}
 
 	// Malformed JSON.
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +305,13 @@ func TestDaemonAPIValidation(t *testing.T) {
 	}
 
 	// Removing the app withdraws its routing entry.
-	if status, _ = do(t, http.MethodDelete, srv.URL+"/apps/dup", nil); status != http.StatusOK {
+	if status, _ = do(t, http.MethodDelete, srv.URL+"/v1/apps/dup", nil); status != http.StatusOK {
 		t.Errorf("delete app: status %d, want 200", status)
 	}
 	var names struct {
 		Apps []string `json:"apps"`
 	}
-	_, body := do(t, http.MethodGet, srv.URL+"/apps", nil)
+	_, body := do(t, http.MethodGet, srv.URL+"/v1/apps", nil)
 	if err := json.Unmarshal(body, &names); err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +335,9 @@ func TestDaemonJobLifecycle(t *testing.T) {
 	}
 	clock.Advance(600)
 
-	status, body := do(t, http.MethodGet, srv.URL+"/jobs", nil)
+	status, body := do(t, http.MethodGet, srv.URL+"/v1/jobs", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /jobs: status %d: %s", status, body)
+		t.Fatalf("GET /v1/jobs: status %d: %s", status, body)
 	}
 	var out struct {
 		Jobs []dynplace.JobResult `json:"jobs"`
@@ -354,7 +354,7 @@ func TestDaemonJobLifecycle(t *testing.T) {
 	}
 
 	var hv HealthView
-	_, body = do(t, http.MethodGet, srv.URL+"/healthz", nil)
+	_, body = do(t, http.MethodGet, srv.URL+"/v1/healthz", nil)
 	if err := json.Unmarshal(body, &hv); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestDaemonDrainsQueueWhenCapacityReturns(t *testing.T) {
 
 	// Requests for the starved app park in the protection queue.
 	for i := 0; i < 3; i++ {
-		if status, body := do(t, http.MethodPost, srv.URL+"/route/"+starved, nil); status != http.StatusAccepted {
+		if status, body := do(t, http.MethodPost, srv.URL+"/v1/route/"+starved, nil); status != http.StatusAccepted {
 			t.Fatalf("route to starved app: status %d: %s", status, body)
 		}
 	}
@@ -459,7 +459,7 @@ func TestDaemonDrainsQueueWhenCapacityReturns(t *testing.T) {
 	if st.QueueDepth != 0 {
 		t.Errorf("queued = %d after capacity returned, want drained to 0", st.QueueDepth)
 	}
-	if status, body := do(t, http.MethodPost, srv.URL+"/route/"+starved, nil); status != http.StatusOK {
+	if status, body := do(t, http.MethodPost, srv.URL+"/v1/route/"+starved, nil); status != http.StatusOK {
 		t.Errorf("route after drain: status %d: %s", status, body)
 	}
 }

@@ -104,12 +104,6 @@ func TestForecastEndpoint(t *testing.T) {
 		t.Errorf("no predictions scored after 6 cycles: %+v", view.Stats)
 	}
 
-	// The legacy unversioned alias answers identically.
-	status, legacy := do(t, http.MethodGet, srv.URL+"/apps/shop/forecast", nil)
-	if status != http.StatusOK {
-		t.Fatalf("legacy forecast: status %d: %s", status, legacy)
-	}
-
 	// The forecaster's gauges are exposed once predictions exist.
 	status, prom := do(t, http.MethodGet, srv.URL+"/v1/metrics/prom", nil)
 	if status != http.StatusOK {

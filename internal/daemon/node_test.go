@@ -12,26 +12,26 @@ import (
 
 func getMetrics(t *testing.T, url string) MetricsView {
 	t.Helper()
-	status, body := do(t, http.MethodGet, url+"/metrics", nil)
+	status, body := do(t, http.MethodGet, url+"/v1/metrics", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d: %s", status, body)
+		t.Fatalf("GET /v1/metrics: status %d: %s", status, body)
 	}
 	var mv MetricsView
 	if err := json.Unmarshal(body, &mv); err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	return mv
 }
 
 func getHealth(t *testing.T, url string) HealthView {
 	t.Helper()
-	status, body := do(t, http.MethodGet, url+"/healthz", nil)
+	status, body := do(t, http.MethodGet, url+"/v1/healthz", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /healthz: status %d: %s", status, body)
+		t.Fatalf("GET /v1/healthz: status %d: %s", status, body)
 	}
 	var hv HealthView
 	if err := json.Unmarshal(body, &hv); err != nil {
-		t.Fatalf("GET /healthz: %v", err)
+		t.Fatalf("GET /v1/healthz: %v", err)
 	}
 	return hv
 }
@@ -96,9 +96,9 @@ func TestDaemonFailNodeRescuesJobs(t *testing.T) {
 	}
 	webBefore := before.Web[0].Utility
 
-	status, body := do(t, http.MethodPost, srv.URL+"/nodes/"+job.Node+"/fail", nil)
+	status, body := do(t, http.MethodPost, srv.URL+"/v1/nodes/"+job.Node+"/fail", nil)
 	if status != http.StatusOK {
-		t.Fatalf("POST /nodes/%s/fail: status %d: %s", job.Node, status, body)
+		t.Fatalf("POST /v1/nodes/%s/fail: status %d: %s", job.Node, status, body)
 	}
 	failed := job.Node
 
@@ -184,7 +184,7 @@ func TestDaemonHealthTruthfulThroughFailure(t *testing.T) {
 	}
 
 	// The only node dies: every subsequent cycle is infeasible.
-	if status, body := do(t, http.MethodPost, srv.URL+"/nodes/node-0/fail", nil); status != http.StatusOK {
+	if status, body := do(t, http.MethodPost, srv.URL+"/v1/nodes/node-0/fail", nil); status != http.StatusOK {
 		t.Fatalf("fail node: status %d: %s", status, body)
 	}
 	cycleAtFailure := getPlacement(t, srv.URL).Cycle
@@ -213,10 +213,10 @@ func TestDaemonHealthTruthfulThroughFailure(t *testing.T) {
 	}
 
 	// A replacement node arrives; the next cycle recovers everything.
-	status, body := do(t, http.MethodPost, srv.URL+"/nodes",
+	status, body := do(t, http.MethodPost, srv.URL+"/v1/nodes",
 		AddNodeRequest{Name: "spare", CPUMHz: 3000, MemMB: 4096})
 	if status != http.StatusCreated {
-		t.Fatalf("POST /nodes: status %d: %s", status, body)
+		t.Fatalf("POST /v1/nodes: status %d: %s", status, body)
 	}
 	clock.Advance(120)
 
@@ -266,11 +266,11 @@ func TestDaemonDrainZeroLostWork(t *testing.T) {
 	}
 	drained := job.Node
 
-	if status, body := do(t, http.MethodPost, srv.URL+"/nodes/"+drained+"/drain", nil); status != http.StatusOK {
+	if status, body := do(t, http.MethodPost, srv.URL+"/v1/nodes/"+drained+"/drain", nil); status != http.StatusOK {
 		t.Fatalf("drain: status %d: %s", status, body)
 	}
 	// Removal while the job is still on the node must be refused.
-	if status, _ := do(t, http.MethodDelete, srv.URL+"/nodes/"+drained, nil); status != http.StatusBadRequest {
+	if status, _ := do(t, http.MethodDelete, srv.URL+"/v1/nodes/"+drained, nil); status != http.StatusBadRequest {
 		t.Fatalf("remove occupied node: status %d, want 400", status)
 	}
 
@@ -287,7 +287,7 @@ func TestDaemonDrainZeroLostWork(t *testing.T) {
 	var out struct {
 		Jobs []dynplace.JobResult `json:"jobs"`
 	}
-	_, body := do(t, http.MethodGet, srv.URL+"/jobs", nil)
+	_, body := do(t, http.MethodGet, srv.URL+"/v1/jobs", nil)
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestDaemonDrainZeroLostWork(t *testing.T) {
 	}
 
 	// The node is empty now: removal succeeds and the inventory shrinks.
-	if status, body := do(t, http.MethodDelete, srv.URL+"/nodes/"+drained, nil); status != http.StatusOK {
+	if status, body := do(t, http.MethodDelete, srv.URL+"/v1/nodes/"+drained, nil); status != http.StatusOK {
 		t.Fatalf("remove drained node: status %d: %s", status, body)
 	}
 	clock.Advance(60)
@@ -328,30 +328,30 @@ func TestDaemonNodeAPIValidation(t *testing.T) {
 		body         any
 		want         int
 	}{
-		{http.MethodPost, "/nodes/ghost/fail", nil, http.StatusNotFound},
-		{http.MethodPost, "/nodes/ghost/drain", nil, http.StatusNotFound},
-		{http.MethodDelete, "/nodes/ghost", nil, http.StatusNotFound},
-		{http.MethodPost, "/nodes", AddNodeRequest{Name: "node-0", CPUMHz: 1000, MemMB: 1000}, http.StatusBadRequest},
-		{http.MethodPost, "/nodes", AddNodeRequest{Name: "bad", CPUMHz: 0, MemMB: 1000}, http.StatusBadRequest},
+		{http.MethodPost, "/v1/nodes/ghost/fail", nil, http.StatusNotFound},
+		{http.MethodPost, "/v1/nodes/ghost/drain", nil, http.StatusNotFound},
+		{http.MethodDelete, "/v1/nodes/ghost", nil, http.StatusNotFound},
+		{http.MethodPost, "/v1/nodes", AddNodeRequest{Name: "node-0", CPUMHz: 1000, MemMB: 1000}, http.StatusBadRequest},
+		{http.MethodPost, "/v1/nodes", AddNodeRequest{Name: "bad", CPUMHz: 0, MemMB: 1000}, http.StatusBadRequest},
 	} {
 		if status, body := do(t, tc.method, srv.URL+tc.path, tc.body); status != tc.want {
 			t.Errorf("%s %s: status %d (%s), want %d", tc.method, tc.path, status, body, tc.want)
 		}
 	}
 	// Draining a failed node is refused; failing it again is idempotent.
-	if status, _ := do(t, http.MethodPost, srv.URL+"/nodes/node-1/fail", nil); status != http.StatusOK {
+	if status, _ := do(t, http.MethodPost, srv.URL+"/v1/nodes/node-1/fail", nil); status != http.StatusOK {
 		t.Fatal("fail node-1")
 	}
-	if status, _ := do(t, http.MethodPost, srv.URL+"/nodes/node-1/fail", nil); status != http.StatusOK {
+	if status, _ := do(t, http.MethodPost, srv.URL+"/v1/nodes/node-1/fail", nil); status != http.StatusOK {
 		t.Error("repeated fail should be idempotent")
 	}
-	if status, _ := do(t, http.MethodPost, srv.URL+"/nodes/node-1/drain", nil); status != http.StatusBadRequest {
+	if status, _ := do(t, http.MethodPost, srv.URL+"/v1/nodes/node-1/drain", nil); status != http.StatusBadRequest {
 		t.Error("draining a failed node should be refused")
 	}
 	// GET /nodes lists states.
-	status, body := do(t, http.MethodGet, srv.URL+"/nodes", nil)
+	status, body := do(t, http.MethodGet, srv.URL+"/v1/nodes", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /nodes: status %d", status)
+		t.Fatalf("GET /v1/nodes: status %d", status)
 	}
 	var nodes struct {
 		Nodes []NodeView `json:"nodes"`
@@ -406,7 +406,7 @@ func TestDaemonRampToIdleSchedule(t *testing.T) {
 	}
 
 	// Revival through the live-sensor endpoint.
-	if status, body := do(t, http.MethodPost, srv.URL+"/apps/web/load", SetLoadRequest{ArrivalRate: 25}); status != http.StatusOK {
+	if status, body := do(t, http.MethodPost, srv.URL+"/v1/apps/web/load", SetLoadRequest{ArrivalRate: 25}); status != http.StatusOK {
 		t.Fatalf("revive: status %d: %s", status, body)
 	}
 	clock.Advance(60)
@@ -415,10 +415,10 @@ func TestDaemonRampToIdleSchedule(t *testing.T) {
 	}
 
 	// Direct rate-0 reports are valid; negative ones are not.
-	if status, _ := do(t, http.MethodPost, srv.URL+"/apps/web/load", SetLoadRequest{ArrivalRate: 0}); status != http.StatusOK {
+	if status, _ := do(t, http.MethodPost, srv.URL+"/v1/apps/web/load", SetLoadRequest{ArrivalRate: 0}); status != http.StatusOK {
 		t.Error("rate-0 load report rejected")
 	}
-	if status, _ := do(t, http.MethodPost, srv.URL+"/apps/web/load", SetLoadRequest{ArrivalRate: -1}); status != http.StatusBadRequest {
+	if status, _ := do(t, http.MethodPost, srv.URL+"/v1/apps/web/load", SetLoadRequest{ArrivalRate: -1}); status != http.StatusBadRequest {
 		t.Error("negative load report accepted")
 	}
 }

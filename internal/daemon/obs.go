@@ -37,8 +37,8 @@ var cycleSpanNames = []string{
 }
 
 // obsState bundles the daemon's observability surface: the Prometheus
-// registry behind GET /metrics/prom, the cycle tracer behind
-// GET /debug/cycles, and every pre-registered hot-path instrument.
+// registry behind GET /v1/metrics/prom, the cycle tracer behind
+// GET /v1/debug/cycles, and every pre-registered hot-path instrument.
 // Collect-time callbacks registered here may take d.mu (the encoder
 // invokes them with no registry locks held); everything touched from
 // inside runCycle is a plain atomic instrument.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +24,7 @@ import (
 // promlint-style gate run by `make check`.
 func scrapeProm(t *testing.T, url string) *obs.Exposition {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics/prom")
+	resp, err := http.Get(url + "/v1/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +52,12 @@ func mustValue(t *testing.T, exp *obs.Exposition, name string, labels ...string)
 	return v
 }
 
-// TestDaemonPromExposition is the acceptance test for the Prometheus
-// surface: a durable sharded daemon runs cycles and serves traffic, and
-// GET /metrics/prom must emit parseable text covering cycle latency,
-// per-span durations, per-zone solve times, router counts/latency, WAL
-// append/fsync latency, and the infeasible/rescue/poison signals — with
-// every counter monotonically non-decreasing across scrapes.
-func TestDaemonPromExposition(t *testing.T) {
+// newShardedDurableDaemon builds the obs tests' scenario: a recovered
+// durable daemon on four nodes in two zones, loadWorkload registered,
+// not yet started — every instrumented stage of a cycle (zone solves,
+// journal, WAL append and fsync) has something to record.
+func newShardedDurableDaemon(t *testing.T) (*Daemon, *SimClock) {
+	t.Helper()
 	cl, err := cluster.Uniform(4, 3000, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +84,17 @@ func TestDaemonPromExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadWorkload(t, d)
+	return d, clock
+}
+
+// TestDaemonPromExposition is the acceptance test for the Prometheus
+// surface: a durable sharded daemon runs cycles and serves traffic, and
+// GET /metrics/prom must emit parseable text covering cycle latency,
+// per-span durations, per-zone solve times, router counts/latency, WAL
+// append/fsync latency, and the infeasible/rescue/poison signals — with
+// every counter monotonically non-decreasing across scrapes.
+func TestDaemonPromExposition(t *testing.T) {
+	d, clock := newShardedDurableDaemon(t)
 	srv := httptest.NewServer(d.Handler())
 	t.Cleanup(srv.Close)
 	if err := d.Start(); err != nil {
@@ -90,10 +102,10 @@ func TestDaemonPromExposition(t *testing.T) {
 	}
 	clock.Advance(120) // cycles at t=0, 60, 120
 	for i := 0; i < 5; i++ {
-		do(t, http.MethodPost, srv.URL+"/route/shop", nil)
+		do(t, http.MethodPost, srv.URL+"/v1/route/shop", nil)
 	}
-	do(t, http.MethodPost, srv.URL+"/route/nosuchapp", nil)
-	do(t, http.MethodGet, srv.URL+"/healthz", nil)
+	do(t, http.MethodPost, srv.URL+"/v1/route/nosuchapp", nil)
+	do(t, http.MethodGet, srv.URL+"/v1/healthz", nil)
 
 	exp := scrapeProm(t, srv.URL)
 	cycles := mustValue(t, exp, "dynplace_cycles_total")
@@ -134,8 +146,8 @@ func TestDaemonPromExposition(t *testing.T) {
 	if got := mustValue(t, exp, "dynplace_store_poisoned"); got != 0 {
 		t.Errorf("store_poisoned = %v, want 0 on a healthy store", got)
 	}
-	if got := mustValue(t, exp, "dynplace_http_request_duration_seconds_count", "route", "GET /healthz"); got == 0 {
-		t.Error("no HTTP latency observations for GET /healthz")
+	if got := mustValue(t, exp, "dynplace_http_request_duration_seconds_count", "route", "GET /v1/healthz"); got == 0 {
+		t.Error("no HTTP latency observations for GET /v1/healthz")
 	}
 	if got := mustValue(t, exp, "dynplace_web_utility", "app", "shop"); got <= 0 {
 		t.Errorf("web utility for shop = %v, want > 0", got)
@@ -144,7 +156,7 @@ func TestDaemonPromExposition(t *testing.T) {
 	// Counters must be monotonic: run more cycles and traffic, rescrape,
 	// and require every counter sample to be >= its previous value.
 	clock.Advance(120)
-	do(t, http.MethodPost, srv.URL+"/route/shop", nil)
+	do(t, http.MethodPost, srv.URL+"/v1/route/shop", nil)
 	exp2 := scrapeProm(t, srv.URL)
 	checked := 0
 	for _, name := range exp.Order {
@@ -186,9 +198,9 @@ func TestDebugCycleTimeline(t *testing.T) {
 	clock.Advance(120)
 	last := d.Placement().Cycle
 
-	status, body := do(t, http.MethodGet, fmt.Sprintf("%s/debug/cycles/%d", srv.URL, last), nil)
+	status, body := do(t, http.MethodGet, fmt.Sprintf("%s/v1/debug/cycles/%d", srv.URL, last), nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /debug/cycles/%d: status %d: %s", last, status, body)
+		t.Fatalf("GET /v1/debug/cycles/%d: status %d: %s", last, status, body)
 	}
 	var view obs.TraceView
 	if err := json.Unmarshal(body, &view); err != nil {
@@ -213,9 +225,9 @@ func TestDebugCycleTimeline(t *testing.T) {
 		t.Errorf("cycle duration = %d, want >= 0", view.DurationMicros)
 	}
 
-	status, body = do(t, http.MethodGet, srv.URL+"/debug/cycles", nil)
+	status, body = do(t, http.MethodGet, srv.URL+"/v1/debug/cycles", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /debug/cycles: status %d: %s", status, body)
+		t.Fatalf("GET /v1/debug/cycles: status %d: %s", status, body)
 	}
 	var recent struct {
 		Cycles []obs.TraceView `json:"cycles"`
@@ -224,14 +236,14 @@ func TestDebugCycleTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recent.Cycles) == 0 {
-		t.Fatal("GET /debug/cycles returned no retained traces")
+		t.Fatal("GET /v1/debug/cycles returned no retained traces")
 	}
 
-	if status, _ = do(t, http.MethodGet, srv.URL+"/debug/cycles/999999", nil); status != http.StatusNotFound {
-		t.Fatalf("GET /debug/cycles/999999: status %d, want 404", status)
+	if status, _ = do(t, http.MethodGet, srv.URL+"/v1/debug/cycles/999999", nil); status != http.StatusNotFound {
+		t.Fatalf("GET /v1/debug/cycles/999999: status %d, want 404", status)
 	}
-	if status, _ = do(t, http.MethodGet, srv.URL+"/debug/cycles/xyz", nil); status != http.StatusBadRequest {
-		t.Fatalf("GET /debug/cycles/xyz: status %d, want 400", status)
+	if status, _ = do(t, http.MethodGet, srv.URL+"/v1/debug/cycles/xyz", nil); status != http.StatusBadRequest {
+		t.Fatalf("GET /v1/debug/cycles/xyz: status %d, want 400", status)
 	}
 }
 
@@ -277,10 +289,10 @@ func TestDaemonMetricsScrapeRace(t *testing.T) {
 		}
 	}
 	wg.Add(4)
-	go get("/metrics")
-	go get("/metrics/prom")
-	go get("/healthz")
-	go get("/debug/cycles")
+	go get("/v1/metrics")
+	go get("/v1/metrics/prom")
+	go get("/v1/healthz")
+	go get("/v1/debug/cycles")
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -302,4 +314,87 @@ func TestDaemonMetricsScrapeRace(t *testing.T) {
 	if v := mustValue(t, exp, "dynplace_cycles_total"); v < 2 {
 		t.Fatalf("dynplace_cycles_total = %v after 300ms of 10ms cycles", v)
 	}
+}
+
+// TestCycleInstrumentCost is the observability-overhead gate: it counts
+// the instrument operations of one steady-state control cycle — the
+// spans of its trace plus every histogram observation the cycle caused
+// anywhere in the registry — pins that count, and bounds count × the
+// measured cost of one Histogram.Observe (the unit dynbench reports as
+// obs.histogram_observe_ns) by 0.1 % of the shortest cycle the
+// benchmark runs, replay_diurnal's 3 ms. The count is per cycle, not
+// per node or per candidate: an Observe added inside such a loop moves
+// the pin here and blows the budget at 10 000 nodes. Dispatch-path cost
+// is gated by BenchmarkRouterSweep against scripts/router_baseline.json.
+func TestCycleInstrumentCost(t *testing.T) {
+	d, clock := newShardedDurableDaemon(t)
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	observations := func() (n float64) {
+		var text strings.Builder
+		if err := d.obs.reg.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := obs.ParseExposition(text.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range exp.Families {
+			for _, s := range f.Samples {
+				if f.Type == "histogram" && strings.HasSuffix(s.Name, "_count") {
+					n += s.Value
+				}
+			}
+		}
+		return n
+	}
+	clock.Advance(180) // placement settled, both jobs running
+	before := observations()
+	clock.Advance(60) // exactly one more cycle
+	view, ok := d.obs.tracer.Cycle(d.cycles.Load())
+	if !ok {
+		t.Fatalf("no trace retained for cycle %d", d.cycles.Load())
+	}
+	// 12 spans (demand_update, inventory_snapshot, build_problem,
+	// shard_rebalance, two zone solves, merge_verify, explain, extract,
+	// apply, publish, journal), one histogram observation per span, the
+	// cycle histogram, WAL append and WAL fsync.
+	const pinned = 27
+	ops := len(view.Spans) + int(observations()-before)
+	if ops != pinned {
+		t.Fatalf("one cycle performed %d instrument operations (%d spans), pinned %d: "+
+			"re-pin only if the new ones are per cycle and the budget below still holds",
+			ops, len(view.Spans), pinned)
+	}
+
+	h := obs.NewHistogram(cycleBuckets)
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(0.004) }); allocs != 0 {
+		t.Fatalf("Histogram.Observe allocates %v objects per call, want 0", allocs)
+	}
+	if raceEnabled() {
+		t.Skip("per-operation cost is not meaningful under the race detector")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			h.Observe(float64(i%1000) * 1e-5)
+		}
+	})
+	perOp := float64(res.T.Nanoseconds()) / float64(res.N)
+	const budgetNs = 0.001 * 3e6
+	if cost := float64(ops) * perOp; cost > budgetNs {
+		t.Fatalf("%d operations × %.1f ns = %.0f ns per cycle, over the %.0f ns budget", ops, perOp, cost, budgetNs)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -8,13 +8,11 @@ import (
 	"time"
 
 	"dynplace"
-	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
 	"dynplace/internal/control"
 	"dynplace/internal/router"
 	"dynplace/internal/scheduler"
 	"dynplace/internal/store"
-	"dynplace/internal/txn"
 )
 
 // This file is the daemon's durability layer: journaling live mutations
@@ -143,14 +141,14 @@ func (d *Daemon) snapshotStateLocked() (*store.State, error) {
 	for _, w := range d.planner.WebApps() {
 		nodes, _ := d.planner.WebPlacement(w.Name)
 		st.Apps = append(st.Apps, store.AppState{
-			Spec:      appSpecOf(w),
+			Spec:      dynplace.WebAppSpecOf(w),
 			Schedule:  append([]dynplace.LoadPhase(nil), d.loadSchedules[w.Name]...),
 			Placement: nodeIDInts(nodes),
 		})
 	}
 	for _, j := range d.jobs {
 		st.Jobs = append(st.Jobs, store.JobRecord{
-			Spec: jobSpecOf(j.Spec), Runtime: j.State(),
+			Spec: dynplace.JobSpecOf(j.Spec), Runtime: j.State(),
 		})
 	}
 	st.JobNames = make([]string, 0, len(d.jobSeen))
@@ -190,7 +188,7 @@ func (d *Daemon) writeSnapshotLocked() error {
 }
 
 // SnapshotNow writes a compacting snapshot immediately — the handler
-// behind POST /state/snapshot and the final act of a graceful Shutdown.
+// behind POST /v1/state/snapshot and the final act of a graceful Shutdown.
 func (d *Daemon) SnapshotNow() (store.Info, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -256,7 +254,7 @@ func (d *Daemon) Recover() error {
 	}
 	d.recovering.Store(true)
 	defer d.recovering.Store(false)
-	//dynplace:ignore clockhygiene replay-duration telemetry; virtual time resumes via the offset clock, this only feeds GET /state
+	//dynplace:ignore clockhygiene replay-duration telemetry; virtual time resumes via the offset clock, this only feeds GET /v1/state
 	begin := time.Now()
 
 	d.mu.Lock()
@@ -557,8 +555,8 @@ func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
 	return d.restorePlacementLocked(cr.Placement)
 }
 
-// Durability reports the daemon's durable-state status — the GET /state
-// body, also embedded in /metrics.
+// Durability reports the daemon's durable-state status — the GET /v1/state
+// body, also embedded in /v1/metrics.
 func (d *Daemon) Durability() DurabilityView {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -586,45 +584,6 @@ func (d *Daemon) durabilityLocked() DurabilityView {
 		v.Store = d.store.Info()
 	}
 	return v
-}
-
-// appSpecOf rebuilds the public spec of a registered app, with its
-// current arrival rate, for journaling. Load schedules are carried
-// separately (AppState.Schedule) with absolute phase times.
-func appSpecOf(w *txn.App) dynplace.WebAppSpec {
-	return dynplace.WebAppSpec{
-		Name:             w.Name,
-		ArrivalRate:      w.ArrivalRate,
-		DemandPerRequest: w.DemandPerRequest,
-		BaseLatency:      w.BaseLatency,
-		GoalResponseTime: w.GoalResponseTime,
-		MaxPowerMHz:      w.MaxPowerMHz,
-		MemoryMB:         w.MemoryMB,
-		AntiCollocate:    append([]string(nil), w.AntiCollocate...),
-		GoalPercentile:   w.GoalPercentile,
-	}
-}
-
-// jobSpecOf rebuilds the public spec of a compiled job, with absolute
-// times and the full stage profile, for journaling.
-func jobSpecOf(s *batch.Spec) dynplace.JobSpec {
-	js := dynplace.JobSpec{
-		Name:          s.Name,
-		Submit:        s.Submit,
-		DesiredStart:  s.DesiredStart,
-		Deadline:      s.Deadline,
-		AntiCollocate: append([]string(nil), s.AntiCollocate...),
-		Stages:        make([]dynplace.Stage, len(s.Stages)),
-	}
-	for i, st := range s.Stages {
-		js.Stages[i] = dynplace.Stage{
-			WorkMcycles: st.WorkMcycles,
-			MaxSpeedMHz: st.MaxSpeedMHz,
-			MinSpeedMHz: st.MinSpeedMHz,
-			MemoryMB:    st.MemoryMB,
-		}
-	}
-	return js
 }
 
 func nodeIDInts(ids []cluster.NodeID) []int {

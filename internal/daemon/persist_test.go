@@ -154,6 +154,23 @@ func TestKillRestartPlacementRoundTrip(t *testing.T) {
 	if doneAfter < doneBefore {
 		t.Fatalf("completed work regressed: %v < %v", doneAfter, doneBefore)
 	}
+
+	// Run to drain: recovery resumes the work, it does not strand it.
+	// Every job completes, and with the jobs gone the web app is back
+	// at least at its pre-kill utility.
+	clock2.Advance(1200)
+	results := d2.JobResults()
+	if len(results) != 2 {
+		t.Fatalf("%d job results after the restart, want loadWorkload's 2", len(results))
+	}
+	for _, res := range results {
+		if !res.Completed {
+			t.Errorf("job %s never completed after the restart: %+v", res.Name, res)
+		}
+	}
+	if got, want := d2.Placement().Web[0].Utility, before.Web[0].Utility; got < want-0.02 {
+		t.Errorf("web utility %v after the restart, %v before the kill", got, want)
+	}
 }
 
 // TestGracefulShutdownCompacts checks Shutdown's final snapshot: a
@@ -361,21 +378,21 @@ func TestMutationsRefusedUntilRecovered(t *testing.T) {
 		method, path string
 		body         any
 	}{
-		{"POST", "/apps", AddAppRequest{App: dynplace.WebAppSpec{
+		{"POST", "/v1/apps", AddAppRequest{App: dynplace.WebAppSpec{
 			Name: "early", ArrivalRate: 1, DemandPerRequest: 10,
 			GoalResponseTime: 1, MemoryMB: 100,
 		}}},
-		{"POST", "/jobs", SubmitJobRequest{Job: dynplace.JobSpec{
+		{"POST", "/v1/jobs", SubmitJobRequest{Job: dynplace.JobSpec{
 			Name: "early-job", WorkMcycles: 1, MaxSpeedMHz: 1,
 			MemoryMB: 1, Deadline: 9999,
 		}}},
-		{"POST", "/nodes", AddNodeRequest{Name: "early-node", CPUMHz: 1000, MemMB: 1024}},
-		{"POST", "/nodes/node-0/drain", nil},
-		{"POST", "/nodes/node-0/fail", nil},
-		{"DELETE", "/nodes/node-0", nil},
-		{"DELETE", "/apps/shop", nil},
-		{"POST", "/apps/shop/load", SetLoadRequest{ArrivalRate: 5}},
-		{"POST", "/state/snapshot", nil},
+		{"POST", "/v1/nodes", AddNodeRequest{Name: "early-node", CPUMHz: 1000, MemMB: 1024}},
+		{"POST", "/v1/nodes/node-0/drain", nil},
+		{"POST", "/v1/nodes/node-0/fail", nil},
+		{"DELETE", "/v1/nodes/node-0", nil},
+		{"DELETE", "/v1/apps/shop", nil},
+		{"POST", "/v1/apps/shop/load", SetLoadRequest{ArrivalRate: 5}},
+		{"POST", "/v1/state/snapshot", nil},
 	}
 	for _, c := range mutations {
 		status, body := do(t, c.method, srv.URL+c.path, c.body)
@@ -395,9 +412,9 @@ func TestMutationsRefusedUntilRecovered(t *testing.T) {
 	if got := d2.WebAppNames(); len(got) != 1 || got[0] != "shop" {
 		t.Fatalf("apps after recover = %v, want [shop]", got)
 	}
-	status, body := do(t, "POST", srv.URL+"/nodes", AddNodeRequest{Name: "late-node", CPUMHz: 1000, MemMB: 1024})
+	status, body := do(t, "POST", srv.URL+"/v1/nodes", AddNodeRequest{Name: "late-node", CPUMHz: 1000, MemMB: 1024})
 	if status != http.StatusCreated {
-		t.Fatalf("POST /nodes after recover = %d (%s)", status, body)
+		t.Fatalf("POST /v1/nodes after recover = %d (%s)", status, body)
 	}
 }
 
@@ -452,9 +469,9 @@ func TestStateEndpoints(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	t.Cleanup(srv.Close)
 
-	status, body := do(t, "GET", srv.URL+"/state", nil)
+	status, body := do(t, "GET", srv.URL+"/v1/state", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /state = %d: %s", status, body)
+		t.Fatalf("GET /v1/state = %d: %s", status, body)
 	}
 	var dur DurabilityView
 	if err := json.Unmarshal(body, &dur); err != nil {
@@ -464,9 +481,9 @@ func TestStateEndpoints(t *testing.T) {
 		t.Fatalf("durability = %+v", dur)
 	}
 
-	status, body = do(t, "POST", srv.URL+"/state/snapshot", nil)
+	status, body = do(t, "POST", srv.URL+"/v1/state/snapshot", nil)
 	if status != http.StatusOK {
-		t.Fatalf("POST /state/snapshot = %d: %s", status, body)
+		t.Fatalf("POST /v1/state/snapshot = %d: %s", status, body)
 	}
 	var info store.Info
 	if err := json.Unmarshal(body, &info); err != nil {
@@ -479,13 +496,13 @@ func TestStateEndpoints(t *testing.T) {
 	// A memory-only daemon refuses the snapshot request.
 	mem, _, memSrv := newTestDaemon(t)
 	_ = mem
-	status, _ = do(t, "POST", memSrv.URL+"/state/snapshot", nil)
+	status, _ = do(t, "POST", memSrv.URL+"/v1/state/snapshot", nil)
 	if status != http.StatusConflict {
 		t.Fatalf("snapshot without store = %d, want 409", status)
 	}
-	status, body = do(t, "GET", memSrv.URL+"/state", nil)
+	status, body = do(t, "GET", memSrv.URL+"/v1/state", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /state without store = %d", status)
+		t.Fatalf("GET /v1/state without store = %d", status)
 	}
 	if err := json.Unmarshal(body, &dur); err != nil {
 		t.Fatal(err)

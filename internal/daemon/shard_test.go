@@ -71,13 +71,13 @@ func TestDaemonShardedModePublishesZoneStats(t *testing.T) {
 		t.Fatalf("shard workloads sum to %d, want 2", totalApps)
 	}
 
-	status, body := do(t, http.MethodGet, srv.URL+"/metrics", nil)
+	status, body := do(t, http.MethodGet, srv.URL+"/v1/metrics", nil)
 	if status != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d: %s", status, body)
+		t.Fatalf("GET /v1/metrics: status %d: %s", status, body)
 	}
 	var mv MetricsView
 	if err := json.Unmarshal(body, &mv); err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	if len(mv.Shards) != 2 {
 		t.Fatalf("metrics shards = %d, want 2", len(mv.Shards))

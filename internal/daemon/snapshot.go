@@ -52,12 +52,12 @@ type NodeView struct {
 // PlacementSnapshot is the full outcome of one control cycle: what runs
 // where, at what speed, and how well every workload is predicted to meet
 // its goal. The daemon swaps a fresh snapshot in atomically each cycle;
-// GET /placement serves it without touching the control loop's locks.
+// GET /v1/placement serves it without touching the control loop's locks.
 //
 // A cycle whose planning failed publishes a snapshot too: the cycle
 // number advances, Err carries the failure, and Web/Jobs keep the last
 // successfully planned state (which is what is still deployed), so
-// /placement, /healthz and the cycle history always agree about the
+// /v1/placement, /v1/healthz and the cycle history always agree about the
 // failure instead of silently serving a stale-but-clean view.
 type PlacementSnapshot struct {
 	Cycle     int64              `json:"cycle"`
@@ -87,7 +87,7 @@ type PlacementSnapshot struct {
 }
 
 // CycleSnapshot is the compact per-cycle observation record retained in
-// the daemon's ring-buffer history and served by GET /metrics.
+// the daemon's ring-buffer history and served by GET /v1/metrics.
 type CycleSnapshot struct {
 	Cycle        int64              `json:"cycle"`
 	Time         float64            `json:"time"`
@@ -113,7 +113,7 @@ type CycleSnapshot struct {
 	MaxShardUtilization float64 `json:"maxShardUtilization,omitempty"`
 }
 
-// HealthView is the GET /healthz body. Status is truthful about the
+// HealthView is the GET /v1/healthz body. Status is truthful about the
 // control loop: "recovering" while a WAL replay is rebuilding state
 // after a restart (load balancers must not route to the daemon yet),
 // "ok" while cycles plan successfully, "degraded" while an infeasible
@@ -139,12 +139,12 @@ type HealthView struct {
 	// StoreFailed carries the durable store's poison reason: nonempty
 	// means the WAL refused further writes and acknowledged mutations
 	// are no longer durable. Also exported as the labeled
-	// dynplace_store_poisoned gauge on /metrics/prom so it is
-	// alertable, not only visible here and on GET /state.
+	// dynplace_store_poisoned gauge on /v1/metrics/prom so it is
+	// alertable, not only visible here and on GET /v1/state.
 	StoreFailed string `json:"storeFailed,omitempty"`
 }
 
-// MetricsView is the GET /metrics body: lifetime action counters, the
+// MetricsView is the GET /v1/metrics body: lifetime action counters, the
 // router's per-application observations, and the retained cycle history.
 type MetricsView struct {
 	Now     float64        `json:"now"`
@@ -167,12 +167,12 @@ type MetricsView struct {
 	// SystemMetrics inlines the durability gauges shared with the public
 	// library API: uptimeCycles, restarts, replayDurationSeconds.
 	dynplace.SystemMetrics
-	// Durability is the full durable-state status (GET /state serves the
+	// Durability is the full durable-state status (GET /v1/state serves the
 	// same view); Enabled false means the daemon runs memory-only.
 	Durability DurabilityView `json:"durability"`
 }
 
-// DurabilityView is the GET /state body: whether a state store is
+// DurabilityView is the GET /v1/state body: whether a state store is
 // configured, the recovery trajectory (restarts, replay duration,
 // records replayed), and the store's compaction gauges (WAL size and
 // sequence, last snapshot). WALErrors counts journal appends that

@@ -8,16 +8,16 @@
 // mixedsim CLI and the benchmark harness, so the figures can be
 // regenerated from either.
 //
-// The scale extensions: RunScaleSweep times the flat placement solver
-// at 500-2000 nodes with sequential vs parallel candidate evaluation,
-// RunShardSweep measures the sharded coordinator (internal/shard)
-// against the flat solver at 2000-10000 nodes, verifying the merged
-// placements against the global capacity constraints, and RunChurnSweep
-// measures failure recovery — the web utility dip, job rescues and
-// deadline misses through an abrupt node loss followed by replacement
-// capacity. All print fixed-width tables that CI uploads as artifacts
-// on every run, alongside machine-readable BENCH_*.json rows
-// (WriteBenchJSON).
+// The extensions that carry a gate no other harness does: RunScaleSweep
+// times the flat placement solver at 500-2000 nodes with sequential vs
+// parallel candidate evaluation, RunRouterSweep measures dispatch
+// against the committed scripts/router_baseline.json, and
+// RunReplaySweep replays a diurnal trace through reactive and
+// forecast-driven control. All print fixed-width tables that CI uploads
+// as artifacts on every run, alongside machine-readable BENCH_*.json
+// rows (WriteBenchJSON). Everything else about the daemon — sharded
+// solves, churn, kill -9 recovery, instrumentation cost — is measured
+// by cmd/dynbench and asserted by the packages' own tests.
 package experiments
 
 import (

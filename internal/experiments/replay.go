@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dynplace"
-	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
 	"dynplace/internal/daemon"
 	"dynplace/internal/forecast"
@@ -225,7 +224,7 @@ func runReplayLeg(opts ReplaySweepOptions, tr *trace.ReplayTrace, mode string, f
 	rates := make(map[string]float64, len(tr.Apps))
 	names := make([]string, 0, len(tr.Apps))
 	for _, a := range tr.Apps {
-		if err := d.AddWebApp(webSpecOf(a), false); err != nil {
+		if err := d.AddWebApp(dynplace.WebAppSpecOf(a), false); err != nil {
 			return ReplaySweepRow{}, err
 		}
 		templates[a.Name] = a
@@ -235,7 +234,7 @@ func runReplayLeg(opts ReplaySweepOptions, tr *trace.ReplayTrace, mode string, f
 	sort.Strings(names)
 	deadlines := make(map[string]float64, len(tr.Jobs))
 	for _, j := range tr.Jobs {
-		if err := d.SubmitJob(jobSpecOf(j), false); err != nil {
+		if err := d.SubmitJob(dynplace.JobSpecOf(j), false); err != nil {
 			return ReplaySweepRow{}, err
 		}
 		deadlines[j.Name] = j.Deadline
@@ -406,39 +405,6 @@ func runReplayLeg(opts ReplaySweepOptions, tr *trace.ReplayTrace, mode string, f
 	row.HistoryHash = hex.EncodeToString(sum[:])
 	row.Elapsed = time.Since(begin)
 	return row, nil
-}
-
-func webSpecOf(a *txn.App) dynplace.WebAppSpec {
-	return dynplace.WebAppSpec{
-		Name:             a.Name,
-		ArrivalRate:      a.ArrivalRate,
-		DemandPerRequest: a.DemandPerRequest,
-		BaseLatency:      a.BaseLatency,
-		GoalResponseTime: a.GoalResponseTime,
-		MaxPowerMHz:      a.MaxPowerMHz,
-		MemoryMB:         a.MemoryMB,
-		AntiCollocate:    append([]string(nil), a.AntiCollocate...),
-		GoalPercentile:   a.GoalPercentile,
-	}
-}
-
-func jobSpecOf(j *batch.Spec) dynplace.JobSpec {
-	spec := dynplace.JobSpec{
-		Name:          j.Name,
-		Submit:        j.Submit,
-		DesiredStart:  j.DesiredStart,
-		Deadline:      j.Deadline,
-		AntiCollocate: append([]string(nil), j.AntiCollocate...),
-	}
-	for _, s := range j.Stages {
-		spec.Stages = append(spec.Stages, dynplace.Stage{
-			WorkMcycles: s.WorkMcycles,
-			MaxSpeedMHz: s.MaxSpeedMHz,
-			MinSpeedMHz: s.MinSpeedMHz,
-			MemoryMB:    s.MemoryMB,
-		})
-	}
-	return spec
 }
 
 // ReplaySweepTable formats the sweep for the benchmark log and the CI

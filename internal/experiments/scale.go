@@ -10,7 +10,6 @@ import (
 	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
 	"dynplace/internal/core"
-	"dynplace/internal/shard"
 	"dynplace/internal/txn"
 )
 
@@ -202,205 +201,6 @@ func buildScaleProblem(opts ScaleSweepOptions, nodes int) (*core.Problem, error)
 		Costs:     cluster.DefaultCostModel(),
 		MaxPasses: opts.MaxPasses,
 	}, nil
-}
-
-// ShardSweepOptions parameterizes the sharded-vs-flat sweep: one
-// placement cycle per node count, solved once by the shard coordinator
-// and — up to FlatNodeCap — once flat, over identical randomized mixed
-// workloads. The sweep extends the flat sweep to the cluster sizes
-// where a single placement problem stops being tractable within a
-// control cycle.
-type ShardSweepOptions struct {
-	// NodeCounts lists the cluster sizes (default 2000, 5000, 10000).
-	NodeCounts []int
-	// Shards is the coordinator's zone count (default 16).
-	Shards int
-	// FlatNodeCap bounds the flat reference leg: above this node count
-	// only the sharded leg runs, because a flat solve would dominate the
-	// sweep's runtime (default 2000). The flat latency at the cap is the
-	// reference the larger sharded solves are compared against.
-	FlatNodeCap int
-	// JobsPerHundredNodes, WebApps, Parallelism, CycleSeconds, MaxPasses
-	// and Seed mean what they do in ScaleSweepOptions.
-	JobsPerHundredNodes int
-	WebApps             int
-	Parallelism         int
-	CycleSeconds        float64
-	MaxPasses           int
-	Seed                int64
-}
-
-// DefaultShardSweepOptions returns the benchmark's standard settings.
-func DefaultShardSweepOptions() ShardSweepOptions {
-	return ShardSweepOptions{
-		NodeCounts:          []int{2000, 5000, 10000},
-		Shards:              16,
-		FlatNodeCap:         2000,
-		JobsPerHundredNodes: 10,
-		WebApps:             2,
-		CycleSeconds:        600,
-		MaxPasses:           1,
-		Seed:                7,
-	}
-}
-
-// ShardSweepRow is one node count's sharded-vs-flat measurement.
-type ShardSweepRow struct {
-	// Nodes, Apps and Shards give the problem size and decomposition.
-	Nodes, Apps, Shards int
-	// Flat is the flat solver's latency (0 when skipped above
-	// FlatNodeCap); Sharded is the coordinator's full-cycle latency
-	// including rebalancing and merging.
-	Flat, Sharded time.Duration
-	// Speedup is Flat/Sharded when the flat leg ran.
-	Speedup float64
-	// FlatUtility and ShardedUtility are the mean per-application
-	// utilities of the two solutions; UtilityDelta is sharded − flat,
-	// the price of decomposition (only when the flat leg ran).
-	FlatUtility, ShardedUtility, UtilityDelta float64
-	// CapacityOK reports that the merged sharded placement passed the
-	// global constraint verification (shard.Verify): per-node CPU and
-	// memory capacity, single-node batch jobs, anti-collocation.
-	CapacityOK bool
-	// SingleShardIdentical reports that a one-zone coordinator solve
-	// reproduced the flat solver bit for bit (checked on flat-leg rows).
-	SingleShardIdentical bool
-}
-
-// RunShardSweep measures the sharded coordinator against the flat
-// solver over identical problems, verifying every merged placement
-// against the global capacity constraints.
-func RunShardSweep(opts ShardSweepOptions) ([]ShardSweepRow, error) {
-	def := DefaultShardSweepOptions()
-	if len(opts.NodeCounts) == 0 {
-		opts.NodeCounts = def.NodeCounts
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = def.Shards
-	}
-	if opts.FlatNodeCap <= 0 {
-		opts.FlatNodeCap = def.FlatNodeCap
-	}
-	if opts.JobsPerHundredNodes <= 0 {
-		opts.JobsPerHundredNodes = def.JobsPerHundredNodes
-	}
-	if opts.WebApps <= 0 {
-		opts.WebApps = def.WebApps
-	}
-	if opts.CycleSeconds <= 0 {
-		opts.CycleSeconds = def.CycleSeconds
-	}
-	if opts.MaxPasses <= 0 {
-		opts.MaxPasses = def.MaxPasses
-	}
-	scaleOpts := ScaleSweepOptions{
-		JobsPerHundredNodes: opts.JobsPerHundredNodes,
-		WebApps:             opts.WebApps,
-		CycleSeconds:        opts.CycleSeconds,
-		MaxPasses:           opts.MaxPasses,
-		Seed:                opts.Seed,
-	}
-
-	rows := make([]ShardSweepRow, 0, len(opts.NodeCounts))
-	for _, nodes := range opts.NodeCounts {
-		p, err := buildScaleProblem(scaleOpts, nodes)
-		if err != nil {
-			return nil, fmt.Errorf("shard sweep (%d nodes): %w", nodes, err)
-		}
-		p.Parallelism = opts.Parallelism
-		row := ShardSweepRow{Nodes: nodes, Apps: len(p.Apps), Shards: opts.Shards}
-
-		// Sharded leg: one untimed solve seeds the coordinator's zone
-		// assignment and warms caches, then the steady-state cycle is
-		// timed and its merged placement verified globally.
-		coord, err := shard.New(shard.Config{Count: opts.Shards, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := coord.Solve(p); err != nil {
-			return nil, fmt.Errorf("shard sweep (%d nodes, warm-up): %w", nodes, err)
-		}
-		start := time.Now()
-		shardRes, _, err := coord.Solve(p)
-		if err != nil {
-			return nil, fmt.Errorf("shard sweep (%d nodes, %d shards): %w", nodes, opts.Shards, err)
-		}
-		row.Sharded = time.Since(start)
-		row.CapacityOK = shard.Verify(p, shardRes) == nil
-		row.ShardedUtility = meanUtility(shardRes.Eval.Utilities)
-
-		if nodes <= opts.FlatNodeCap {
-			if _, err := core.Optimize(p); err != nil {
-				return nil, fmt.Errorf("shard sweep (%d nodes, flat warm-up): %w", nodes, err)
-			}
-			start = time.Now()
-			flatRes, err := core.Optimize(p)
-			if err != nil {
-				return nil, fmt.Errorf("shard sweep (%d nodes, flat): %w", nodes, err)
-			}
-			row.Flat = time.Since(start)
-			row.FlatUtility = meanUtility(flatRes.Eval.Utilities)
-			row.UtilityDelta = row.ShardedUtility - row.FlatUtility
-			if row.Sharded > 0 {
-				row.Speedup = row.Flat.Seconds() / row.Sharded.Seconds()
-			}
-			// The single-shard guarantee, measured rather than asserted:
-			// a one-zone coordinator must reproduce the flat solver bit
-			// for bit.
-			single, err := shard.New(shard.Config{Count: 1, Seed: opts.Seed})
-			if err != nil {
-				return nil, err
-			}
-			singleRes, _, err := single.Solve(p)
-			if err != nil {
-				return nil, fmt.Errorf("shard sweep (%d nodes, single shard): %w", nodes, err)
-			}
-			row.SingleShardIdentical = singleRes.Placement.Changes(flatRes.Placement) == 0 &&
-				singleRes.CandidatesEvaluated == flatRes.CandidatesEvaluated &&
-				singleRes.Eval.Vector.Compare(flatRes.Eval.Vector) == 0
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func meanUtility(us []float64) float64 {
-	if len(us) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, u := range us {
-		sum += u
-	}
-	return sum / float64(len(us))
-}
-
-// ShardSweepTable formats the sharded-vs-flat sweep for the benchmark
-// log and the CI artifact.
-func ShardSweepTable(rows []ShardSweepRow) string {
-	var b strings.Builder
-	b.WriteString("Shard sweep — sharded coordinator vs flat solver, mixed workload\n")
-	b.WriteString("  nodes   apps  shards        flat     sharded  speedup  Δutility  capacity  1-shard\n")
-	for _, r := range rows {
-		flat, speedup, delta, single := "-", "-", "-", "-"
-		if r.Flat > 0 {
-			flat = r.Flat.Round(time.Millisecond).String()
-			speedup = fmt.Sprintf("%.2fx", r.Speedup)
-			delta = fmt.Sprintf("%+.4f", r.UtilityDelta)
-			single = "IDENTICAL"
-			if !r.SingleShardIdentical {
-				single = "DIVERGED"
-			}
-		}
-		capacity := "ok"
-		if !r.CapacityOK {
-			capacity = "VIOLATED"
-		}
-		fmt.Fprintf(&b, "  %5d  %5d  %6d  %10s  %10s  %7s  %8s  %8s  %7s\n",
-			r.Nodes, r.Apps, r.Shards, flat,
-			r.Sharded.Round(time.Millisecond), speedup, delta, capacity, single)
-	}
-	return b.String()
 }
 
 // ScaleSweepTable formats the sweep for the benchmark log and the CI

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,43 +41,6 @@ func TestRunScaleSweepSmall(t *testing.T) {
 	}
 }
 
-func TestRunShardSweepSmall(t *testing.T) {
-	rows, err := RunShardSweep(ShardSweepOptions{
-		NodeCounts:          []int{40, 80},
-		Shards:              4,
-		FlatNodeCap:         40,
-		JobsPerHundredNodes: 40,
-		WebApps:             2,
-		Seed:                3,
-	})
-	if err != nil {
-		t.Fatalf("RunShardSweep: %v", err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if !r.CapacityOK {
-			t.Fatalf("capacity violated at %d nodes", r.Nodes)
-		}
-		if r.Sharded <= 0 || r.Shards != 4 {
-			t.Fatalf("degenerate measurement: %+v", r)
-		}
-	}
-	// The 40-node row ran the flat leg and the single-shard identity
-	// check; the 80-node row was sharded-only.
-	if rows[0].Flat <= 0 || !rows[0].SingleShardIdentical {
-		t.Fatalf("flat-leg row: %+v", rows[0])
-	}
-	if rows[1].Flat != 0 || rows[1].SingleShardIdentical {
-		t.Fatalf("sharded-only row ran the flat leg: %+v", rows[1])
-	}
-	table := ShardSweepTable(rows)
-	if !strings.Contains(table, "IDENTICAL") || !strings.Contains(table, "ok") {
-		t.Fatalf("ShardSweepTable:\n%s", table)
-	}
-}
-
 // TestScaleProblemVerifyIncremental runs the scale sweep's problem at
 // 200 nodes with every incremental candidate evaluation cross-checked
 // against a full Evaluate, sequentially and on the worker pool: the
@@ -98,5 +64,25 @@ func TestScaleProblemVerifyIncremental(t *testing.T) {
 		} else if res.CandidatesEvaluated != candidates {
 			t.Fatalf("Parallelism %d evaluated %d candidates, sequential %d", par, res.CandidatesEvaluated, candidates)
 		}
+	}
+}
+
+// TestWriteBenchJSON checks the artifact writer round-trips the rows.
+func TestWriteBenchJSON(t *testing.T) {
+	dir := t.TempDir()
+	rows := []ScaleSweepRow{{Nodes: 500, Apps: 52, Workers: 2, Candidates: 2119, Speedup: 1.25, Identical: true}}
+	if err := WriteBenchJSON(dir, "scale_sweep", rows); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_scale_sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []ScaleSweepRow
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 1 || back[0] != rows[0] {
+		t.Fatalf("round-trip = %+v, want %+v", back, rows)
 	}
 }

@@ -7,7 +7,7 @@
 // The experiment runners record series and print tables from them; the
 // daemon uses Counter for lifetime placement-action totals and Ring to
 // retain bounded per-cycle history and completed-job results for its
-// /metrics endpoint. Nothing here is safe for concurrent use on its
+// /v1/metrics endpoint. Nothing here is safe for concurrent use on its
 // own; callers (the control loop, the daemon's mutex) serialize access.
 // The daemon declares that contract on its fields of these types with
 // // dynplace:guardedby mu annotations, which the lockguard analyzer in
@@ -266,7 +266,7 @@ func JainIndex(values []float64) float64 {
 // Counter accumulates named integer counts deterministically. It is
 // not safe for concurrent use; the caller serializes writers against
 // readers (the daemon increments and reads only under its control-loop
-// mutex, including the /metrics/prom collect callbacks — its fields of
+// mutex, including the /v1/metrics/prom collect callbacks — its fields of
 // this type carry // dynplace:guardedby mu annotations checked by the
 // lockguard analyzer). Hot paths that cannot afford a lock want
 // obs.Counter instead.

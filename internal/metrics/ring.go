@@ -8,7 +8,7 @@ package metrics
 //
 // Ring is not safe for concurrent use; the caller serializes Push
 // against Snapshot/Last (the daemon does both under its control-loop
-// mutex — GET /metrics copies the window inside that lock, and the
+// mutex — GET /v1/metrics copies the window inside that lock, and the
 // daemon's Ring fields carry // dynplace:guardedby mu annotations
 // checked by the lockguard analyzer). Callers
 // that need lock-free observation on a hot path want internal/obs

@@ -53,7 +53,7 @@ var ErrBadShards = errors.New("shard: invalid configuration")
 // Stats is one zone's slice of a cycle: capacity, assigned workload,
 // solve outcome and the utilization/unmet-demand aggregate the next
 // cycle's rebalancing decisions are made from. The daemon publishes it
-// verbatim on /placement and /metrics.
+// verbatim on /v1/placement and /v1/metrics.
 type Stats struct {
 	// Shard is the zone index; Nodes the zone's node count.
 	Shard int `json:"shard"`

@@ -132,7 +132,7 @@ type CycleRecord struct {
 	Actions map[string]int `json:"actions,omitempty"`
 	// Placement is the published placement snapshot, opaque to the
 	// store (the daemon owns the type). Restoring it verbatim is what
-	// makes GET /placement identical across a kill/replay round trip.
+	// makes GET /v1/placement identical across a kill/replay round trip.
 	Placement json.RawMessage `json:"placement,omitempty"`
 }
 

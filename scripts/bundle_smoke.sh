@@ -39,7 +39,7 @@ DPID=$!
 
 wait_healthy() {
   for _ in $(seq 1 50); do
-    status=$(curl -sf "$BASE/healthz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["status"])' 2>/dev/null || echo down)
+    status=$(curl -sf "$BASE/v1/healthz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["status"])' 2>/dev/null || echo down)
     [ "$status" = ok ] && return 0
     sleep 0.2
   done
@@ -51,13 +51,13 @@ wait_healthy() {
 say "starting daemon on port $PORT"
 wait_healthy
 
-curl -sf -X POST "$BASE/apps" -d '{"app":{"name":"shop","arrivalRate":20,
+curl -sf -X POST "$BASE/v1/apps" -d '{"app":{"name":"shop","arrivalRate":20,
   "demandPerRequest":50,"goalResponseTime":0.25,"memoryMB":800}}' >/dev/null
-curl -sf -X POST "$BASE/jobs" -d '{"relative":true,"job":{"name":"etl",
+curl -sf -X POST "$BASE/v1/jobs" -d '{"relative":true,"job":{"name":"etl",
   "workMcycles":9e6,"maxSpeedMHz":3000,"memoryMB":1000,"deadline":7200}}' >/dev/null
 # An 8 GB job on 4 GB nodes: guaranteed memory-bound denial in the
 # explanation stream.
-curl -sf -X POST "$BASE/jobs" -d '{"relative":true,"job":{"name":"hog",
+curl -sf -X POST "$BASE/v1/jobs" -d '{"relative":true,"job":{"name":"hog",
   "workMcycles":9e6,"maxSpeedMHz":3000,"memoryMB":8192,"deadline":7200}}' >/dev/null
 
 say "letting a few cycles run"

@@ -8,11 +8,11 @@
 #
 #   1. the stable placement projection (app instance placements, job
 #      set, node set+states) matches the pre-kill capture;
-#   2. /state shows exactly one restart with replayed WAL records;
+#   2. /v1/state shows exactly one restart with replayed WAL records;
 #   3. no job was lost and completed work did not regress;
 #   4. a SIGTERM shutdown flushes a final snapshot and exits 0.
 #
-# The byte-exact /placement equality is pinned by the deterministic
+# The byte-exact /v1/placement equality is pinned by the deterministic
 # SimClock tests (internal/daemon, internal/experiments); this script
 # proves the same path end to end on the real binary under wall time,
 # so it compares the projection that is stable across an extra cycle.
@@ -37,7 +37,7 @@ start_daemon() {
 
 wait_healthy() {
   for _ in $(seq 1 50); do
-    status=$(curl -sf "$BASE/healthz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["status"])' 2>/dev/null || echo down)
+    status=$(curl -sf "$BASE/v1/healthz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["status"])' 2>/dev/null || echo down)
     [ "$status" = ok ] && return 0
     sleep 0.2
   done
@@ -46,10 +46,10 @@ wait_healthy() {
   return 1
 }
 
-# Stable projection of /placement: what must survive a restart even if
+# Stable projection of /v1/placement: what must survive a restart even if
 # an extra control cycle runs between capture and comparison.
 project() {
-  curl -sf "$BASE/placement" | python3 -c '
+  curl -sf "$BASE/v1/placement" | python3 -c '
 import json, sys
 p = json.load(sys.stdin)
 print(json.dumps({
@@ -60,7 +60,7 @@ print(json.dumps({
 }
 
 total_done() {
-  curl -sf "$BASE/placement" | python3 -c \
+  curl -sf "$BASE/v1/placement" | python3 -c \
     'import json,sys; print(sum(j["doneMcycles"] for j in json.load(sys.stdin)["jobs"]))'
 }
 
@@ -68,13 +68,13 @@ say "starting durable daemon on port $PORT"
 start_daemon
 wait_healthy
 
-curl -sf -X POST "$BASE/apps" -d '{"app":{"name":"shop","arrivalRate":20,
+curl -sf -X POST "$BASE/v1/apps" -d '{"app":{"name":"shop","arrivalRate":20,
   "demandPerRequest":50,"goalResponseTime":0.25,"memoryMB":800}}' >/dev/null
 for j in etl report; do
-  curl -sf -X POST "$BASE/jobs" -d '{"relative":true,"job":{"name":"'$j'",
+  curl -sf -X POST "$BASE/v1/jobs" -d '{"relative":true,"job":{"name":"'$j'",
     "workMcycles":9e6,"maxSpeedMHz":3000,"memoryMB":1000,"deadline":7200}}' >/dev/null
 done
-curl -sf -X POST "$BASE/nodes" -d '{"name":"spare","cpuMHz":2500,"memMB":2048}' >/dev/null
+curl -sf -X POST "$BASE/v1/nodes" -d '{"name":"spare","cpuMHz":2500,"memMB":2048}' >/dev/null
 
 say "letting cycles run (action costs delay first progress)"
 sleep 6
@@ -99,7 +99,7 @@ if [ "$PRE" != "$POST" ]; then
 fi
 say "placement projection intact"
 
-curl -sf "$BASE/state" | python3 -c '
+curl -sf "$BASE/v1/state" | python3 -c '
 import json, sys
 s = json.load(sys.stdin)
 restarts, replayed = s["restarts"], s["replayedRecords"]

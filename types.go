@@ -189,3 +189,43 @@ func CompileJob(spec JobSpec) (*batch.Spec, error) { return spec.toInternal() }
 // CompileWebApp validates spec and lowers it to the internal
 // transactional model. See CompileJob.
 func CompileWebApp(spec WebAppSpec) (*txn.App, error) { return spec.toInternal() }
+
+// JobSpecOf is CompileJob's inverse: the public spec of a compiled job,
+// with absolute times and the full stage profile. The daemon journals
+// it; compiling the result yields an equal batch.Spec.
+func JobSpecOf(s *batch.Spec) JobSpec {
+	js := JobSpec{
+		Name:          s.Name,
+		Submit:        s.Submit,
+		DesiredStart:  s.DesiredStart,
+		Deadline:      s.Deadline,
+		AntiCollocate: append([]string(nil), s.AntiCollocate...),
+		Stages:        make([]Stage, len(s.Stages)),
+	}
+	for i, st := range s.Stages {
+		js.Stages[i] = Stage{
+			WorkMcycles: st.WorkMcycles,
+			MaxSpeedMHz: st.MaxSpeedMHz,
+			MinSpeedMHz: st.MinSpeedMHz,
+			MemoryMB:    st.MemoryMB,
+		}
+	}
+	return js
+}
+
+// WebAppSpecOf is CompileWebApp's inverse: the public spec of a
+// compiled application at its current arrival rate. Load schedules are
+// not part of the compiled model and are not reproduced.
+func WebAppSpecOf(w *txn.App) WebAppSpec {
+	return WebAppSpec{
+		Name:             w.Name,
+		ArrivalRate:      w.ArrivalRate,
+		DemandPerRequest: w.DemandPerRequest,
+		BaseLatency:      w.BaseLatency,
+		GoalResponseTime: w.GoalResponseTime,
+		MaxPowerMHz:      w.MaxPowerMHz,
+		MemoryMB:         w.MemoryMB,
+		AntiCollocate:    append([]string(nil), w.AntiCollocate...),
+		GoalPercentile:   w.GoalPercentile,
+	}
+}
