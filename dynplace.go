@@ -7,7 +7,6 @@ import (
 	"dynplace/internal/cluster"
 	"dynplace/internal/control"
 	"dynplace/internal/metrics"
-	"dynplace/internal/scheduler"
 )
 
 // System is a simulated cluster under integrated workload management.
@@ -200,21 +199,7 @@ func (s *System) JobResults() []JobResult {
 	jobs := s.runner.Jobs()
 	out := make([]JobResult, 0, len(jobs))
 	for _, j := range jobs {
-		r := JobResult{
-			Name:       j.Spec.Name,
-			Completed:  j.Status == scheduler.Completed,
-			Suspends:   j.Suspends,
-			Resumes:    j.Resumes,
-			Migrations: j.Migrations,
-			Rescues:    j.Rescues,
-		}
-		if r.Completed {
-			r.CompletedAt = j.CompletedAt
-			r.MetGoal = j.MetGoal()
-			r.DistanceToGoal = j.DistanceToGoal()
-			r.Utility = j.Spec.UtilityAtCompletion(j.CompletedAt)
-		}
-		out = append(out, r)
+		out = append(out, JobResultOf(j))
 	}
 	return out
 }

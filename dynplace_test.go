@@ -5,6 +5,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"dynplace/internal/cluster"
+	"dynplace/internal/metrics"
+	"dynplace/internal/scheduler"
 )
 
 func newTestSystem(t *testing.T, opts ...Option) *System {
@@ -182,6 +186,32 @@ func TestSpecDecompileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, again) {
 		t.Errorf("round trip changed the compiled web app:\n%+v\n%+v", first, again)
+	}
+}
+
+// TestJobResultOf: an incomplete job reports only its action counts; a
+// completed one adds completion time, goal outcome, distance to goal and
+// utility at completion.
+func TestJobResultOf(t *testing.T) {
+	spec, err := CompileJob(JobSpec{Name: "j", WorkMcycles: 4000, MaxSpeedMHz: 1000, MemoryMB: 500, Deadline: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := scheduler.NewJob(spec)
+	scheduler.Apply(0, []*scheduler.Job{j}, []scheduler.Assignment{{Job: j, Node: 0, SpeedMHz: 1000}},
+		cluster.FreeCostModel(), metrics.NewCounter())
+	j.AdvanceTo(2)
+	j.Suspends, j.Resumes, j.Migrations, j.Rescues = 1, 2, 3, 4
+	if got, want := JobResultOf(j), (JobResult{Name: "j", Suspends: 1, Resumes: 2, Migrations: 3, Rescues: 4}); got != want {
+		t.Fatalf("incomplete job: %+v, want %+v", got, want)
+	}
+	j.AdvanceTo(6)
+	want := JobResult{
+		Name: "j", Completed: true, CompletedAt: 4, MetGoal: true, DistanceToGoal: 6, Utility: 0.6,
+		Suspends: 1, Resumes: 2, Migrations: 3, Rescues: 4,
+	}
+	if got := JobResultOf(j); got != want {
+		t.Fatalf("completed job: %+v, want %+v", got, want)
 	}
 }
 

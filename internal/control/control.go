@@ -13,12 +13,12 @@
 //     batch jobs together on the full cluster, sharing resources by
 //     equalizing relative performance.
 //
-// The dynamic-mode cycle lives in Planner, which owns the web
-// application set and the placement carried between cycles. Two drivers
-// share it: Runner executes experiments under virtual time and records
-// the time series the paper's figures report, and the live daemon
-// (internal/daemon) runs the identical planner on a real clock. When
-// DynamicConfig.Shards is set, the planner delegates each cycle to the
+// The control step itself — job ledger, load phases, node failures,
+// action accounting — lives in Planner and is written once. Runner drives
+// it under virtual time, scheduling the simulated events and recording
+// the time series the paper's figures report; the live daemon
+// (internal/daemon) drives the same calls on a real clock. When
+// DynamicConfig.Shards is set, the planner delegates each solve to the
 // sharded coordinator (internal/shard), which solves the cluster as
 // independent zones instead of one flat placement problem.
 package control
@@ -115,21 +115,24 @@ type LoadPhase struct {
 // ErrBadConfig reports an invalid configuration.
 var ErrBadConfig = errors.New("control: invalid config")
 
-// Runner drives one simulated experiment.
+// Runner drives one simulated experiment: it schedules the Planner's
+// control step and the experiment's events on virtual time and records
+// the series the paper's figures report.
 type Runner struct {
-	cfg      Config
-	sim      *sim.Simulator
-	jobs     []*scheduler.Job
-	actions  *metrics.Counter
-	failed   map[cluster.NodeID]bool
-	finishes map[*scheduler.Job]sim.Handle
+	cfg Config
+	sim *sim.Simulator
+	// planner runs the control step. In policy mode it holds the web
+	// apps, the job ledger and the node states, and the policy replaces
+	// its decide half.
+	planner *Planner
+	// submitted lists every submitted job in submission order for the
+	// reports (Jobs, OnTimeRate, CompletionUtilities); the planner's
+	// ledger drops jobs once they complete.
+	submitted []*scheduler.Job
+	finishes  map[*scheduler.Job]sim.Handle
 	// deferredErr holds the first error from a scheduled node-lifecycle
 	// event; Run surfaces it once the horizon is reached.
 	deferredErr error
-
-	// planner holds the dynamic-mode controller state (web apps and the
-	// placement carried between cycles). Nil in policy mode.
-	planner *Planner
 
 	// Recorded series.
 	hypoUtil     *metrics.Series // mean hypothetical utility, batch
@@ -163,35 +166,31 @@ func NewRunner(cfg Config) (*Runner, error) {
 			return nil, fmt.Errorf("%w: web node %d not in cluster", ErrBadConfig, id)
 		}
 	}
-	for _, w := range cfg.WebApps {
-		if err := w.Validate(); err != nil {
-			return nil, err
-		}
+	var dyn DynamicConfig
+	if cfg.Dynamic != nil {
+		dyn = *cfg.Dynamic
+	}
+	p, err := NewPlanner(cfg.Cluster, cfg.Costs, dyn)
+	if err != nil {
+		return nil, err
 	}
 	r := &Runner{
 		cfg:        cfg,
 		sim:        sim.New(),
-		actions:    metrics.NewCounter(),
-		failed:     make(map[cluster.NodeID]bool),
+		planner:    p,
 		finishes:   make(map[*scheduler.Job]sim.Handle),
 		hypoUtil:   metrics.NewSeries("batch hypothetical utility"),
 		batchAlloc: metrics.NewSeries("batch allocation MHz"),
 		queueLen:   metrics.NewSeries("queued jobs"),
 		changes:    metrics.NewSeries("placement changes"),
 	}
-	if cfg.Dynamic != nil {
-		p, err := NewPlanner(cfg.Cluster, cfg.Costs, *cfg.Dynamic)
-		if err != nil {
+	for i, w := range cfg.WebApps {
+		if err := p.AddWebApp(w); err != nil {
 			return nil, err
 		}
-		for _, w := range cfg.WebApps {
-			if err := p.AddWebApp(w); err != nil {
-				return nil, err
-			}
+		if i < len(cfg.WebLoad) {
+			p.ScheduleLoad(w.Name, cfg.WebLoad[i])
 		}
-		r.planner = p
-	}
-	for _, w := range cfg.WebApps {
 		r.webUtil = append(r.webUtil, metrics.NewSeries(w.Name+" utility"))
 		r.webAlloc = append(r.webAlloc, metrics.NewSeries(w.Name+" allocation MHz"))
 	}
@@ -203,8 +202,7 @@ func (r *Runner) Submit(spec *batch.Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	job := scheduler.NewJob(spec)
-	r.jobs = append(r.jobs, job)
+	r.submitted = append(r.submitted, r.planner.Submit(spec))
 	_, err := r.sim.At(sim.Time(spec.Submit), func(sim.Time) {
 		// Arrival is recorded implicitly: the job is Pending and its
 		// submit time has passed; the next control cycle sees it.
@@ -226,40 +224,25 @@ func (r *Runner) SubmitAll(specs []*batch.Spec) error {
 // disappears and jobs on it are suspended (progress preserved, as with
 // suspend-to-shared-storage virtualization).
 func (r *Runner) FailNode(at float64, node cluster.NodeID) error {
-	if r.planner == nil {
+	if r.cfg.Dynamic == nil {
 		// Policy mode has a static node set, so the ID is checkable now.
 		if _, ok := r.cfg.Cluster.Node(node); !ok {
 			return fmt.Errorf("%w: no node %d", ErrBadConfig, node)
 		}
 	}
 	_, err := r.sim.At(sim.Time(at), func(now sim.Time) {
-		if r.planner != nil {
-			// Dynamic mode resolves at fire time, so nodes scheduled to
-			// join earlier are failable; an ID unknown even then is a
-			// scenario bug, surfaced from Run.
-			if _, ok := r.planner.Inventory().Node(node); !ok {
-				r.noteDeferredErr(fmt.Errorf("%w: no node %d", ErrBadConfig, node))
-				return
-			}
+		// Dynamic mode resolves at fire time, so nodes scheduled to join
+		// earlier are failable; an ID unknown even then is a scenario
+		// bug, surfaced from Run.
+		if _, ok := r.planner.Inventory().Node(node); !ok {
+			r.noteDeferredErr(fmt.Errorf("%w: no node %d", ErrBadConfig, node))
+			return
 		}
-		r.failed[node] = true
-		for _, j := range r.jobs {
-			if j.Node == node && (j.Status == scheduler.Running || j.Status == scheduler.Paused) {
-				j.AdvanceTo(now.Seconds())
-				if j.Status != scheduler.Completed {
-					j.Evict()
-					r.actions.Inc(scheduler.ActionSuspend, 1)
-					if h, ok := r.finishes[j]; ok {
-						r.sim.Cancel(h)
-						delete(r.finishes, j)
-					}
-				}
+		for _, j := range r.planner.FailNode(node, now.Seconds()) {
+			if h, ok := r.finishes[j]; ok {
+				r.sim.Cancel(h)
+				delete(r.finishes, j)
 			}
-		}
-		// Mark the inventory and evict web instances placed there
-		// (dynamic mode).
-		if r.planner != nil {
-			r.planner.FailNode(node)
 		}
 	})
 	return err
@@ -282,7 +265,7 @@ func (r *Runner) noteDeferredErr(err error) {
 // Capacity is validated eagerly; a duplicate name (knowable only when
 // the event fires) is reported as an error from Run.
 func (r *Runner) AddNode(at float64, n cluster.Node) error {
-	if r.planner == nil {
+	if r.cfg.Dynamic == nil {
 		return fmt.Errorf("%w: AddNode requires dynamic mode", ErrBadConfig)
 	}
 	if n.CPUMHz <= 0 || n.MemMB <= 0 {
@@ -303,7 +286,7 @@ func (r *Runner) AddNode(at float64, n cluster.Node) error {
 // earlier via AddNode is drainable — and an unknown node at that instant
 // is reported as an error from Run.
 func (r *Runner) DrainNode(at float64, node cluster.NodeID) error {
-	if r.planner == nil {
+	if r.cfg.Dynamic == nil {
 		return fmt.Errorf("%w: DrainNode requires dynamic mode", ErrBadConfig)
 	}
 	_, err := r.sim.At(sim.Time(at), func(sim.Time) {
@@ -357,7 +340,7 @@ func (r *Runner) run(horizon float64, drain bool) error {
 }
 
 func (r *Runner) allDone() bool {
-	for _, j := range r.jobs {
+	for _, j := range r.submitted {
 		if j.Status != scheduler.Completed {
 			return false
 		}
@@ -365,27 +348,16 @@ func (r *Runner) allDone() bool {
 	return true
 }
 
-// liveJobs returns submitted, incomplete jobs at time now.
-func (r *Runner) liveJobs(now float64) []*scheduler.Job {
-	out := make([]*scheduler.Job, 0, len(r.jobs))
-	for _, j := range r.jobs {
-		if j.Status == scheduler.Completed || j.Spec.Submit > now {
-			continue
-		}
-		out = append(out, j)
-	}
-	return out
-}
-
-// batchNodes returns the capacities available to batch work.
+// batchNodes returns the capacities available to batch work: the active
+// nodes outside the static web partition.
 func (r *Runner) batchNodes() []scheduler.NodeCapacity {
 	reserved := make(map[cluster.NodeID]bool, len(r.cfg.WebNodes))
 	for _, id := range r.cfg.WebNodes {
 		reserved[id] = true
 	}
 	var out []scheduler.NodeCapacity
-	for _, n := range r.cfg.Cluster.Nodes() {
-		if reserved[n.ID] || r.failed[n.ID] {
+	for _, n := range r.planner.Inventory().Nodes() {
+		if reserved[n.ID] || n.State != cluster.NodeActive {
 			continue
 		}
 		out = append(out, scheduler.NodeCapacity{ID: n.ID, CPUMHz: n.CPUMHz, MemMB: n.MemMB})
@@ -393,68 +365,42 @@ func (r *Runner) batchNodes() []scheduler.NodeCapacity {
 	return out
 }
 
-// cycle runs one control-loop iteration at time now.
+// cycle runs one control-loop iteration at time now — the planner's
+// control step, with the policy deciding in policy mode — and records
+// the figure series.
 func (r *Runner) cycle(now float64) error {
 	r.cycles++
-	r.applyLoadSchedules(now)
-	for _, j := range r.jobs {
-		if j.Spec.Submit <= now {
-			j.AdvanceTo(now)
-		}
-	}
-	live := r.liveJobs(now)
-
-	var changed int
+	live, _ := r.planner.Advance(now)
+	var plan *Plan
+	var asg []scheduler.Assignment
 	var err error
 	if r.cfg.Dynamic != nil {
-		changed, err = r.dynamicCycle(now, live)
+		if plan, err = r.planner.Plan(now, r.cfg.CycleSeconds, live); err == nil {
+			asg = plan.Assignments
+		}
 	} else {
-		changed, err = r.policyCycle(now, live)
+		asg, err = r.cfg.Policy.Schedule(now, r.cfg.CycleSeconds, live, r.batchNodes())
 	}
 	if err != nil {
 		return err
 	}
+	changed, queued := r.planner.Apply(now, live, asg)
+	if plan != nil {
+		r.recordPlan(now, plan)
+	} else {
+		r.recordPolicy(now, live, asg)
+	}
 	r.totalChanges += changed
 	r.changes.Add(now, float64(changed))
-
-	queued := 0
-	for _, j := range live {
-		if j.Status == scheduler.Pending || j.Status == scheduler.Suspended {
-			queued++
-		}
-	}
 	r.queueLen.Add(now, float64(queued))
-
 	r.scheduleCompletions(now)
 	return nil
 }
 
-// applyLoadSchedules updates each web app's arrival rate to the latest
-// phase that has begun.
-func (r *Runner) applyLoadSchedules(now float64) {
-	for i, phases := range r.cfg.WebLoad {
-		if i >= len(r.cfg.WebApps) {
-			break
-		}
-		for _, ph := range phases {
-			// Rate 0 is a valid phase: it quiesces the app ("ramp to
-			// idle") without removing it. Negative rates are ignored.
-			if ph.Start <= now && ph.ArrivalRate >= 0 {
-				r.cfg.WebApps[i].ArrivalRate = ph.ArrivalRate
-			}
-		}
-	}
-}
-
-// policyCycle delegates batch scheduling to the configured policy and
-// models the static web partition analytically.
-func (r *Runner) policyCycle(now float64, live []*scheduler.Job) (int, error) {
-	asg, err := r.cfg.Policy.Schedule(now, r.cfg.CycleSeconds, live, r.batchNodes())
-	if err != nil {
-		return 0, err
-	}
-	changed := scheduler.Apply(now, live, asg, r.cfg.Costs, r.actions)
-
+// recordPolicy records a policy-mode cycle: the batch allocation and
+// hypothetical utility, and the static web partition modelled
+// analytically.
+func (r *Runner) recordPolicy(now float64, live []*scheduler.Job, asg []scheduler.Assignment) {
 	var omegaG float64
 	for _, a := range asg {
 		omegaG += a.SpeedMHz
@@ -466,11 +412,9 @@ func (r *Runner) policyCycle(now float64, live []*scheduler.Job) (int, error) {
 	if len(r.cfg.WebApps) > 0 {
 		var partitionCPU float64
 		for _, id := range r.cfg.WebNodes {
-			if r.failed[id] {
-				continue
+			if n, _ := r.planner.Inventory().Node(id); n.State == cluster.NodeActive {
+				partitionCPU += n.CPUMHz
 			}
-			n, _ := r.cfg.Cluster.Node(id)
-			partitionCPU += n.CPUMHz
 		}
 		remaining := partitionCPU
 		for i, w := range r.cfg.WebApps {
@@ -480,31 +424,20 @@ func (r *Runner) policyCycle(now float64, live []*scheduler.Job) (int, error) {
 			r.webUtil[i].Add(now, w.Utility(alloc))
 		}
 	}
-	return changed, nil
 }
 
-// dynamicCycle runs the integrated placement controller over web apps and
-// jobs together by delegating to the shared Planner.
-func (r *Runner) dynamicCycle(now float64, live []*scheduler.Job) (int, error) {
-	plan, err := r.planner.Plan(now, r.cfg.CycleSeconds, live)
-	if err != nil {
-		return 0, err
-	}
-
+// recordPlan records a dynamic-mode cycle from the planner's decision.
+func (r *Runner) recordPlan(now float64, plan *Plan) {
 	for i := range r.cfg.WebApps {
 		r.webAlloc[i].Add(now, plan.WebAllocMHz[i])
 		r.webUtil[i].Add(now, plan.WebUtilities[i])
 	}
-
-	changed := scheduler.Apply(now, live, plan.Assignments, r.cfg.Costs, r.actions)
-
 	r.batchAlloc.Add(now, plan.OmegaG)
 	// The batch utilities in the evaluation are exactly the mean
 	// hypothetical relative performance the paper plots.
 	if mean, ok := plan.BatchUtilityMean(); ok {
 		r.hypoUtil.Add(now, mean)
 	}
-	return changed, nil
 }
 
 // recordHypothetical computes the mean hypothetical relative performance
@@ -545,7 +478,7 @@ func (r *Runner) scheduleCompletions(now float64) {
 		r.sim.Cancel(h)
 		delete(r.finishes, j)
 	}
-	for _, j := range r.jobs {
+	for _, j := range r.planner.jobs {
 		if j.Status != scheduler.Running {
 			continue
 		}
@@ -572,24 +505,22 @@ func (r *Runner) Now() float64 { return r.sim.Now().Seconds() }
 
 // Jobs returns the runtime records of all submitted jobs.
 func (r *Runner) Jobs() []*scheduler.Job {
-	out := make([]*scheduler.Job, len(r.jobs))
-	copy(out, r.jobs)
-	return out
+	return append([]*scheduler.Job(nil), r.submitted...)
 }
 
 // OnTimeRate returns the fraction of submitted jobs that completed by
 // their deadline.
 func (r *Runner) OnTimeRate() float64 {
-	if len(r.jobs) == 0 {
+	if len(r.submitted) == 0 {
 		return 0
 	}
 	met := 0
-	for _, j := range r.jobs {
+	for _, j := range r.submitted {
 		if j.MetGoal() {
 			met++
 		}
 	}
-	return float64(met) / float64(len(r.jobs))
+	return float64(met) / float64(len(r.submitted))
 }
 
 // Cycles returns the number of control cycles executed so far.
@@ -600,7 +531,7 @@ func (r *Runner) Cycles() int64 { return r.cycles }
 func (r *Runner) TotalChanges() int { return r.totalChanges }
 
 // Actions returns the per-action counters.
-func (r *Runner) Actions() *metrics.Counter { return r.actions }
+func (r *Runner) Actions() *metrics.Counter { return r.planner.Actions() }
 
 // HypotheticalUtility returns the mean-hypothetical-utility series
 // (Figures 2 and 6).
@@ -633,7 +564,7 @@ func (r *Runner) QueueLength() *metrics.Series { return r.queueLen }
 // Figure 2.
 func (r *Runner) CompletionUtilities() []metrics.Point {
 	var out []metrics.Point
-	for _, j := range r.jobs {
+	for _, j := range r.submitted {
 		if j.Status == scheduler.Completed {
 			out = append(out, metrics.Point{
 				T: j.CompletedAt,

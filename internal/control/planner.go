@@ -9,19 +9,23 @@ import (
 	"dynplace/internal/cluster"
 	"dynplace/internal/core"
 	"dynplace/internal/forecast"
+	"dynplace/internal/metrics"
 	"dynplace/internal/obs"
 	"dynplace/internal/scheduler"
 	"dynplace/internal/shard"
 	"dynplace/internal/txn"
 )
 
-// Planner is the persistent core of the integrated placement controller,
-// decoupled from any particular driver. It owns the web-application set
-// and the placement carried between cycles; each call to Plan evaluates
-// the cluster state at one instant and returns the placement decision for
-// the next cycle. The simulated Runner and the live daemon both delegate
-// their dynamic-mode cycles to a Planner, so the control logic exercised
-// under virtual time is exactly the logic serving real traffic.
+// Planner is the controller's whole state and its one control step,
+// with no clock and no I/O. It owns the web-application set with their
+// pending load phases, the job ledger, the lifetime action counters and
+// the placement carried between cycles. A cycle at time now is
+// Advance (observe), PlanTraced (decide) and Apply (act); FailNode is
+// the one node-failure path. The simulated Runner and the live daemon
+// both drive exactly these calls — the Runner schedules them on virtual
+// time, the daemon on a clock, wrapped in journaling and publishing — so
+// the control logic exercised in simulation is the logic serving real
+// traffic.
 //
 // A Planner is not safe for concurrent use; drivers serialize access.
 type Planner struct {
@@ -35,6 +39,15 @@ type Planner struct {
 
 	webApps      []*txn.App
 	webPlacement [][]cluster.NodeID
+	// phases holds each web app's pending load phases, parallel to
+	// webApps; Advance applies and drops them as they begin.
+	phases [][]LoadPhase
+
+	// jobs is the job ledger: every submitted job not yet retired, in
+	// submission order.
+	jobs []*scheduler.Job
+	// actions accumulates lifetime placement-action totals.
+	actions *metrics.Counter
 
 	// coord is the sharded placement coordinator, engaged when the
 	// configuration asks for at least one shard; nil means every cycle
@@ -77,9 +90,10 @@ func RestorePlanner(inv *cluster.Inventory, costs cluster.CostModel, dyn Dynamic
 		return nil, fmt.Errorf("%w: nil inventory", ErrBadConfig)
 	}
 	p := &Planner{
-		inv:   inv,
-		costs: costs,
-		dyn:   dyn,
+		inv:     inv,
+		costs:   costs,
+		dyn:     dyn,
+		actions: metrics.NewCounter(),
 	}
 	if dyn.Shards < 0 {
 		return nil, fmt.Errorf("%w: negative shard count %d", ErrBadConfig, dyn.Shards)
@@ -119,6 +133,7 @@ func (p *Planner) AddWebApp(app *txn.App) error {
 	}
 	p.webApps = append(p.webApps, app)
 	p.webPlacement = append(p.webPlacement, nil)
+	p.phases = append(p.phases, nil)
 	return nil
 }
 
@@ -129,6 +144,7 @@ func (p *Planner) RemoveWebApp(name string) bool {
 		if w.Name == name {
 			p.webApps = append(p.webApps[:i], p.webApps[i+1:]...)
 			p.webPlacement = append(p.webPlacement[:i], p.webPlacement[i+1:]...)
+			p.phases = append(p.phases[:i], p.phases[i+1:]...)
 			p.fc.Remove(name)
 			return true
 		}
@@ -162,22 +178,22 @@ func (p *Planner) WebApp(name string) (*txn.App, bool) {
 // demand term the optimizer derives from it.
 // It reports whether the app was registered and the rate applied.
 func (p *Planner) SetArrivalRate(name string, rate float64) bool {
-	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return false
-	}
 	w, ok := p.WebApp(name)
-	if !ok {
+	if !ok || !validRate(rate) {
 		return false
 	}
 	w.ArrivalRate = rate
 	return true
 }
 
+func validRate(rate float64) bool { return rate >= 0 && !math.IsInf(rate, 1) }
+
 // ObserveLoad feeds one timestamped arrival-rate observation to the
-// demand estimator — drivers call it on every load-sensor input (API
-// posts, schedule phases) so the forecaster learns at full sensor
-// cadence, not just once per cycle. A no-op when forecasting is off or
-// the app is unknown.
+// demand estimator, so the forecaster learns at full sensor cadence, not
+// just once per cycle. The daemon calls it for every load report it
+// receives; scheduled load phases are not fed to it (the estimator sees
+// them through the per-cycle observation in PlanTraced). A no-op when
+// forecasting is off or the app is unknown.
 func (p *Planner) ObserveLoad(name string, rate, now float64) {
 	if p.fc == nil {
 		return
@@ -217,12 +233,12 @@ func (p *Planner) ForecastRate(name string, now, horizon float64) (float64, bool
 
 // Inventory exposes the planner's live node registry. Mutating it (add,
 // drain, fail, remove) takes effect at the next Plan call. For node
-// failures prefer FailNode (or the driver's eager eviction, as the
-// daemon and runner do): failing a node directly through the inventory
-// leaves its jobs formally Running until the next Plan, so any progress
-// a driver advances them by in the meantime is credited as if the node
-// were still alive — Plan's rescue backstop can recover the placement,
-// but it cannot reconstruct the failure instant after the fact.
+// failures use FailNode, which evicts the node's jobs at the failure
+// instant: failing a node directly through the inventory leaves its
+// jobs formally Running until the next Plan, so any progress they are
+// advanced by in the meantime is credited as if the node were still
+// alive — Plan's rescue backstop can recover the placement, but it
+// cannot reconstruct the failure instant after the fact.
 func (p *Planner) Inventory() *cluster.Inventory { return p.inv }
 
 // AddNode registers a fresh active node; the next Plan call offers its
@@ -244,14 +260,30 @@ func (p *Planner) DrainNode(id cluster.NodeID) error {
 	return err
 }
 
-// FailNode marks a node as dead: its capacity stops being offered to the
-// optimizer and web instances placed on it are evicted immediately.
-// Batch jobs stranded on it are rescued by the next Plan call (drivers
-// that track job state can evict them eagerly via scheduler.Job.Evict).
-func (p *Planner) FailNode(id cluster.NodeID) {
+// FailNode records an abrupt node loss at instant now: the node's
+// capacity stops being offered to the optimizer, web instances placed on
+// it are evicted, and the ledger's jobs on it are advanced to the failure
+// instant and evicted (progress intact, rescue pending), each counted as
+// a suspend. It returns the evicted jobs.
+func (p *Planner) FailNode(id cluster.NodeID, now float64) []*scheduler.Job {
 	// A stale ID (node already removed) still evicts local placements.
 	_ = p.inv.FailID(id)
 	p.evictWeb(id)
+	var evicted []*scheduler.Job
+	for _, j := range p.jobs {
+		if j.Node != id {
+			continue
+		}
+		j.AdvanceTo(now)
+		if j.Status != scheduler.Completed {
+			j.Evict()
+			evicted = append(evicted, j)
+		}
+	}
+	if len(evicted) > 0 {
+		p.actions.Inc(scheduler.ActionSuspend, len(evicted))
+	}
+	return evicted
 }
 
 // RemoveNode deregisters a node entirely. Web instances still placed on
@@ -396,10 +428,11 @@ func (pl *Plan) BatchUtilityMean() (float64, bool) {
 }
 
 // Plan runs one control-cycle optimization at time now over the
-// registered web apps and the given live (submitted, incomplete) jobs.
-// Jobs must already be advanced to now. The chosen web placement is
-// persisted inside the planner so the next cycle starts from it; applying
-// the returned batch assignments is the caller's responsibility.
+// registered web apps and the given live (submitted, incomplete) jobs —
+// normally the set Advance(now) returned. Jobs must already be advanced
+// to now. The chosen web placement is persisted inside the planner so
+// the next cycle starts from it; the returned batch assignments take
+// effect through Apply.
 func (p *Planner) Plan(now, cycle float64, live []*scheduler.Job) (*Plan, error) {
 	return p.PlanTraced(now, cycle, live, nil)
 }

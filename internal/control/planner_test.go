@@ -108,7 +108,7 @@ func TestPlannerPlacesAndCarriesState(t *testing.T) {
 	// Failing the web app's node evicts it; the next plan must recover
 	// onto the surviving node only.
 	failed := plan.Web[0][0].Node
-	p.FailNode(failed)
+	p.FailNode(failed, 0)
 	scheduler.Apply(0, live, plan.Assignments, cluster.FreeCostModel(), metrics.NewCounter())
 	if job.Node == failed {
 		// The job was on the failed node too; reflect the failure as the
@@ -260,7 +260,7 @@ func TestPlannerRescuesJobsOnVanishedNodes(t *testing.T) {
 	}
 
 	// The node dies; only the inventory knows until the next Plan.
-	p.FailNode(job.Node)
+	p.FailNode(job.Node, 60)
 	failed := job.Node
 	plan2, err := p.Plan(60, 60, live)
 	if err != nil {
@@ -293,8 +293,8 @@ func TestPlannerNoActiveNodesIsInfeasible(t *testing.T) {
 	if err := p.AddWebApp(testApp("web", 5)); err != nil {
 		t.Fatal(err)
 	}
-	p.FailNode(0)
-	p.FailNode(1)
+	p.FailNode(0, 0)
+	p.FailNode(1, 0)
 	_, err := p.Plan(0, 60, nil)
 	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("Plan = %v, want core.ErrInfeasible", err)
@@ -470,8 +470,8 @@ func TestPlannerSingleShardIdenticalUnderChurn(t *testing.T) {
 
 	compare(0, "steady")
 	compare(60, "steady2")
-	sharded.FailNode(1)
-	flat.FailNode(1)
+	sharded.FailNode(1, 120)
+	flat.FailNode(1, 120)
 	compare(120, "after failure")
 	if _, err := sharded.AddNode(cluster.Node{Name: "spare", CPUMHz: 3000, MemMB: 4096}); err != nil {
 		t.Fatal(err)

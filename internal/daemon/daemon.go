@@ -127,16 +127,14 @@ type Daemon struct {
 	baseCycles      int64
 
 	mu sync.Mutex
-	// planner is the control-loop state machine.
+	// planner is the control-loop state machine: web apps and their
+	// load phases, the job ledger, action counters, node inventory.
 	// dynplace:guardedby mu
 	planner *control.Planner
 	// router is set once by New and never reassigned; the Router's own
 	// lock-free dataplane makes the pointer safe to use without d.mu
 	// (Dispatch runs on the request path, outside any daemon lock).
 	router *router.Router
-	// jobs is the live job set.
-	// dynplace:guardedby mu
-	jobs []*scheduler.Job
 	// jobSeen keeps every name ever submitted so job identities stay
 	// unambiguous for the API's lifetime; unlike the Job records it
 	// grows only by a small string per submission.
@@ -145,13 +143,6 @@ type Daemon struct {
 	// completed retains finished-job results.
 	// dynplace:guardedby mu
 	completed *metrics.Ring[dynplace.JobResult]
-	// loadSchedules holds pending per-app load phases.
-	// dynplace:guardedby mu
-	loadSchedules map[string][]dynplace.LoadPhase
-	// actions accumulates lifetime placement-action totals (a plain
-	// metrics.Counter; see its locking note).
-	// dynplace:guardedby mu
-	actions *metrics.Counter
 	// history is the bounded per-cycle snapshot ring.
 	// dynplace:guardedby mu
 	history *metrics.Ring[CycleSnapshot]
@@ -258,16 +249,14 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:           cfg,
-		store:         cfg.Store,
-		planner:       planner,
-		router:        router.New(cfg.QueueCap),
-		jobSeen:       make(map[string]bool),
-		completed:     metrics.NewRing[dynplace.JobResult](cfg.RetainJobs),
-		loadSchedules: make(map[string][]dynplace.LoadPhase),
-		actions:       metrics.NewCounter(),
-		history:       metrics.NewRing[CycleSnapshot](cfg.History),
-		explain:       metrics.NewRing[ExplainRecord](cfg.ExplainHistory),
+		cfg:       cfg,
+		store:     cfg.Store,
+		planner:   planner,
+		router:    router.New(cfg.QueueCap),
+		jobSeen:   make(map[string]bool),
+		completed: metrics.NewRing[dynplace.JobResult](cfg.RetainJobs),
+		history:   metrics.NewRing[CycleSnapshot](cfg.History),
+		explain:   metrics.NewRing[ExplainRecord](cfg.ExplainHistory),
 	}
 	d.setClock(cfg.Clock)
 	d.recovered.Store(cfg.Store == nil)
@@ -349,13 +338,6 @@ func (d *Daemon) AddWebApp(spec dynplace.WebAppSpec, relative bool) error {
 		return err
 	}
 	phases := append([]dynplace.LoadPhase(nil), spec.LoadSchedule...)
-	for _, ph := range phases {
-		// Rate 0 is a valid ramp-to-idle phase; only negative rates are
-		// meaningless.
-		if ph.ArrivalRate < 0 {
-			return fmt.Errorf("%w: load phase arrival rate must be nonnegative", ErrDaemon)
-		}
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.gateLocked(); err != nil {
@@ -396,9 +378,11 @@ func (d *Daemon) applyAddApp(app *txn.App, phases []dynplace.LoadPhase) error {
 		return err
 	}
 	d.router.Update(app.Name, nil)
-	if len(phases) > 0 {
-		d.loadSchedules[app.Name] = phases
+	sched := make([]control.LoadPhase, len(phases))
+	for i, ph := range phases {
+		sched[i] = control.LoadPhase(ph)
 	}
+	d.planner.ScheduleLoad(app.Name, sched)
 	return nil
 }
 
@@ -422,13 +406,13 @@ func (d *Daemon) RemoveWebApp(name string) error {
 	return nil
 }
 
-// applyRemoveApp deregisters an app everywhere: planner, pending load
-// schedule, router table. Shared by the live API and WAL replay.
+// applyRemoveApp deregisters an app everywhere: planner (with its
+// pending load schedule), router table. Shared by the live API and WAL
+// replay.
 //
 // dynplace:holds d.mu
 func (d *Daemon) applyRemoveApp(name string) {
 	d.planner.RemoveWebApp(name)
-	delete(d.loadSchedules, name)
 	d.router.Remove(name)
 }
 
@@ -471,7 +455,7 @@ func (d *Daemon) applySetLoad(name string, rate, now float64) {
 	// same virtual instants.
 	d.planner.ObserveLoad(name, rate, now)
 	// A manual override supersedes any remaining scheduled phases.
-	delete(d.loadSchedules, name)
+	d.planner.ScheduleLoad(name, nil)
 }
 
 // errForecastDisabled reports a forecast read against a daemon running
@@ -568,7 +552,7 @@ func (d *Daemon) SubmitJob(spec dynplace.JobSpec, relative bool) error {
 // dynplace:holds d.mu
 func (d *Daemon) applySubmitJob(internal *batch.Spec) {
 	d.jobSeen[internal.Name] = true
-	d.jobs = append(d.jobs, scheduler.NewJob(internal))
+	d.planner.Submit(internal)
 }
 
 // JobResults reports job outcomes: the retained completed jobs
@@ -577,28 +561,10 @@ func (d *Daemon) JobResults() []dynplace.JobResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := d.completed.Snapshot()
-	for _, j := range d.jobs {
-		out = append(out, jobResult(j))
+	for _, j := range d.planner.Jobs() {
+		out = append(out, dynplace.JobResultOf(j))
 	}
 	return out
-}
-
-func jobResult(j *scheduler.Job) dynplace.JobResult {
-	r := dynplace.JobResult{
-		Name:       j.Spec.Name,
-		Completed:  j.Status == scheduler.Completed,
-		Suspends:   j.Suspends,
-		Resumes:    j.Resumes,
-		Migrations: j.Migrations,
-		Rescues:    j.Rescues,
-	}
-	if r.Completed {
-		r.CompletedAt = j.CompletedAt
-		r.MetGoal = j.MetGoal()
-		r.DistanceToGoal = j.DistanceToGoal()
-		r.Utility = j.Spec.UtilityAtCompletion(j.CompletedAt)
-	}
-	return r
 }
 
 // Health summarizes liveness for the health endpoint. It reads only
@@ -764,24 +730,7 @@ func (d *Daemon) applyFailNode(name string, now float64) {
 	if !ok {
 		return
 	}
-	d.planner.FailNode(n.ID)
-	evicted := 0
-	for _, j := range d.jobs {
-		if j.Node != n.ID {
-			continue
-		}
-		if j.Spec.Submit <= now {
-			j.AdvanceTo(now)
-		}
-		if j.Status == scheduler.Completed {
-			continue
-		}
-		j.Evict()
-		evicted++
-	}
-	if evicted > 0 {
-		d.actions.Inc(scheduler.ActionSuspend, evicted)
-	}
+	evicted := len(d.planner.FailNode(n.ID, now))
 	// Withdraw the dead node from live dispatch weights right away; the
 	// next cycle republishes the re-placed instances.
 	for _, app := range d.router.Apps() {
@@ -820,7 +769,7 @@ func (d *Daemon) RemoveNode(name string) error {
 		return fmt.Errorf("%w: node %q still hosts %d web instances; drain or fail it first",
 			ErrDaemon, name, count)
 	}
-	for _, j := range d.jobs {
+	for _, j := range d.planner.Jobs() {
 		if j.Node == n.ID {
 			return fmt.Errorf("%w: node %q still hosts job %q; drain or fail it first",
 				ErrDaemon, name, j.Spec.Name)
@@ -945,48 +894,6 @@ func (d *Daemon) WebAppNames() []string {
 	return names
 }
 
-// liveJobs returns submitted, incomplete jobs at now.
-//
-// dynplace:holds d.mu
-func (d *Daemon) liveJobs(now float64) []*scheduler.Job {
-	out := make([]*scheduler.Job, 0, len(d.jobs))
-	for _, j := range d.jobs {
-		if j.Status == scheduler.Completed || j.Spec.Submit > now {
-			continue
-		}
-		out = append(out, j)
-	}
-	return out
-}
-
-// applyLoadSchedules advances each app's arrival rate to the latest
-// scheduled phase that has begun, then prunes the phases that have taken
-// effect so the schedule shrinks to nothing over time.
-//
-// dynplace:holds d.mu
-func (d *Daemon) applyLoadSchedules(now float64) {
-	for name, phases := range d.loadSchedules {
-		var future []dynplace.LoadPhase
-		for _, ph := range phases {
-			if ph.Start > now {
-				future = append(future, ph)
-				continue
-			}
-			// Rate 0 quiesces the app rather than being skipped — a
-			// scheduled ramp-to-idle must actually take effect.
-			if ph.ArrivalRate >= 0 {
-				d.planner.SetArrivalRate(name, ph.ArrivalRate)
-			}
-		}
-		switch {
-		case len(future) == 0:
-			delete(d.loadSchedules, name)
-		case len(future) != len(phases):
-			d.loadSchedules[name] = future
-		}
-	}
-}
-
 // tick runs one control cycle and schedules the next one. Ticks carry
 // the generation they were scheduled under; a stale generation means the
 // daemon was stopped (and possibly restarted) since this tick's timer
@@ -1013,30 +920,15 @@ func (d *Daemon) runCycle(now float64) {
 	// runs under the CPU profiler; stopProfile retains the result.
 	stopProfile := d.beginSlowCycleProfile()
 	endDemand := trace.Span("demand_update")
-	d.applyLoadSchedules(now)
-	for _, j := range d.jobs {
-		if j.Spec.Submit <= now {
-			j.AdvanceTo(now)
-		}
-	}
-	// Retire completed jobs into the bounded results ring so the working
-	// set the loop scans each cycle stays proportional to live work.
+	live, done := d.planner.Advance(now)
+	// Retired jobs move into the bounded results ring, so the working set
+	// the loop scans each cycle stays proportional to live work.
 	var retired []dynplace.JobResult
-	keep := d.jobs[:0]
-	for _, j := range d.jobs {
-		if j.Status == scheduler.Completed {
-			res := jobResult(j)
-			d.completed.Push(res)
-			retired = append(retired, res)
-			continue
-		}
-		keep = append(keep, j)
+	for _, j := range done {
+		res := dynplace.JobResultOf(j)
+		d.completed.Push(res)
+		retired = append(retired, res)
 	}
-	for i := len(keep); i < len(d.jobs); i++ {
-		d.jobs[i] = nil
-	}
-	d.jobs = keep
-	live := d.liveJobs(now)
 	endDemand()
 
 	plan, err := d.planner.PlanTraced(now, d.cfg.CycleSeconds, live, trace)
@@ -1091,7 +983,7 @@ func (d *Daemon) runCycle(now float64) {
 	d.infeasibleStreak = 0
 
 	endApply := trace.Span("apply")
-	changed := scheduler.Apply(now, live, plan.Assignments, d.cfg.Costs, d.actions)
+	changed, queued := d.planner.Apply(now, live, plan.Assignments)
 	endApply()
 
 	// Republish dispatch weights, then swap the public snapshot.
@@ -1139,11 +1031,7 @@ func (d *Daemon) runCycle(now float64) {
 		}
 	}
 
-	queued := 0
 	for k, j := range live {
-		if j.Status == scheduler.Pending || j.Status == scheduler.Suspended {
-			queued++
-		}
 		view := JobPlacementView{
 			Name:         j.Spec.Name,
 			Status:       j.Status.String(),

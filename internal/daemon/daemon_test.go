@@ -492,7 +492,7 @@ func TestDaemonLoadSchedulePruning(t *testing.T) {
 	pending := func() int {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return len(d.loadSchedules["web"])
+		return len(d.planner.LoadSchedule("web"))
 	}
 
 	clock.Advance(60) // cycles at 0, 60: first phase begun

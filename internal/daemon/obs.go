@@ -170,7 +170,7 @@ func (d *Daemon) newObsState(shards int, traceCycles int) *obsState {
 			func() float64 {
 				d.mu.Lock()
 				defer d.mu.Unlock()
-				return float64(d.actions.Get(action))
+				return float64(d.planner.Actions().Get(action))
 			}, "action", action)
 	}
 

@@ -118,9 +118,10 @@ func (d *Daemon) journalCycleLocked(cycle int64, now float64, live []*scheduler.
 //
 // dynplace:holds d.mu
 func (d *Daemon) actionTotalsLocked() map[string]int {
+	actions := d.planner.Actions()
 	totals := make(map[string]int)
-	for _, name := range d.actions.Names() {
-		totals[name] = d.actions.Get(name)
+	for _, name := range actions.Names() {
+		totals[name] = actions.Get(name)
 	}
 	return totals
 }
@@ -140,13 +141,13 @@ func (d *Daemon) snapshotStateLocked() (*store.State, error) {
 	}
 	for _, w := range d.planner.WebApps() {
 		nodes, _ := d.planner.WebPlacement(w.Name)
-		st.Apps = append(st.Apps, store.AppState{
-			Spec:      dynplace.WebAppSpecOf(w),
-			Schedule:  append([]dynplace.LoadPhase(nil), d.loadSchedules[w.Name]...),
-			Placement: nodeIDInts(nodes),
-		})
+		app := store.AppState{Spec: dynplace.WebAppSpecOf(w), Placement: nodeIDInts(nodes)}
+		for _, ph := range d.planner.LoadSchedule(w.Name) {
+			app.Schedule = append(app.Schedule, dynplace.LoadPhase(ph))
+		}
+		st.Apps = append(st.Apps, app)
 	}
-	for _, j := range d.jobs {
+	for _, j := range d.planner.Jobs() {
 		st.Jobs = append(st.Jobs, store.JobRecord{
 			Spec: dynplace.JobSpecOf(j.Spec), Runtime: j.State(),
 		})
@@ -286,16 +287,7 @@ func (d *Daemon) Recover() error {
 	// requeue suspended with progress intact and the Evicted mark — the
 	// first post-recovery cycle re-places them as rescues, exactly like
 	// a node failure.
-	rescued := 0
-	for _, j := range d.jobs {
-		if j.Status == scheduler.Running || j.Status == scheduler.Paused {
-			j.Evict()
-			rescued++
-		}
-	}
-	if rescued > 0 {
-		d.actions.Inc(scheduler.ActionSuspend, rescued)
-	}
+	rescued := d.planner.EvictPlaced()
 
 	// Rebuild live dispatch weights from the restored placement so
 	// requests route correctly before the first post-recovery cycle.
@@ -322,7 +314,7 @@ func (d *Daemon) Recover() error {
 	d.replayedRecords = len(recs)
 	d.replayDuration = time.Since(begin) //dynplace:ignore clockhygiene replay-duration telemetry; never feeds placement
 	d.cfg.Logf("recovered %d apps, %d jobs, inventory v%d at t=%.1f: snapshot+%d records in %v (restart #%d), %d jobs rescued",
-		len(d.planner.WebApps()), len(d.jobs), d.planner.Inventory().Version(),
+		len(d.planner.WebApps()), len(d.planner.Jobs()), d.planner.Inventory().Version(),
 		lastTime, len(recs), d.replayDuration.Round(time.Millisecond), d.restarts.Load(), rescued)
 
 	// Boot compaction: fold what we just replayed into a fresh snapshot
@@ -354,9 +346,7 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 	}
 	d.planner = planner
 	d.planner.RestoreInfeasibleCycles(st.InfeasibleCycles)
-	d.jobs = nil
 	d.jobSeen = make(map[string]bool)
-	d.loadSchedules = make(map[string][]dynplace.LoadPhase)
 	for _, a := range st.Apps {
 		app, err := dynplace.CompileWebApp(a.Spec)
 		if err != nil {
@@ -367,6 +357,7 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 		}
 		d.planner.RestoreWebPlacement(app.Name, intNodeIDs(a.Placement))
 	}
+	jobs := make([]*scheduler.Job, 0, len(st.Jobs))
 	for _, jr := range st.Jobs {
 		spec, err := dynplace.CompileJob(jr.Spec)
 		if err != nil {
@@ -376,9 +367,10 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 		if err != nil {
 			return err
 		}
-		d.jobs = append(d.jobs, j)
+		jobs = append(jobs, j)
 		d.jobSeen[spec.Name] = true
 	}
+	d.planner.RestoreJobs(jobs)
 	for _, name := range st.JobNames {
 		d.jobSeen[name] = true
 	}
@@ -386,7 +378,7 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 		d.completed.Push(res)
 	}
 	for name, v := range st.Actions {
-		d.actions.Set(name, v)
+		d.planner.Actions().Set(name, v)
 	}
 	d.cycles.Store(st.Cycles)
 	return d.restorePlacementLocked(st.Placement)
@@ -509,8 +501,9 @@ func (d *Daemon) restoreInventoryVersion(rec store.Record) {
 //
 // dynplace:holds d.mu
 func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
-	byName := make(map[string]int, len(d.jobs))
-	for i, j := range d.jobs {
+	jobs := d.planner.Jobs()
+	byName := make(map[string]int, len(jobs))
+	for i, j := range jobs {
 		byName[j.Spec.Name] = i
 	}
 	for _, js := range cr.Jobs {
@@ -518,35 +511,33 @@ func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
 		if !ok {
 			return fmt.Errorf("cycle %d: unknown job %q", cr.Cycle, js.Name)
 		}
-		j, err := scheduler.RestoreJob(d.jobs[i].Spec, js.JobState)
+		j, err := scheduler.RestoreJob(jobs[i].Spec, js.JobState)
 		if err != nil {
 			return err
 		}
-		d.jobs[i] = j
+		jobs[i] = j
 	}
+	keep := jobs[:0]
 	for _, res := range cr.Completed {
 		i, ok := byName[res.Name]
 		if !ok {
 			return fmt.Errorf("cycle %d: unknown completed job %q", cr.Cycle, res.Name)
 		}
-		d.jobs[i] = nil
+		jobs[i] = nil
 		d.completed.Push(res)
 	}
-	if len(cr.Completed) > 0 {
-		keep := d.jobs[:0]
-		for _, j := range d.jobs {
-			if j != nil {
-				keep = append(keep, j)
-			}
+	for _, j := range jobs {
+		if j != nil {
+			keep = append(keep, j)
 		}
-		d.jobs = keep
 	}
+	d.planner.RestoreJobs(keep)
 	for _, w := range cr.Web {
 		d.planner.SetArrivalRate(w.Name, w.ArrivalRate)
 		d.planner.RestoreWebPlacement(w.Name, intNodeIDs(w.Nodes))
 	}
 	for name, v := range cr.Actions {
-		d.actions.Set(name, v)
+		d.planner.Actions().Set(name, v)
 	}
 	if cr.Infeasible {
 		d.planner.RestoreInfeasibleCycles(d.planner.InfeasibleCycles() + 1)

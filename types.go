@@ -3,8 +3,10 @@ package dynplace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dynplace/internal/batch"
+	"dynplace/internal/scheduler"
 	"dynplace/internal/txn"
 )
 
@@ -107,9 +109,9 @@ type WebAppSpec struct {
 	// MemoryMB is the per-instance footprint.
 	MemoryMB float64 `json:"memoryMB"`
 	// LoadSchedule optionally varies the arrival rate over time: each
-	// phase takes effect at its start time (phases should be listed in
-	// ascending start order). The placement controller reacts at the
-	// next control cycle.
+	// phase takes effect at its start time. Phases must be listed in
+	// nondecreasing start order with finite, nonnegative rates. The
+	// placement controller reacts at the next control cycle.
 	LoadSchedule []LoadPhase `json:"loadSchedule,omitempty"`
 	// AntiCollocate lists application names this one must never share a
 	// node with.
@@ -143,8 +145,25 @@ func (w WebAppSpec) toInternal() (*txn.App, error) {
 	if err := app.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
+	if !finiteRate(w.ArrivalRate) {
+		return nil, fmt.Errorf("%w: web app %q: arrival rate must be finite", ErrBadSpec, w.Name)
+	}
+	prev := math.Inf(-1)
+	for i, ph := range w.LoadSchedule {
+		if !finiteRate(ph.ArrivalRate) {
+			return nil, fmt.Errorf("%w: web app %q: load phase %d: arrival rate must be a finite nonnegative number",
+				ErrBadSpec, w.Name, i)
+		}
+		if !(ph.Start >= prev) {
+			return nil, fmt.Errorf("%w: web app %q: load phase %d starts at %v, before the phase listed ahead of it",
+				ErrBadSpec, w.Name, i, ph.Start)
+		}
+		prev = ph.Start
+	}
 	return app, nil
 }
+
+func finiteRate(r float64) bool { return r >= 0 && !math.IsInf(r, 1) }
 
 // JobResult reports one job's outcome.
 type JobResult struct {
@@ -211,6 +230,26 @@ func JobSpecOf(s *batch.Spec) JobSpec {
 		}
 	}
 	return js
+}
+
+// JobResultOf reports a job's outcome as of its current state; the
+// completion fields are set only once it has completed.
+func JobResultOf(j *scheduler.Job) JobResult {
+	r := JobResult{
+		Name:       j.Spec.Name,
+		Completed:  j.Status == scheduler.Completed,
+		Suspends:   j.Suspends,
+		Resumes:    j.Resumes,
+		Migrations: j.Migrations,
+		Rescues:    j.Rescues,
+	}
+	if r.Completed {
+		r.CompletedAt = j.CompletedAt
+		r.MetGoal = j.MetGoal()
+		r.DistanceToGoal = j.DistanceToGoal()
+		r.Utility = j.Spec.UtilityAtCompletion(j.CompletedAt)
+	}
+	return r
 }
 
 // WebAppSpecOf is CompileWebApp's inverse: the public spec of a
