@@ -24,7 +24,6 @@ var deterministicPackages = []string{
 	"dynplace/internal/txn",
 	"dynplace/internal/batch",
 	"dynplace/internal/cluster",
-	"dynplace/internal/jobprof",
 }
 
 // DefaultClockConfig is the repository allowlist for wall-clock

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Enforce the statement-coverage floor on the forecasting stack: the
-# demand estimator and the trace codec feed placement decisions, so
-# untested branches there turn directly into misplacements. The floor
-# is per package, read from the standard `go test -cover` summary.
+# Enforce the statement-coverage floor on the forecasting stack and the
+# control step: the demand estimator and the trace codec feed placement
+# decisions, and internal/control and internal/daemon run every cycle of
+# both the simulator and the live service, so untested branches there
+# turn directly into misplacements. The floor is per package, read from
+# the standard `go test -cover` summary.
 set -euo pipefail
 
 FLOOR=85
-PACKAGES=(./internal/forecast ./internal/trace)
+PACKAGES=(./internal/forecast ./internal/trace ./internal/control ./internal/daemon)
 
 fail=0
 for pkg in "${PACKAGES[@]}"; do
