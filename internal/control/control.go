@@ -94,9 +94,10 @@ type Config struct {
 	// WebApps are the transactional applications.
 	WebApps []*txn.App
 	// WebLoad optionally schedules arrival-rate changes per web app
-	// (parallel to WebApps; nil entries keep the app's rate constant).
-	// The controller reacts at the next cycle — the scenario the paper's
-	// short control cycle exists for.
+	// (parallel to WebApps; nil entries keep the app's rate constant),
+	// applied by the rule of Planner.ScheduleLoad. The controller reacts
+	// at the next cycle — the scenario the paper's short control cycle
+	// exists for.
 	WebLoad [][]LoadPhase
 	// WebNodes statically dedicates nodes to the web workload (policy
 	// mode only); batch jobs run on the remaining nodes.

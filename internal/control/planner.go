@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dynplace/internal/cluster"
@@ -126,10 +127,8 @@ func (p *Planner) AddWebApp(app *txn.App) error {
 	if err := app.Validate(); err != nil {
 		return err
 	}
-	for _, w := range p.webApps {
-		if w.Name == app.Name {
-			return fmt.Errorf("%w: duplicate web app %q", ErrBadConfig, app.Name)
-		}
+	if p.appIndex(app.Name) >= 0 {
+		return fmt.Errorf("%w: duplicate web app %q", ErrBadConfig, app.Name)
 	}
 	p.webApps = append(p.webApps, app)
 	p.webPlacement = append(p.webPlacement, nil)
@@ -140,16 +139,20 @@ func (p *Planner) AddWebApp(app *txn.App) error {
 // RemoveWebApp drops the named application and its placement. It reports
 // whether the app was registered.
 func (p *Planner) RemoveWebApp(name string) bool {
-	for i, w := range p.webApps {
-		if w.Name == name {
-			p.webApps = append(p.webApps[:i], p.webApps[i+1:]...)
-			p.webPlacement = append(p.webPlacement[:i], p.webPlacement[i+1:]...)
-			p.phases = append(p.phases[:i], p.phases[i+1:]...)
-			p.fc.Remove(name)
-			return true
-		}
+	i := p.appIndex(name)
+	if i < 0 {
+		return false
 	}
-	return false
+	p.webApps = append(p.webApps[:i], p.webApps[i+1:]...)
+	p.webPlacement = append(p.webPlacement[:i], p.webPlacement[i+1:]...)
+	p.phases = append(p.phases[:i], p.phases[i+1:]...)
+	p.fc.Remove(name)
+	return true
+}
+
+// appIndex returns the named application's registration index, or -1.
+func (p *Planner) appIndex(name string) int {
+	return slices.IndexFunc(p.webApps, func(w *txn.App) bool { return w.Name == name })
 }
 
 // WebApps returns the registered applications in registration order. The
@@ -162,10 +165,8 @@ func (p *Planner) WebApps() []*txn.App {
 
 // WebApp returns the named application, if registered.
 func (p *Planner) WebApp(name string) (*txn.App, bool) {
-	for _, w := range p.webApps {
-		if w.Name == name {
-			return w, true
-		}
+	if i := p.appIndex(name); i >= 0 {
+		return p.webApps[i], true
 	}
 	return nil, false
 }
@@ -345,10 +346,8 @@ func (p *Planner) RestoreInfeasibleCycles(n int) {
 // (keep-current-on-tie) depends on, which durable drivers journal so a
 // restarted controller does not gratuitously reshuffle instances.
 func (p *Planner) WebPlacement(name string) ([]cluster.NodeID, bool) {
-	for i, w := range p.webApps {
-		if w.Name == name {
-			return append([]cluster.NodeID(nil), p.webPlacement[i]...), true
-		}
+	if i := p.appIndex(name); i >= 0 {
+		return append([]cluster.NodeID(nil), p.webPlacement[i]...), true
 	}
 	return nil, false
 }
@@ -358,13 +357,12 @@ func (p *Planner) WebPlacement(name string) ([]cluster.NodeID, bool) {
 // the inventory are dropped at the next Plan call, exactly as with live
 // churn. It reports whether the app was registered.
 func (p *Planner) RestoreWebPlacement(name string, nodes []cluster.NodeID) bool {
-	for i, w := range p.webApps {
-		if w.Name == name {
-			p.webPlacement[i] = append([]cluster.NodeID(nil), nodes...)
-			return true
-		}
+	i := p.appIndex(name)
+	if i < 0 {
+		return false
 	}
-	return false
+	p.webPlacement[i] = append([]cluster.NodeID(nil), nodes...)
+	return true
 }
 
 // WebInstance is one placed instance of a web application in a Plan.

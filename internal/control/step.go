@@ -39,21 +39,18 @@ func (p *Planner) Actions() *metrics.Counter { return p.actions }
 // wins. A nil schedule cancels what is pending. It reports whether the
 // app is registered.
 func (p *Planner) ScheduleLoad(name string, phases []LoadPhase) bool {
-	for i, w := range p.webApps {
-		if w.Name == name {
-			p.phases[i] = append([]LoadPhase(nil), phases...)
-			return true
-		}
+	i := p.appIndex(name)
+	if i < 0 {
+		return false
 	}
-	return false
+	p.phases[i] = append([]LoadPhase(nil), phases...)
+	return true
 }
 
 // LoadSchedule returns the named application's pending load phases.
 func (p *Planner) LoadSchedule(name string) []LoadPhase {
-	for i, w := range p.webApps {
-		if w.Name == name {
-			return append([]LoadPhase(nil), p.phases[i]...)
-		}
+	if i := p.appIndex(name); i >= 0 {
+		return append([]LoadPhase(nil), p.phases[i]...)
 	}
 	return nil
 }
