@@ -50,16 +50,14 @@ test:
 shuffle:
 	$(GO) test -count=2 -shuffle=on ./...
 
-# The CI bench-smoke job: one scale-sweep + router-sweep + replay-sweep
-# run, tables on stdout and BENCH_*.json rows in the working directory.
-# The router sweep gates dispatch ns/op and allocs/op against
-# scripts/router_baseline.json; the replay sweep gates forecast-driven
-# control against reactive.
-# Then the two solver micro-benchmarks, which print the solver's work
-# counts (candidates, probes, flow solves per op) beside time and
-# allocations.
+# The CI bench-smoke job: one run of the reactive-vs-forecast replay
+# sweep, which gates forecast-driven control against reactive, and of
+# the flat solve at 500-2 000 nodes; then the two solver
+# micro-benchmarks. Each prints the solver's work counts (candidates,
+# probes, flow solves per op) beside time.
 bench:
-	BENCH_JSON_DIR=. $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep|BenchmarkRouterSweep|BenchmarkReplaySweep' -benchtime=1x .
+	$(GO) test -run '^$$' -bench BenchmarkReplaySweep -benchtime=1x .
+	$(GO) test -run '^$$' -bench BenchmarkFlatSolve -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizerCycle|BenchmarkAllocationSolver' -benchmem -benchtime=5x .
 
 # The repository's benchmark (cmd/dynbench/README.md): the whole
@@ -92,6 +90,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 20s ./internal/trace
 
 # The CI coverage job: statement-coverage floor (85%) on
-# internal/forecast and internal/trace.
+# internal/forecast, internal/trace, internal/control and
+# internal/daemon.
 cover:
 	./scripts/coverage_floor.sh

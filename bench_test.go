@@ -1,22 +1,20 @@
 package dynplace_test
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation. Run it with:
+// Plain Go benchmarks beside the package tests: the ablations that
+// quantify the design choices docs/ARCHITECTURE.md calls out, the two
+// solver micro-benchmarks with their work counts, the full-scale
+// reactive-vs-forecast replay and one run through the public API. Run
+// them with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// Figure benches print the corresponding series/rows once; expensive
-// experiment sweeps are computed once and shared between the benches
-// that report different views of them (e.g. Figures 3, 4 and 5 all come
-// from the Experiment Two sweep). Ablation benches quantify the design
-// choices docs/ARCHITECTURE.md calls out.
+// The paper's figures and tables render from cmd/mixedsim; the flat
+// solve at 500-2 000 nodes is BenchmarkFlatSolve in
+// internal/experiments.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -28,153 +26,6 @@ import (
 	"dynplace/internal/scheduler"
 	"dynplace/internal/trace"
 )
-
-// ---- Table 1 and Figure 1: the worked example ----
-
-func BenchmarkTable1WorkedExample(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table1Text() + "\n" + experiments.WorkedExampleText()
-	}
-	printOnce(b, out)
-}
-
-// ---- Table 2 and Figure 2: Experiment One ----
-
-var exp1Cache = newCache(func() (*experiments.Experiment1Result, error) {
-	return experiments.RunExperiment1(experiments.DefaultExperiment1Options())
-})
-
-func BenchmarkTable2ExperimentOneProperties(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.Table2Text()
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFigure2ExperimentOne(b *testing.B) {
-	var res *experiments.Experiment1Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = exp1Cache.get()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce(b, experiments.Figure2Text(res, 24))
-	b.ReportMetric(float64(res.Changes), "placement-changes")
-	b.ReportMetric(100*res.OnTimeRate, "ontime-%")
-}
-
-// ---- Figures 3, 4, 5: Experiment Two ----
-
-var exp2Cache = newCache(func() ([]*experiments.Experiment2Cell, error) {
-	return experiments.RunExperiment2(experiments.DefaultExperiment2Options())
-})
-
-func BenchmarkFigure3DeadlineRates(b *testing.B) {
-	var cells []*experiments.Experiment2Cell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = exp2Cache.get()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce(b, experiments.Figure3Table(cells))
-	for _, c := range cells {
-		if c.Interarrival == 50 {
-			b.ReportMetric(100*c.OnTimeRate, "ontime50s-"+c.Policy+"-%")
-		}
-	}
-}
-
-func BenchmarkFigure4PlacementChanges(b *testing.B) {
-	var cells []*experiments.Experiment2Cell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = exp2Cache.get()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce(b, experiments.Figure4Table(cells))
-	for _, c := range cells {
-		if c.Interarrival == 50 {
-			b.ReportMetric(float64(c.Changes), "changes50s-"+c.Policy)
-		}
-	}
-}
-
-func BenchmarkFigure5DistanceDistributions(b *testing.B) {
-	var cells []*experiments.Experiment2Cell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = exp2Cache.get()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce(b, experiments.Figure5Table(cells, 200)+"\n"+experiments.Figure5Table(cells, 50))
-}
-
-// ---- Figures 6 and 7: Experiment Three ----
-
-var exp3Cache = newCache(func() ([]*experiments.Experiment3Result, error) {
-	opts := experiments.DefaultExperiment3Options()
-	var out []*experiments.Experiment3Result
-	for _, config := range []experiments.Experiment3Config{
-		experiments.ConfigDynamic,
-		experiments.ConfigStatic9,
-		experiments.ConfigStatic6,
-	} {
-		res, err := experiments.RunExperiment3(opts, config)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-})
-
-func BenchmarkFigure6Heterogeneous(b *testing.B) {
-	var results []*experiments.Experiment3Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = exp3Cache.get()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	out := ""
-	for _, res := range results {
-		out += experiments.Figure6Text(res, 16) + "\n"
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFigure7Allocations(b *testing.B) {
-	var results []*experiments.Experiment3Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = exp3Cache.get()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	names := map[experiments.Experiment3Config]string{
-		experiments.ConfigDynamic: "dynamic",
-		experiments.ConfigStatic9: "static9",
-		experiments.ConfigStatic6: "static6",
-	}
-	out := ""
-	for _, res := range results {
-		out += experiments.Figure7Text(res, 16) + "\n"
-		b.ReportMetric(100*res.OnTimeRate, "ontime-"+names[res.Config]+"-pct")
-	}
-	printOnce(b, out)
-}
 
 // ---- Ablations ----
 
@@ -345,47 +196,18 @@ func BenchmarkOptimizerCycle(b *testing.B) {
 	b.ReportMetric(float64(res.FlowSolves), "flowsolves/op")
 }
 
-// BenchmarkScaleSweep measures placement solve latency past the paper's
-// 25-node testbed: the flat solver on identical randomized problems at
-// 500/1000/2000 nodes, sequential vs parallel candidate evaluation,
-// byte-identical placements verified. CI runs it with -benchtime=1x and
-// uploads the printed table and BENCH_scale_sweep.json. The sharded
-// solver is measured by dynbench's sharded_10k workload
-// (cmd/dynbench/README.md) and its contract — global capacity, 1-shard
-// ≡ flat — is pinned by internal/shard's tests.
-func BenchmarkScaleSweep(b *testing.B) {
-	opts := experiments.DefaultScaleSweepOptions()
-	var rows []experiments.ScaleSweepRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunScaleSweep(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce(b, experiments.ScaleSweepTable(rows))
-	writeBenchJSON(b, "scale_sweep", rows)
-	for _, r := range rows {
-		if !r.Identical {
-			b.Fatalf("parallel placement diverged from sequential at %d nodes", r.Nodes)
-		}
-		b.ReportMetric(r.Speedup, fmt.Sprintf("speedup-%dnodes", r.Nodes))
-		b.ReportMetric(r.Sequential.Seconds(), fmt.Sprintf("seq-s-%dnodes", r.Nodes))
-	}
-}
-
 // BenchmarkReplaySweep replays the Alibaba-style diurnal trace through
 // a reactive and a forecast-driven daemon: ~1900 control cycles and
 // ~17M routed user-requests per leg, with every cycle's plan scored
 // against the arrival rate the trace actually delivered over the window
-// it governed. CI runs it with -benchtime=1x next to the other sweeps
-// and uploads BENCH_replay_sweep.json.
+// it governed. CI runs it with -benchtime=1x.
 //
-// The sweep enforces the tentpole's contract: the forecaster must beat
-// the naive last-value predictor on post-warm-up MAPE, and planning
-// against predictions must beat reactive control on realized web
-// utility or deadline misses — otherwise forecast-driven placement is
-// noise and the PR's premise fails.
+// The sweep enforces the forecasting contract at full scale: the
+// forecaster must beat the naive last-value predictor on post-warm-up
+// MAPE, and planning against predictions must beat reactive control on
+// realized web utility or deadline misses — otherwise forecast-driven
+// placement is noise. TestReplaySweep holds the same contract on a
+// compressed trace on every go test run.
 func BenchmarkReplaySweep(b *testing.B) {
 	opts := experiments.DefaultReplaySweepOptions()
 	var rows []experiments.ReplaySweepRow
@@ -397,7 +219,6 @@ func BenchmarkReplaySweep(b *testing.B) {
 		}
 	}
 	printOnce(b, experiments.ReplaySweepTable(rows))
-	writeBenchJSON(b, "replay_sweep", rows)
 	if len(rows) != 2 || rows[0].Mode != "reactive" || rows[1].Mode != "forecast" {
 		b.Fatalf("unexpected sweep rows: %+v", rows)
 	}
@@ -416,121 +237,6 @@ func BenchmarkReplaySweep(b *testing.B) {
 	}
 	b.ReportMetric(fc.MAPE, "mape")
 	b.ReportMetric(fc.NaiveMAPE, "mape-naive")
-}
-
-// routerBaseline mirrors scripts/router_baseline.json: the committed
-// single-goroutine dispatch numbers BenchmarkRouterSweep gates against.
-type routerBaseline struct {
-	// SingleNsPerOp is the committed single-goroutine lock-free
-	// dispatch cost on the reference machine.
-	SingleNsPerOp float64 `json:"singleNsPerOp"`
-	// AllocsPerOp is the committed allocation count (zero; any
-	// regression is a hot-path leak).
-	AllocsPerOp float64 `json:"allocsPerOp"`
-	// MaxRegressionFactor absorbs machine-to-machine variance: the gate
-	// fails only past SingleNsPerOp × MaxRegressionFactor.
-	MaxRegressionFactor float64 `json:"maxRegressionFactor"`
-}
-
-// BenchmarkRouterSweep measures router dispatch throughput — lock-free
-// dataplane vs the mutex-serialized baseline — at 1/4/NumCPU goroutines,
-// with and without a concurrent control loop republishing the routing
-// table. CI runs it with -benchtime=1x next to the other sweeps and
-// uploads BENCH_router.json.
-//
-// The sweep enforces the dataplane contract: dispatch performs zero
-// heap allocations; at NumCPU goroutines the lock-free router clears
-// ≥5x the mutex baseline's single-goroutine throughput (enforced on
-// machines with ≥4 CPUs — below that the scaling headroom doesn't
-// exist); and single-goroutine dispatch cost must stay within the
-// committed scripts/router_baseline.json envelope so regressions fail
-// the PR that introduces them instead of surfacing in a graph later.
-func BenchmarkRouterSweep(b *testing.B) {
-	opts := experiments.DefaultRouterSweepOptions()
-	var rows []experiments.RouterSweepRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunRouterSweep(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce(b, experiments.RouterSweepTable(rows))
-	writeBenchJSON(b, "router", rows)
-
-	find := func(impl string, goroutines int, republish bool) *experiments.RouterSweepRow {
-		for i := range rows {
-			r := &rows[i]
-			if r.Impl == impl && r.Goroutines == goroutines && r.Republish == republish {
-				return r
-			}
-		}
-		return nil
-	}
-	single := find("lockfree", 1, false)
-	mutexSingle := find("mutex", 1, false)
-	if single == nil || mutexSingle == nil {
-		b.Fatal("router sweep missing the single-goroutine reference rows")
-	}
-
-	// Contract: the hot path allocates nothing.
-	if single.AllocsPerOp > 0 {
-		b.Fatalf("lock-free dispatch allocates %.2f allocs/op, want 0", single.AllocsPerOp)
-	}
-
-	// Contract: scaling. At NumCPU goroutines the lock-free router must
-	// clear 5x the mutex baseline's single-goroutine throughput. Below
-	// 4 CPUs the parallelism to demonstrate that doesn't exist, so the
-	// ratio is reported but not enforced.
-	maxG := 0
-	for _, r := range rows {
-		if r.Impl == "lockfree" && !r.Republish && r.Goroutines > maxG {
-			maxG = r.Goroutines
-		}
-	}
-	scaled := find("lockfree", maxG, false)
-	ratio := scaled.MopsPerSec / mutexSingle.MopsPerSec
-	b.ReportMetric(ratio, "throughput-x-mutex1")
-	b.ReportMetric(single.NsPerOp, "dispatch-ns")
-	b.ReportMetric(scaled.MopsPerSec, "mops-maxg")
-	if runtime.NumCPU() >= 4 && ratio < 5 {
-		b.Fatalf("lock-free at %d goroutines = %.2f Mops/s, only %.1fx mutex single-goroutine %.2f Mops/s (want ≥5x)",
-			maxG, scaled.MopsPerSec, ratio, mutexSingle.MopsPerSec)
-	}
-
-	// Regression gate against the committed baseline.
-	data, err := os.ReadFile("scripts/router_baseline.json")
-	if err != nil {
-		b.Fatalf("router baseline: %v", err)
-	}
-	var base routerBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		b.Fatalf("router baseline: %v", err)
-	}
-	if base.MaxRegressionFactor <= 1 {
-		b.Fatalf("router baseline: maxRegressionFactor %.2f must exceed 1", base.MaxRegressionFactor)
-	}
-	if single.AllocsPerOp > base.AllocsPerOp {
-		b.Fatalf("dispatch allocs/op %.2f exceeds committed baseline %.2f",
-			single.AllocsPerOp, base.AllocsPerOp)
-	}
-	if limit := base.SingleNsPerOp * base.MaxRegressionFactor; single.NsPerOp > limit {
-		b.Fatalf("single-goroutine dispatch %.1f ns/op exceeds %.1f (committed %.1f × %.1f headroom)",
-			single.NsPerOp, limit, base.SingleNsPerOp, base.MaxRegressionFactor)
-	}
-}
-
-// writeBenchJSON emits the sweep rows as BENCH_<name>.json when the CI
-// bench-smoke job (or a local run) sets BENCH_JSON_DIR.
-func writeBenchJSON(b *testing.B, name string, rows any) {
-	b.Helper()
-	dir := os.Getenv("BENCH_JSON_DIR")
-	if dir == "" {
-		return
-	}
-	if err := experiments.WriteBenchJSON(dir, name, rows); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkAllocationSolver times a single placement evaluation (the
@@ -609,22 +315,6 @@ func BenchmarkEndToEndPublicAPI(b *testing.B) {
 }
 
 // ---- helpers ----
-
-type cache[T any] struct {
-	once sync.Once
-	fn   func() (T, error)
-	val  T
-	err  error
-}
-
-func newCache[T any](fn func() (T, error)) *cache[T] {
-	return &cache[T]{fn: fn}
-}
-
-func (c *cache[T]) get() (T, error) {
-	c.once.Do(func() { c.val, c.err = c.fn() })
-	return c.val, c.err
-}
 
 var printGuard sync.Map
 

@@ -13,10 +13,8 @@ import (
 // Configure it with options, register workloads, then Run. A System is
 // not safe for concurrent use.
 type System struct {
-	cfg     control.Config
 	runner  *control.Runner
 	webIdx  map[string]int
-	jobSeen map[string]bool
 	started bool
 }
 
@@ -35,11 +33,11 @@ func NewSystem(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{
-		cfg:     cfg,
-		webIdx:  make(map[string]int),
-		jobSeen: make(map[string]bool),
-	}, nil
+	r, err := control.NewRunner(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &System{runner: r, webIdx: make(map[string]int)}, nil
 }
 
 // AddWebApp registers a transactional application. All web applications
@@ -48,20 +46,18 @@ func (s *System) AddWebApp(spec WebAppSpec) error {
 	if s.started {
 		return ErrStarted
 	}
-	if _, dup := s.webIdx[spec.Name]; dup {
-		return fmt.Errorf("%w: duplicate web app %q", ErrBadSpec, spec.Name)
-	}
 	app, err := spec.toInternal()
 	if err != nil {
 		return err
 	}
-	s.webIdx[spec.Name] = len(s.cfg.WebApps)
-	s.cfg.WebApps = append(s.cfg.WebApps, app)
 	phases := make([]control.LoadPhase, len(spec.LoadSchedule))
 	for i, ph := range spec.LoadSchedule {
-		phases[i] = control.LoadPhase{Start: ph.Start, ArrivalRate: ph.ArrivalRate}
+		phases[i] = control.LoadPhase(ph)
 	}
-	s.cfg.WebLoad = append(s.cfg.WebLoad, phases)
+	if err := s.runner.AddWebApp(app, phases); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSpec, err)
+	}
+	s.webIdx[spec.Name] = len(s.webIdx)
 	return nil
 }
 
@@ -71,20 +67,13 @@ func (s *System) SubmitJob(spec JobSpec) error {
 	if s.started {
 		return ErrStarted
 	}
-	if s.jobSeen[spec.Name] {
-		return fmt.Errorf("%w: duplicate job %q", ErrBadSpec, spec.Name)
-	}
 	internal, err := spec.toInternal()
 	if err != nil {
 		return err
 	}
-	if err := s.ensureRunner(); err != nil {
-		return err
-	}
 	if err := s.runner.Submit(internal); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
-	s.jobSeen[spec.Name] = true
 	return nil
 }
 
@@ -124,9 +113,6 @@ func (s *System) SubmitParallelJob(spec JobSpec, shards int) error {
 // Under dynamic placement the displaced jobs are rescued onto surviving
 // nodes at the next cycle, counted in JobResult.Rescues.
 func (s *System) FailNode(at float64, node int) error {
-	if err := s.ensureRunner(); err != nil {
-		return err
-	}
 	return s.runner.FailNode(at, cluster.NodeID(node))
 }
 
@@ -134,9 +120,6 @@ func (s *System) FailNode(at float64, node int) error {
 // capacity is offered to the placement optimizer from the next control
 // cycle on. Dynamic placement mode only.
 func (s *System) AddNode(at float64, name string, cpuMHz, memMB float64) error {
-	if err := s.ensureRunner(); err != nil {
-		return err
-	}
 	return s.runner.AddNode(at, cluster.Node{Name: name, CPUMHz: cpuMHz, MemMB: memMB})
 }
 
@@ -144,30 +127,12 @@ func (s *System) AddNode(at float64, name string, cpuMHz, memMB float64) error {
 // node stops receiving placements and its work is live-migrated off at
 // the next cycle, with no lost progress. Dynamic placement mode only.
 func (s *System) DrainNode(at float64, node int) error {
-	if err := s.ensureRunner(); err != nil {
-		return err
-	}
 	return s.runner.DrainNode(at, cluster.NodeID(node))
-}
-
-func (s *System) ensureRunner() error {
-	if s.runner != nil {
-		return nil
-	}
-	r, err := control.NewRunner(s.cfg)
-	if err != nil {
-		return err
-	}
-	s.runner = r
-	return nil
 }
 
 // Run executes control cycles until the horizon (virtual seconds). It
 // may be called repeatedly with growing horizons.
 func (s *System) Run(horizon float64) error {
-	if err := s.ensureRunner(); err != nil {
-		return err
-	}
 	s.started = true
 	return s.runner.Run(horizon)
 }
@@ -175,27 +140,18 @@ func (s *System) Run(horizon float64) error {
 // RunUntilDrained executes until every submitted job completes, bounded
 // by the guard horizon.
 func (s *System) RunUntilDrained(maxHorizon float64) error {
-	if err := s.ensureRunner(); err != nil {
-		return err
-	}
 	s.started = true
 	return s.runner.RunUntilDrained(maxHorizon)
 }
 
 // Now returns the current virtual time in seconds.
 func (s *System) Now() float64 {
-	if s.runner == nil {
-		return 0
-	}
 	return s.runner.Now()
 }
 
 // JobResults reports the outcome of every submitted job, in submission
 // registration order.
 func (s *System) JobResults() []JobResult {
-	if s.runner == nil {
-		return nil
-	}
 	jobs := s.runner.Jobs()
 	out := make([]JobResult, 0, len(jobs))
 	for _, j := range jobs {
@@ -207,36 +163,24 @@ func (s *System) JobResults() []JobResult {
 // OnTimeRate returns the fraction of submitted jobs that completed by
 // their deadlines.
 func (s *System) OnTimeRate() float64 {
-	if s.runner == nil {
-		return 0
-	}
 	return s.runner.OnTimeRate()
 }
 
 // PlacementChanges returns the number of disruptive placement actions
 // (suspends, resumes, migrations) performed so far.
 func (s *System) PlacementChanges() int {
-	if s.runner == nil {
-		return 0
-	}
 	return s.runner.TotalChanges()
 }
 
 // BatchUtilitySeries returns the mean hypothetical relative performance
 // of the batch workload, sampled each control cycle.
 func (s *System) BatchUtilitySeries() []Point {
-	if s.runner == nil {
-		return nil
-	}
 	return convertPoints(s.runner.HypotheticalUtility().Points())
 }
 
 // BatchAllocationSeries returns the aggregate CPU (MHz) allocated to
 // batch work, sampled each control cycle.
 func (s *System) BatchAllocationSeries() []Point {
-	if s.runner == nil {
-		return nil
-	}
 	return convertPoints(s.runner.BatchAllocation().Points())
 }
 
@@ -244,7 +188,7 @@ func (s *System) BatchAllocationSeries() []Point {
 // performance over time.
 func (s *System) WebUtilitySeries(app string) []Point {
 	idx, ok := s.webIdx[app]
-	if !ok || s.runner == nil {
+	if !ok {
 		return nil
 	}
 	return convertPoints(s.runner.WebUtility(idx).Points())
@@ -254,7 +198,7 @@ func (s *System) WebUtilitySeries(app string) []Point {
 // (MHz) over time.
 func (s *System) WebAllocationSeries(app string) []Point {
 	idx, ok := s.webIdx[app]
-	if !ok || s.runner == nil {
+	if !ok {
 		return nil
 	}
 	return convertPoints(s.runner.WebAllocation(idx).Points())
@@ -263,18 +207,12 @@ func (s *System) WebAllocationSeries(app string) []Point {
 // QueueLengthSeries returns the number of jobs waiting (queued or
 // suspended) at each control cycle.
 func (s *System) QueueLengthSeries() []Point {
-	if s.runner == nil {
-		return nil
-	}
 	return convertPoints(s.runner.QueueLength().Points())
 }
 
 // CompletionUtilities returns (completion time, relative performance)
 // samples for completed jobs.
 func (s *System) CompletionUtilities() []Point {
-	if s.runner == nil {
-		return nil
-	}
 	return convertPoints(s.runner.CompletionUtilities())
 }
 
@@ -306,8 +244,5 @@ type SystemMetrics struct {
 
 // Metrics reports the system's lifetime gauges.
 func (s *System) Metrics() SystemMetrics {
-	if s.runner == nil {
-		return SystemMetrics{}
-	}
 	return SystemMetrics{UptimeCycles: s.runner.Cycles()}
 }

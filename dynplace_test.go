@@ -40,6 +40,9 @@ func TestNewSystemValidation(t *testing.T) {
 		{"bad node", []Option{WithNode("x", -5, 100)}},
 		{"bad partition", []Option{WithUniformCluster(1, 100, 100), WithStaticWebPartition(-2)}},
 		{"bad parallelism", []Option{WithUniformCluster(1, 100, 100), WithParallelism(-1)}},
+		{"partition outside cluster", []Option{WithUniformCluster(1, 100, 100), WithStaticWebPartition(3)}},
+		{"dynamic + partition", []Option{WithUniformCluster(2, 100, 100),
+			WithDynamicPlacement(), WithStaticWebPartition(0)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -111,6 +114,48 @@ func TestDuplicateNamesRejected(t *testing.T) {
 	}
 	if err := sys.SubmitJob(job); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("duplicate job: err = %v", err)
+	}
+}
+
+// TestWebAppAddedAfterOtherSetup: a web app registered after a job, a
+// node failure and a node join were scheduled is placed like any other
+// and gets its series.
+func TestWebAppAddedAfterOtherSetup(t *testing.T) {
+	sys := newTestSystem(t,
+		WithUniformCluster(2, 10000, 16000),
+		WithControlCycle(60),
+		WithDynamicPlacement(),
+		WithFreePlacementActions(),
+	)
+	if err := sys.SubmitJob(JobSpec{Name: "batch", WorkMcycles: 3000 * 600,
+		MaxSpeedMHz: 3000, MemoryMB: 6000, Deadline: 3000}); err != nil {
+		t.Fatalf("SubmitJob: %v", err)
+	}
+	if err := sys.FailNode(300, 1); err != nil {
+		t.Fatalf("FailNode: %v", err)
+	}
+	if err := sys.AddNode(360, "spare", 10000, 16000); err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	if err := sys.AddWebApp(WebAppSpec{
+		Name: "store", ArrivalRate: 50, DemandPerRequest: 100,
+		BaseLatency: 0.02, GoalResponseTime: 0.2,
+		MaxPowerMHz: 8000, MemoryMB: 1000,
+	}); err != nil {
+		t.Fatalf("AddWebApp: %v", err)
+	}
+	if err := sys.Run(600); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	alloc := sys.WebAllocationSeries("store")
+	if len(alloc) == 0 || len(sys.WebUtilitySeries("store")) != len(alloc) {
+		t.Fatalf("late web app has %d allocation and %d utility points, want one per cycle",
+			len(alloc), len(sys.WebUtilitySeries("store")))
+	}
+	for _, p := range alloc {
+		if p.Value <= 0 {
+			t.Fatalf("t=%v: late web app allocated %v MHz, want it placed", p.Time, p.Value)
+		}
 	}
 }
 

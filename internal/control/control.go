@@ -186,25 +186,42 @@ func NewRunner(cfg Config) (*Runner, error) {
 		changes:    metrics.NewSeries("placement changes"),
 	}
 	for i, w := range cfg.WebApps {
-		if err := p.AddWebApp(w); err != nil {
+		var phases []LoadPhase
+		if i < len(cfg.WebLoad) {
+			phases = cfg.WebLoad[i]
+		}
+		if err := r.AddWebApp(w, phases); err != nil {
 			return nil, err
 		}
-		if i < len(cfg.WebLoad) {
-			p.ScheduleLoad(w.Name, cfg.WebLoad[i])
-		}
-		r.webUtil = append(r.webUtil, metrics.NewSeries(w.Name+" utility"))
-		r.webAlloc = append(r.webAlloc, metrics.NewSeries(w.Name+" allocation MHz"))
 	}
 	return r, nil
 }
 
-// Submit registers a job for arrival at its spec's submit time.
+// AddWebApp registers a transactional application with its scheduled
+// load phases (nil keeps its rate constant) and starts its utility and
+// allocation series. The app joins the next control cycle.
+func (r *Runner) AddWebApp(app *txn.App, phases []LoadPhase) error {
+	if err := r.planner.AddWebApp(app); err != nil {
+		return err
+	}
+	r.planner.ScheduleLoad(app.Name, phases)
+	r.webUtil = append(r.webUtil, metrics.NewSeries(app.Name+" utility"))
+	r.webAlloc = append(r.webAlloc, metrics.NewSeries(app.Name+" allocation MHz"))
+	return nil
+}
+
+// Submit registers a job for arrival at its spec's submit time. A job
+// name already submitted is rejected.
 func (r *Runner) Submit(spec *batch.Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	r.submitted = append(r.submitted, r.planner.Submit(spec))
-	_, err := r.sim.At(sim.Time(spec.Submit), func(sim.Time) {
+	j, err := r.planner.Submit(spec)
+	if err != nil {
+		return err
+	}
+	r.submitted = append(r.submitted, j)
+	_, err = r.sim.At(sim.Time(spec.Submit), func(sim.Time) {
 		// Arrival is recorded implicitly: the job is Pending and its
 		// submit time has passed; the next control cycle sees it.
 	})
@@ -410,7 +427,7 @@ func (r *Runner) recordPolicy(now float64, live []*scheduler.Job, asg []schedule
 	r.recordHypothetical(now, live, omegaG)
 
 	// Static web partition: the apps share the reserved nodes' capacity.
-	if len(r.cfg.WebApps) > 0 {
+	if len(r.planner.webApps) > 0 {
 		var partitionCPU float64
 		for _, id := range r.cfg.WebNodes {
 			if n, _ := r.planner.Inventory().Node(id); n.State == cluster.NodeActive {
@@ -418,7 +435,7 @@ func (r *Runner) recordPolicy(now float64, live []*scheduler.Job, asg []schedule
 			}
 		}
 		remaining := partitionCPU
-		for i, w := range r.cfg.WebApps {
+		for i, w := range r.planner.webApps {
 			alloc := math.Min(remaining, w.MaxDemand())
 			remaining -= alloc
 			r.webAlloc[i].Add(now, alloc)
@@ -429,7 +446,7 @@ func (r *Runner) recordPolicy(now float64, live []*scheduler.Job, asg []schedule
 
 // recordPlan records a dynamic-mode cycle from the planner's decision.
 func (r *Runner) recordPlan(now float64, plan *Plan) {
-	for i := range r.cfg.WebApps {
+	for i := range r.planner.webApps {
 		r.webAlloc[i].Add(now, plan.WebAllocMHz[i])
 		r.webUtil[i].Add(now, plan.WebUtilities[i])
 	}

@@ -19,10 +19,10 @@ import (
 
 // Planner is the controller's whole state and its one control step,
 // with no clock and no I/O. It owns the web-application set with their
-// pending load phases, the job ledger, the lifetime action counters and
-// the placement carried between cycles. A cycle at time now is
-// Advance (observe), PlanTraced (decide) and Apply (act); FailNode is
-// the one node-failure path. The simulated Runner and the live daemon
+// pending load phases, the job ledger with every job name ever
+// submitted, the lifetime action counters and the placement carried
+// between cycles. A cycle at time now is Advance (observe), PlanTraced
+// (decide) and Apply (act); FailNode is the one node-failure path. The simulated Runner and the live daemon
 // both drive exactly these calls — the Runner schedules them on virtual
 // time, the daemon on a clock, wrapped in journaling and publishing — so
 // the control logic exercised in simulation is the logic serving real
@@ -47,6 +47,9 @@ type Planner struct {
 	// jobs is the job ledger: every submitted job not yet retired, in
 	// submission order.
 	jobs []*scheduler.Job
+	// jobNames holds every job name ever submitted, retired or not;
+	// unlike the ledger it grows only by a small string per submission.
+	jobNames map[string]bool
 	// actions accumulates lifetime placement-action totals.
 	actions *metrics.Counter
 
@@ -91,10 +94,11 @@ func RestorePlanner(inv *cluster.Inventory, costs cluster.CostModel, dyn Dynamic
 		return nil, fmt.Errorf("%w: nil inventory", ErrBadConfig)
 	}
 	p := &Planner{
-		inv:     inv,
-		costs:   costs,
-		dyn:     dyn,
-		actions: metrics.NewCounter(),
+		inv:      inv,
+		costs:    costs,
+		dyn:      dyn,
+		jobNames: make(map[string]bool),
+		actions:  metrics.NewCounter(),
 	}
 	if dyn.Shards < 0 {
 		return nil, fmt.Errorf("%w: negative shard count %d", ErrBadConfig, dyn.Shards)

@@ -1,6 +1,9 @@
 package control
 
 import (
+	"fmt"
+	"slices"
+
 	"dynplace/internal/batch"
 	"dynplace/internal/metrics"
 	"dynplace/internal/scheduler"
@@ -11,11 +14,39 @@ import (
 // policy mode, scheduler.Policy.Schedule).
 
 // Submit enters a job into the ledger. It joins the live set at the
-// first Advance at or after its submit time.
-func (p *Planner) Submit(spec *batch.Spec) *scheduler.Job {
+// first Advance at or after its submit time. A name submitted before,
+// even by a job since retired, is rejected, so a job name identifies
+// one job for the planner's lifetime.
+func (p *Planner) Submit(spec *batch.Spec) (*scheduler.Job, error) {
+	if p.jobNames[spec.Name] {
+		return nil, fmt.Errorf("%w: duplicate job %q", ErrBadConfig, spec.Name)
+	}
+	p.jobNames[spec.Name] = true
 	j := scheduler.NewJob(spec)
 	p.jobs = append(p.jobs, j)
-	return j
+	return j, nil
+}
+
+// HasJob reports whether a job of that name was ever submitted.
+func (p *Planner) HasJob(name string) bool { return p.jobNames[name] }
+
+// JobNames returns every job name ever submitted, sorted.
+func (p *Planner) JobNames() []string {
+	names := make([]string, 0, len(p.jobNames))
+	for name := range p.jobNames {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// RestoreJobNames marks recovered names as submitted, so a restarted
+// controller keeps rejecting the names of jobs that retired before the
+// restart.
+func (p *Planner) RestoreJobNames(names []string) {
+	for _, name := range names {
+		p.jobNames[name] = true
+	}
 }
 
 // Jobs returns the ledger — every submitted job not yet retired — in
@@ -24,9 +55,13 @@ func (p *Planner) Jobs() []*scheduler.Job {
 	return append([]*scheduler.Job(nil), p.jobs...)
 }
 
-// RestoreJobs replaces the ledger with recovered jobs.
+// RestoreJobs replaces the ledger with recovered jobs and marks their
+// names as submitted.
 func (p *Planner) RestoreJobs(jobs []*scheduler.Job) {
 	p.jobs = append([]*scheduler.Job(nil), jobs...)
+	for _, j := range jobs {
+		p.jobNames[j.Spec.Name] = true
+	}
 }
 
 // Actions returns the lifetime placement-action counters that Apply and

@@ -1,7 +1,9 @@
 package control
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"dynplace/internal/batch"
@@ -16,6 +18,16 @@ func stepJob(name string, work, submit float64) *batch.Spec {
 		Stages: []batch.Stage{{WorkMcycles: work, MaxSpeedMHz: 2500, MemoryMB: 500}},
 		Submit: submit, DesiredStart: submit, Deadline: submit + 3600,
 	}
+}
+
+// submit enters a job into p's ledger, failing the test on rejection.
+func submit(t *testing.T, p *Planner, spec *batch.Spec) *scheduler.Job {
+	t.Helper()
+	j, err := p.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
 // step runs one full control step at now and returns the live set.
@@ -35,8 +47,8 @@ func step(t *testing.T, p *Planner, now float64) (live, retired []*scheduler.Job
 // retired exactly once, and the survivors keep submission order.
 func TestPlannerStepLedger(t *testing.T) {
 	p := testPlanner(t)
-	short := p.Submit(stepJob("short", 2500*30, 0))
-	later := p.Submit(stepJob("later", 1e6, 90))
+	short := submit(t, p, stepJob("short", 2500*30, 0))
+	later := submit(t, p, stepJob("later", 1e6, 90))
 	if got := p.Jobs(); len(got) != 2 || got[0] != short || got[1] != later {
 		t.Fatalf("ledger = %v, want [short later]", got)
 	}
@@ -80,14 +92,52 @@ func TestPlannerStepLedger(t *testing.T) {
 	}
 }
 
+// TestPlannerJobNamesOutliveTheLedger: a job name is taken for the
+// planner's lifetime. Resubmitting it is rejected after the job retired,
+// and a restored planner keeps rejecting both the names of the jobs it
+// restores and the names of jobs retired before the restart.
+func TestPlannerJobNamesOutliveTheLedger(t *testing.T) {
+	p := testPlanner(t)
+	submit(t, p, stepJob("short", 2500*30, 0))
+	submit(t, p, stepJob("later", 1e6, 90))
+	step(t, p, 0)
+	if _, retired, _ := step(t, p, 120); len(retired) != 1 {
+		t.Fatalf("retired %v, want [short]", retired)
+	}
+	if _, err := p.Submit(stepJob("short", 1, 200)); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("resubmitting a retired name: err = %v, want ErrBadConfig", err)
+	}
+	if len(p.Jobs()) != 1 {
+		t.Fatalf("a rejected submission entered the ledger: %v", p.Jobs())
+	}
+	if got := p.JobNames(); !slices.Equal(got, []string{"later", "short"}) {
+		t.Fatalf("JobNames = %v, want [later short]", got)
+	}
+
+	q := testPlanner(t)
+	q.RestoreJobs(p.Jobs())
+	q.RestoreJobNames([]string{"short"})
+	for _, name := range []string{"later", "short"} {
+		if !q.HasJob(name) {
+			t.Errorf("restored planner forgot %q", name)
+		}
+		if _, err := q.Submit(stepJob(name, 1, 200)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("restored planner accepted %q again: err = %v", name, err)
+		}
+	}
+	if q.HasJob("fresh") {
+		t.Error("HasJob reports a name never submitted")
+	}
+}
+
 // TestPlannerFailNodeEvictsAtFailureInstant: FailNode advances the
 // node's jobs to the failure instant, evicts the unfinished ones with
 // their progress, counts each as a suspend, and leaves jobs elsewhere
 // and jobs that finished before the failure alone.
 func TestPlannerFailNodeEvictsAtFailureInstant(t *testing.T) {
 	p := testPlanner(t)
-	a := p.Submit(stepJob("a", 2500*600, 0))
-	b := p.Submit(stepJob("b", 2500*600, 0))
+	a := submit(t, p, stepJob("a", 2500*600, 0))
+	b := submit(t, p, stepJob("b", 2500*600, 0))
 	step(t, p, 0)
 	if a.Node == b.Node || a.Node == scheduler.NoNode || b.Node == scheduler.NoNode {
 		t.Fatalf("jobs not spread over both nodes: a on %d, b on %d", a.Node, b.Node)
@@ -113,7 +163,7 @@ func TestPlannerFailNodeEvictsAtFailureInstant(t *testing.T) {
 	// A job that finishes before the failure instant completes instead
 	// of being evicted.
 	q := testPlanner(t)
-	c := q.Submit(stepJob("c", 2500*20, 0))
+	c := submit(t, q, stepJob("c", 2500*20, 0))
 	step(t, q, 0)
 	if evicted := q.FailNode(c.Node, 60); len(evicted) != 0 || c.Status != scheduler.Completed {
 		t.Fatalf("finished job: evicted %v, status %v; want none, completed", evicted, c.Status)
@@ -177,7 +227,7 @@ func TestPlannerTracedExplainedStep(t *testing.T) {
 	if err := p.AddWebApp(testApp("web", 5)); err != nil {
 		t.Fatal(err)
 	}
-	p.Submit(stepJob("job", 1e6, 0))
+	submit(t, p, stepJob("job", 1e6, 0))
 	tracer := obs.NewTracer(4)
 	for _, now := range []float64{0, 60} {
 		ct := tracer.Begin(int64(now/60)+1, now)

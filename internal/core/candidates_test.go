@@ -7,7 +7,7 @@ import (
 	"dynplace/internal/cluster"
 )
 
-// TestCandidateCountJumpsWithOneAppBelowCap pins why the scale sweep's
+// TestCandidateCountJumpsWithOneAppBelowCap pins why BenchmarkFlatSolve's
 // candidate count jumps from 176 at 500 nodes to 4 247 at 1 000 (ROADMAP):
 // the count is not a function of cluster size but of whether any
 // application is short of its utility cap. With every application at its
@@ -16,7 +16,7 @@ import (
 // application below its cap is addable on every node that has the memory
 // for it, so every such node — empty ones included — emits an additive
 // candidate per removal depth, up to maxAddsPerNode each. At 500 nodes
-// the sweep's draw ends with all 52 applications at cap; at 1 000 one
+// the scale problem's draw ends with all 52 applications at cap; at 1 000 one
 // web application ends 0.008 short and seven jobs stay queued, and nearly
 // every one of the 1 000 nodes emits its four additive prefixes.
 func TestCandidateCountJumpsWithOneAppBelowCap(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"dynplace"
-	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
 	"dynplace/internal/control"
 	"dynplace/internal/core"
@@ -135,11 +134,6 @@ type Daemon struct {
 	// lock-free dataplane makes the pointer safe to use without d.mu
 	// (Dispatch runs on the request path, outside any daemon lock).
 	router *router.Router
-	// jobSeen keeps every name ever submitted so job identities stay
-	// unambiguous for the API's lifetime; unlike the Job records it
-	// grows only by a small string per submission.
-	// dynplace:guardedby mu
-	jobSeen map[string]bool
 	// completed retains finished-job results.
 	// dynplace:guardedby mu
 	completed *metrics.Ring[dynplace.JobResult]
@@ -253,7 +247,6 @@ func New(cfg Config) (*Daemon, error) {
 		store:     cfg.Store,
 		planner:   planner,
 		router:    router.New(cfg.QueueCap),
-		jobSeen:   make(map[string]bool),
 		completed: metrics.NewRing[dynplace.JobResult](cfg.RetainJobs),
 		history:   metrics.NewRing[CycleSnapshot](cfg.History),
 		explain:   metrics.NewRing[ExplainRecord](cfg.ExplainHistory),
@@ -533,7 +526,9 @@ func (d *Daemon) SubmitJob(spec dynplace.JobSpec, relative bool) error {
 		internal.DesiredStart += now
 		internal.Deadline += now
 	}
-	if d.jobSeen[internal.Name] {
+	// Checked before journaling: a record the planner would reject
+	// must never reach the WAL.
+	if d.planner.HasJob(internal.Name) {
 		return fmt.Errorf("%w: duplicate job %q", ErrDaemon, internal.Name)
 	}
 	abs := dynplace.JobSpecOf(internal)
@@ -542,17 +537,8 @@ func (d *Daemon) SubmitJob(spec dynplace.JobSpec, relative bool) error {
 	}); err != nil {
 		return err
 	}
-	d.applySubmitJob(internal)
-	return nil
-}
-
-// applySubmitJob registers one journaled job submission. Shared by the
-// live API and WAL replay.
-//
-// dynplace:holds d.mu
-func (d *Daemon) applySubmitJob(internal *batch.Spec) {
-	d.jobSeen[internal.Name] = true
-	d.planner.Submit(internal)
+	_, err = d.planner.Submit(internal)
+	return err
 }
 
 // JobResults reports job outcomes: the retained completed jobs

@@ -99,10 +99,7 @@ func (d *Daemon) AppExplainHistory(name string) ([]AppExplainEntry, error) {
 	if len(out) > 0 {
 		return out, nil
 	}
-	if _, ok := d.planner.WebApp(name); ok {
-		return out, nil
-	}
-	if d.jobSeen[name] {
+	if _, ok := d.planner.WebApp(name); ok || d.planner.HasJob(name) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("%w: unknown application %q", ErrNotFound, name)

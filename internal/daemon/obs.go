@@ -284,9 +284,6 @@ func (d *Daemon) newObsState(shards int, traceCycles int) *obsState {
 			return out
 		}
 	}
-	reg.GaugeSampler("dynplace_router_queued_requests",
-		"Requests parked in each application's overload-protection queue.",
-		routerSamples(func(s router.Stats) float64 { return float64(s.QueueDepth) }))
 	reg.GaugeSampler("dynplace_dispatch_queue_depth",
 		"Current overload-protection queue occupancy per application.",
 		routerSamples(func(s router.Stats) float64 { return float64(s.QueueDepth) }))

@@ -325,7 +325,8 @@ func TestDaemonMetricsScrapeRace(t *testing.T) {
 // benchmark runs, replay_diurnal's 3 ms. The count is per cycle, not
 // per node or per candidate: an Observe added inside such a loop moves
 // the pin here and blows the budget at 10 000 nodes. Dispatch-path cost
-// is gated by BenchmarkRouterSweep against scripts/router_baseline.json.
+// is dynbench's router.dispatch_ns, measured on the instrumented router,
+// and TestDispatchZeroAllocs holds a pick at zero allocations.
 func TestCycleInstrumentCost(t *testing.T) {
 	d, clock := newShardedDurableDaemon(t)
 	if err := d.Start(); err != nil {

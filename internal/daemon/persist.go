@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"dynplace"
@@ -152,11 +151,7 @@ func (d *Daemon) snapshotStateLocked() (*store.State, error) {
 			Spec: dynplace.JobSpecOf(j.Spec), Runtime: j.State(),
 		})
 	}
-	st.JobNames = make([]string, 0, len(d.jobSeen))
-	for name := range d.jobSeen {
-		st.JobNames = append(st.JobNames, name)
-	}
-	sort.Strings(st.JobNames)
+	st.JobNames = d.planner.JobNames()
 	raw, err := json.Marshal(d.placement.Load())
 	if err != nil {
 		return nil, err
@@ -346,7 +341,6 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 	}
 	d.planner = planner
 	d.planner.RestoreInfeasibleCycles(st.InfeasibleCycles)
-	d.jobSeen = make(map[string]bool)
 	for _, a := range st.Apps {
 		app, err := dynplace.CompileWebApp(a.Spec)
 		if err != nil {
@@ -368,12 +362,9 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 			return err
 		}
 		jobs = append(jobs, j)
-		d.jobSeen[spec.Name] = true
 	}
 	d.planner.RestoreJobs(jobs)
-	for _, name := range st.JobNames {
-		d.jobSeen[name] = true
-	}
+	d.planner.RestoreJobNames(st.JobNames)
 	for _, res := range st.Completed {
 		d.completed.Push(res)
 	}
@@ -430,11 +421,8 @@ func (d *Daemon) applyRecordLocked(rec store.Record) error {
 		if err != nil {
 			return err
 		}
-		if d.jobSeen[spec.Name] {
-			return fmt.Errorf("duplicate job %q", spec.Name)
-		}
-		d.applySubmitJob(spec)
-		return nil
+		_, err = d.planner.Submit(spec)
+		return err
 	case store.OpAddNode:
 		if rec.Node == nil {
 			return fmt.Errorf("missing node payload")

@@ -4,20 +4,17 @@
 // The paper's experiments: Experiment One (prediction accuracy, Figure
 // 2 and Table 2), Experiment Two (policy comparison, Figures 3-5) and
 // Experiment Three (heterogeneous workloads, Figures 6-7), plus the
-// Section 4.3 worked example (Table 1). The same runners back the
-// mixedsim CLI and the benchmark harness, so the figures can be
-// regenerated from either.
+// Section 4.3 worked example (Table 1). The mixedsim CLI renders them;
+// the package's tests pin their shapes.
 //
-// The extensions that carry a gate no other harness does: RunScaleSweep
-// times the flat placement solver at 500-2000 nodes with sequential vs
-// parallel candidate evaluation, RunRouterSweep measures dispatch
-// against the committed scripts/router_baseline.json, and
-// RunReplaySweep replays a diurnal trace through reactive and
-// forecast-driven control. All print fixed-width tables that CI uploads
-// as artifacts on every run, alongside machine-readable BENCH_*.json
-// rows (WriteBenchJSON). Everything else about the daemon — sharded
-// solves, churn, kill -9 recovery, instrumentation cost — is measured
-// by cmd/dynbench and asserted by the packages' own tests.
+// Two extensions go past the paper. RunReplaySweep replays a diurnal
+// trace through reactive and forecast-driven control, and its
+// benchmark (BenchmarkReplaySweep) holds the forecasting contract at
+// full scale. BenchmarkFlatSolve times the flat placement solver at
+// 500-2 000 nodes on a randomized mixed workload and reports its work
+// counts. Everything else about the daemon — sharded solves, dispatch,
+// churn, kill -9 recovery, instrumentation cost — is measured by
+// cmd/dynbench and asserted by the packages' own tests.
 package experiments
 
 import (

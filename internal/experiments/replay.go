@@ -106,7 +106,7 @@ type ReplaySweepRow struct {
 	// the determinism witness: same trace, same options ⇒ same hash.
 	HistoryHash string `json:"historyHash"`
 	// Elapsed is the wall-clock cost of the simulated run. Excluded
-	// from the JSON artifact so replay output is byte-reproducible.
+	// from the JSON encoding so encoded rows are byte-reproducible.
 	Elapsed time.Duration `json:"-"`
 }
 
@@ -407,8 +407,7 @@ func runReplayLeg(opts ReplaySweepOptions, tr *trace.ReplayTrace, mode string, f
 	return row, nil
 }
 
-// ReplaySweepTable formats the sweep for the benchmark log and the CI
-// artifact.
+// ReplaySweepTable formats the sweep for the benchmark log.
 func ReplaySweepTable(rows []ReplaySweepRow) string {
 	var b strings.Builder
 	b.WriteString("Replay sweep — diurnal trace through reactive vs forecast-driven control\n")

@@ -77,7 +77,7 @@ func TestReplaySweep(t *testing.T) {
 // TestReplaySweepDeterministic: the replay harness is a simulation —
 // same trace, same options, same SimClock schedule must yield
 // byte-identical rows, including the SHA-256 over the full cycle
-// history. This is what makes BENCH_replay_sweep.json diffable across
+// history. This is what makes the printed replay table diffable across
 // CI runs.
 func TestReplaySweepDeterministic(t *testing.T) {
 	if testing.Short() {

@@ -1,88 +1,98 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
+	"fmt"
+	"slices"
 	"testing"
 
 	"dynplace/internal/core"
 )
 
-func TestRunScaleSweepSmall(t *testing.T) {
-	rows, err := RunScaleSweep(ScaleSweepOptions{
-		NodeCounts:          []int{30, 60},
-		JobsPerHundredNodes: 40,
-		WebApps:             2,
-		Parallelism:         4,
-		Seed:                3,
-	})
+// solveScaleProblem runs one optimization of the scale problem at the
+// given size and worker count.
+func solveScaleProblem(t *testing.T, nodes, parallelism int, verify bool) *core.Result {
+	t.Helper()
+	p, err := buildScaleProblem(nodes)
 	if err != nil {
-		t.Fatalf("RunScaleSweep: %v", err)
+		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
+	p.VerifyIncremental = verify
+	p.Parallelism = parallelism
+	res, err := core.Optimize(p)
+	if err != nil {
+		t.Fatalf("%d nodes, Parallelism %d: %v", nodes, parallelism, err)
 	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Fatalf("parallel result diverged at %d nodes", r.Nodes)
-		}
-		if r.Candidates <= 0 || r.Sequential <= 0 || r.Parallel <= 0 {
-			t.Fatalf("degenerate measurement: %+v", r)
-		}
-		if r.Workers != 4 {
-			t.Fatalf("workers = %d, want 4", r.Workers)
-		}
+	return res
+}
+
+// requireSameResult fails unless the parallel solve chose the sequential
+// solve's placement with the same objective vector and the same work
+// and change counts.
+func requireSameResult(t *testing.T, seq, par *core.Result) {
+	t.Helper()
+	if n := seq.Placement.Changes(par.Placement); n != 0 {
+		t.Errorf("parallel placement differs from sequential by %d instances", n)
 	}
-	table := ScaleSweepTable(rows)
-	if !strings.Contains(table, "speedup") || !strings.Contains(table, "yes") {
-		t.Fatalf("ScaleSweepTable:\n%s", table)
+	if !slices.Equal(seq.Eval.Vector, par.Eval.Vector) {
+		t.Errorf("utility vector differs:\nsequential %v\nparallel   %v", seq.Eval.Vector, par.Eval.Vector)
+	}
+	type counts struct{ Candidates, Probes, FlowSolves, Changes int }
+	s := counts{seq.CandidatesEvaluated, seq.Probes, seq.FlowSolves, seq.Changes}
+	p := counts{par.CandidatesEvaluated, par.Probes, par.FlowSolves, par.Changes}
+	if s != p {
+		t.Errorf("work counts differ: sequential %+v, parallel %+v", s, p)
+	}
+	if seq.Repaired != par.Repaired {
+		t.Errorf("Repaired: sequential %v, parallel %v", seq.Repaired, par.Repaired)
 	}
 }
 
-// TestScaleProblemVerifyIncremental runs the scale sweep's problem at
-// 200 nodes with every incremental candidate evaluation cross-checked
-// against a full Evaluate, sequentially and on the worker pool: the
-// touched-node feasibility shortcut and the reused evaluation state
-// must agree with a from-scratch evaluation on every candidate.
+// TestScaleProblemVerifyIncremental runs the scale problem at 200 nodes
+// with every incremental candidate evaluation cross-checked against a
+// full Evaluate, sequentially and on the worker pool: the touched-node
+// feasibility shortcut and the reused evaluation state must agree with
+// a from-scratch evaluation on every candidate, and both worker counts
+// must reach the same result.
 func TestScaleProblemVerifyIncremental(t *testing.T) {
-	var candidates int
-	for _, par := range []int{1, 4} {
-		p, err := buildScaleProblem(DefaultScaleSweepOptions(), 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.VerifyIncremental = true
-		p.Parallelism = par
-		res, err := core.Optimize(p)
-		if err != nil {
-			t.Fatalf("Parallelism %d: %v", par, err)
-		}
-		if par == 1 {
-			candidates = res.CandidatesEvaluated
-		} else if res.CandidatesEvaluated != candidates {
-			t.Fatalf("Parallelism %d evaluated %d candidates, sequential %d", par, res.CandidatesEvaluated, candidates)
-		}
-	}
+	requireSameResult(t, solveScaleProblem(t, 200, 1, true), solveScaleProblem(t, 200, 4, true))
 }
 
-// TestWriteBenchJSON checks the artifact writer round-trips the rows.
-func TestWriteBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	rows := []ScaleSweepRow{{Nodes: 500, Apps: 52, Workers: 2, Candidates: 2119, Speedup: 1.25, Identical: true}}
-	if err := WriteBenchJSON(dir, "scale_sweep", rows); err != nil {
-		t.Fatal(err)
+// TestScaleProblemParallelIdentity checks parallel ≡ sequential on the
+// smallest size BenchmarkFlatSolve measures, where the problem has 52
+// applications and the workers race over 176 candidates.
+func TestScaleProblemParallelIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a 500-node problem twice")
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_scale_sweep.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []ScaleSweepRow
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0] != rows[0] {
-		t.Fatalf("round-trip = %+v, want %+v", back, rows)
+	requireSameResult(t, solveScaleProblem(t, 500, 1, false), solveScaleProblem(t, 500, 4, false))
+}
+
+// BenchmarkFlatSolve times one sequential flat placement solve of the
+// scale problem at 500, 1 000 and 2 000 nodes and reports the solver's
+// work beside the time: candidates, allocation probes and max-flow
+// solves per solve. The counts are exact and machine-independent, so
+// they say whether a timing moved because the work changed or because
+// the same work got cheaper. Run it with:
+//
+//	go test -run '^$' -bench BenchmarkFlatSolve -benchtime=1x ./internal/experiments
+func BenchmarkFlatSolve(b *testing.B) {
+	for _, nodes := range []int{500, 1000, 2000} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			p, err := buildScaleProblem(nodes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Parallelism = 1
+			b.ResetTimer()
+			var res *core.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = core.Optimize(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.CandidatesEvaluated), "candidates/op")
+			b.ReportMetric(float64(res.Probes), "probes/op")
+			b.ReportMetric(float64(res.FlowSolves), "flowsolves/op")
+		})
 	}
 }

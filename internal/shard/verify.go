@@ -18,8 +18,9 @@ const capTolerance = 1e-6
 // real node, batch jobs hold at most one instance, per-node CPU and
 // memory stay within capacity, anti-collocation holds, and the
 // evaluation's bookkeeping (PerApp, Utilities, WebShares) covers every
-// application. The scale sweep runs it over every merged sharded solve,
-// so the decomposition's safety is measured rather than assumed.
+// application. The package's tests and dynbench's sharded workload run
+// it over merged sharded solves, so the decomposition's safety is
+// measured rather than assumed.
 func Verify(p *core.Problem, res *core.Result) error {
 	n := p.Cluster.Len()
 	cpu := make([]float64, n)
