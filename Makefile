@@ -54,10 +54,11 @@ shuffle:
 # sweep, which gates forecast-driven control against reactive, and of
 # the flat solve at 500-2 000 nodes; then the two solver
 # micro-benchmarks. Each prints the solver's work counts (candidates,
-# probes, flow solves per op) beside time.
+# probes, flow solves per op) beside time; the flat solve and the
+# micro-benchmarks also print bytes and objects per op.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkReplaySweep -benchtime=1x .
-	$(GO) test -run '^$$' -bench BenchmarkFlatSolve -benchtime=1x ./internal/experiments
+	$(GO) test -run '^$$' -bench BenchmarkFlatSolve -benchmem -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizerCycle|BenchmarkAllocationSolver' -benchmem -benchtime=5x .
 
 # The repository's benchmark (cmd/dynbench/README.md): the whole

@@ -61,11 +61,13 @@ func deepCopyAllocs(ev *Evaluation) float64 {
 	return allocs
 }
 
-// TestWarmProbeAllocatesNothing: with at most one web application placed
-// (no flow network to build), a bisection probe on a warm arena is
-// arithmetic on the constants table and the arena's scratch.
+// TestWarmProbeAllocatesNothing: a bisection probe on a warm arena is
+// arithmetic on the constants table and the arena's scratch. With two or
+// more web applications sharing hosts that includes the max-flow: the
+// routing network was built by the floor probe and is only
+// re-capacitated.
 func TestWarmProbeAllocatesNothing(t *testing.T) {
-	for webs := 0; webs <= 1; webs++ {
+	for webs := 0; webs <= 3; webs++ {
 		p, pl := allocProblem(t, webs)
 		var tbl table
 		tbl.build(p)
@@ -87,9 +89,10 @@ func TestWarmProbeAllocatesNothing(t *testing.T) {
 }
 
 // TestWarmEvaluateAllocatesOnlyItsResult: a warm incremental evaluation
-// allocates no more than copying out the Evaluation it returns.
+// allocates no more than copying out the Evaluation it returns, web
+// shares included.
 func TestWarmEvaluateAllocatesOnlyItsResult(t *testing.T) {
-	for webs := 0; webs <= 1; webs++ {
+	for webs := 0; webs <= 3; webs++ {
 		p, pl := allocProblem(t, webs)
 		tbl := new(table)
 		tbl.build(p)
@@ -114,28 +117,80 @@ func TestWarmEvaluateAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-// TestMultiWebProbeAllocations records, without gating it, what a probe
-// still allocates once two web applications share hosts: the flow
-// network routeWeb builds from scratch on every call. That build is the
-// next thing to remove; this is the number it starts from.
-func TestMultiWebProbeAllocations(t *testing.T) {
-	p, pl := allocProblem(t, 3)
+// TestReaimedAllocatorMatchesFresh: an allocator re-aimed from placement
+// to placement, and one whose last routing run failed part-way through
+// re-capacitating, solves exactly as a fresh one. This guards the
+// routing network the allocator keeps between aims: no edge or capacity
+// of an earlier placement may leak into a later one.
+func TestReaimedAllocatorMatchesFresh(t *testing.T) {
+	p, a := allocProblem(t, 3) // web apps on nodes 0-2, 1-3 and 2-4
+	b := a.Clone()
+	b.Add(0, 7) // web-0 gains a host no web app has in a
 	var tbl table
 	tbl.build(p)
+
+	type outcome struct {
+		perApp             []float64
+		shares             map[int][]float64
+		probes, flowSolves int
+	}
+	solve := func(al *allocator, pl *Placement) outcome {
+		t.Helper()
+		al.aim(&tbl, pl)
+		perApp, shares, ok, err := al.solve(false)
+		if err != nil || !ok {
+			t.Fatalf("solve: ok=%v err=%v", ok, err)
+		}
+		return outcome{perApp, shares, al.probes, al.flowSolves}
+	}
+	sameBits := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(step string, got, want outcome) {
+		t.Helper()
+		if got.probes != want.probes || got.flowSolves != want.flowSolves {
+			t.Fatalf("%s: %d probes / %d flow solves, fresh allocator %d / %d",
+				step, got.probes, got.flowSolves, want.probes, want.flowSolves)
+		}
+		if !sameBits(got.perApp, want.perApp) {
+			t.Fatalf("%s: PerApp %v, fresh allocator %v", step, got.perApp, want.perApp)
+		}
+		if len(got.shares) != len(want.shares) {
+			t.Fatalf("%s: shares for %d web apps, fresh allocator %d", step, len(got.shares), len(want.shares))
+		}
+		for app, w := range want.shares {
+			if !sameBits(got.shares[app], w) {
+				t.Fatalf("%s: web app %d shares %v, fresh allocator %v", step, app, got.shares[app], w)
+			}
+		}
+	}
+	fresh := func(pl *Placement) outcome { return solve(new(allocator), pl) }
+
 	var al allocator
-	al.aim(&tbl, pl)
-	if !al.feasible(-1, -1) {
-		t.Fatal("floor probe infeasible")
+	check("A", solve(&al, a), fresh(a))
+	check("B after A", solve(&al, b), fresh(b))
+	want := fresh(a)
+	check("A after B", solve(&al, a), want)
+
+	bad := append([]float64(nil), want.perApp...)
+	bad[1] = math.NaN()
+	if _, err := al.distributeWeb(bad); err == nil {
+		t.Fatal("distributeWeb took a NaN allocation")
 	}
-	level := 0.0
-	allocs := testing.AllocsPerRun(100, func() {
-		al.feasible(level, -1)
-		level += 1e-3
-	})
-	t.Logf("multi-web probe (3 web apps on 5 hosts): %v objects, all of them the per-probe flow network", allocs)
-	if allocs == 0 {
-		t.Fatal("a multi-web probe builds a flow network; 0 allocations means this test no longer reaches routeWeb")
+	shares, err := al.distributeWeb(want.perApp)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("shares after a failed run", outcome{want.perApp, shares, want.probes, want.flowSolves}, want)
+	check("A after a failed run", solve(&al, a), want)
 }
 
 // TestOptimizeAllocationBudget gates the whole solve on the

@@ -330,7 +330,7 @@ func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, floa
 	// The solver's 60-iteration bisection buys precision a reason string
 	// cannot show; 12 halvings pin the level within 5e-4 — tighter than
 	// the %.3f the reason prints — and every feasibility test past that
-	// is a wasted flow-network build.
+	// is a wasted probe.
 	const probeLevelIterations = 12
 	lo, hi := rpf.MinUtility, 1.0
 	if al.feasible(hi, -1) {

@@ -182,6 +182,17 @@ type allocator struct {
 	webHosts []int
 	hostIdx  []int
 
+	// net routes web demand when len(webs) > 1: vertex 0 is the source,
+	// 1+i web app webs[i], 1+len(webs)+k web host webHosts[k], and the
+	// last the sink. aim clears netBuilt; the first routing run after it
+	// builds the topology into net's retained storage, and every run
+	// re-capacitates it. The refs address its edges: srcRefs one per web
+	// app, hostRefs one per (web app, node) in NodesOf order with the apps
+	// concatenated, sinkRefs one per web host.
+	net                         flow.Network
+	netBuilt                    bool
+	srcRefs, hostRefs, sinkRefs []flow.EdgeRef
+
 	// frozen and fixed, indexed by app: whether the level search has
 	// settled the app, and at which allocation.
 	frozen []bool
@@ -216,6 +227,7 @@ func (al *allocator) aim(t *table, pl *Placement) {
 	al.t, al.pl = t, pl
 	al.jobs, al.jobNode, al.webs = al.jobs[:0], al.jobNode[:0], al.webs[:0]
 	al.jobNodes, al.webHosts = al.jobNodes[:0], al.webHosts[:0]
+	al.netBuilt = false
 	al.probes, al.flowSolves = 0, 0
 
 	if len(al.frozen) < len(t.apps) {
@@ -369,39 +381,78 @@ func (al *allocator) feasible(u float64, raised int) bool {
 	return routed >= totalWeb-tol
 }
 
-// routeWeb routes web demands through node residuals (after job loads in
-// nodeLoad) and returns the total routed. Shares, when requested, are
-// written per app in the order of NodesOf.
+// routeWeb routes web demands (parallel to webs) through node residuals
+// after the job loads in nodeLoad and returns the total routed.
 func (al *allocator) routeWeb(webDemand []float64) (float64, error) {
-	// Only nodes hosting web instances can carry flow; nodes outside
-	// webHosts would be isolated vertices, so the network stays small
-	// even on clusters of thousands of nodes.
-	n := 2 + len(al.webs) + len(al.webHosts)
-	g := flow.NewNetwork(n)
-	src, sink := 0, n-1
-	appVertex := func(i int) int { return 1 + i }
-	nodeVertex := func(nd int) int { return 1 + len(al.webs) + al.hostIdx[nd] }
-	for i, app := range al.webs {
-		if _, err := g.AddEdge(src, appVertex(i), webDemand[i]); err != nil {
-			return 0, err
-		}
-		for _, nd := range al.pl.NodesOf(app) {
-			if _, err := g.AddEdge(appVertex(i), nodeVertex(int(nd)), webDemand[i]); err != nil {
-				return 0, err
-			}
-		}
-	}
+	residual, nodeCaps := al.residual, al.t.nodeCaps
 	for _, nd := range al.webHosts {
-		r := al.t.nodeCaps[nd] - al.nodeLoad[nd]
-		if r < 0 {
-			r = 0
-		}
-		if _, err := g.AddEdge(nodeVertex(nd), sink, r); err != nil {
-			return 0, err
-		}
+		residual[nd] = nodeCaps[nd] - al.nodeLoad[nd]
+	}
+	if err := al.capacitate(webDemand, residual); err != nil {
+		return 0, err
 	}
 	al.flowSolves++
-	return g.MaxFlow(src, sink)
+	return al.net.MaxFlow(0, al.net.Size()-1)
+}
+
+// buildNet builds the routing network's topology for the aimed placement
+// with every capacity zero. Edge order is what the flow arithmetic
+// depends on: per web app its source edge and then its host edges, then
+// one sink edge per web host. Only nodes hosting web instances can carry
+// flow; the rest would be isolated vertices, so the network stays small
+// even on clusters of thousands of nodes.
+func (al *allocator) buildNet() {
+	g, apps := &al.net, len(al.webs)
+	n := 2 + apps + len(al.webHosts)
+	g.Clear(n)
+	// AddEdge cannot fail here: every vertex is in range, no edge is a
+	// self-loop, and zero is a valid capacity.
+	add := func(u, v int) flow.EdgeRef {
+		ref, _ := g.AddEdge(u, v, 0)
+		return ref
+	}
+	al.srcRefs, al.hostRefs, al.sinkRefs = al.srcRefs[:0], al.hostRefs[:0], al.sinkRefs[:0]
+	for i, app := range al.webs {
+		al.srcRefs = append(al.srcRefs, add(0, 1+i))
+		for _, nd := range al.pl.NodesOf(app) {
+			al.hostRefs = append(al.hostRefs, add(1+i, 1+apps+al.hostIdx[nd]))
+		}
+	}
+	for k := range al.webHosts {
+		al.sinkRefs = append(al.sinkRefs, add(1+apps+k, n-1))
+	}
+	al.netBuilt = true
+}
+
+// capacitate readies the routing network for one run, building it first
+// if aim has re-pointed the allocator since the last build: web app
+// webs[i]'s source and host edges take demand[i], web host nd's sink edge
+// takes max(0, residual[nd]), and every flow is zeroed. A capacity the
+// network rejects (NaN, negative, infinite) is an error naming the app or
+// node it came from.
+func (al *allocator) capacitate(demand, residual []float64) error {
+	if !al.netBuilt {
+		al.buildNet()
+	}
+	g, h := &al.net, 0
+	for i, app := range al.webs {
+		if err := g.SetCapacity(al.srcRefs[i], demand[i]); err != nil {
+			return fmt.Errorf("core: web share of %q: %w", al.t.p.Apps[app].Name, err)
+		}
+		for range al.pl.NodesOf(app) {
+			if err := g.SetCapacity(al.hostRefs[h], demand[i]); err != nil {
+				return fmt.Errorf("core: web share of %q: %w", al.t.p.Apps[app].Name, err)
+			}
+			h++
+		}
+	}
+	for k, nd := range al.webHosts {
+		if err := g.SetCapacity(al.sinkRefs[k], max(0, residual[nd])); err != nil {
+			return fmt.Errorf("core: web residual of node %d: %w", nd, err)
+		}
+	}
+	g.Reset()
+	return nil
 }
 
 // solve runs the lexicographic max-min level search and returns the
@@ -534,42 +585,25 @@ func (al *allocator) distributeWeb(perApp []float64) (map[int][]float64, error) 
 		shares[app] = out
 		return shares, nil
 	}
-	// Multiple web apps: route with max-flow and read back edge flows.
-	// As in routeWeb, only web-hosting nodes appear in the network.
-	n := 2 + len(al.webs) + len(al.webHosts)
-	g := flow.NewNetwork(n)
-	src, sink := 0, n-1
-	type edgeKey struct{ app, slot int }
-	refs := make(map[edgeKey]flow.EdgeRef)
+	// Multiple web apps: route with max-flow and read each share back from
+	// its host edge. webDemand is probe scratch; here it carries the
+	// allocations in webs order.
 	for i, app := range al.webs {
-		if _, err := g.AddEdge(src, 1+i, perApp[app]); err != nil {
-			return nil, fmt.Errorf("core: web share of %q: %w", al.t.p.Apps[app].Name, err)
-		}
-		for s, nd := range al.pl.NodesOf(app) {
-			ref, err := g.AddEdge(1+i, 1+len(al.webs)+al.hostIdx[nd], perApp[app])
-			if err != nil {
-				return nil, fmt.Errorf("core: web share of %q: %w", al.t.p.Apps[app].Name, err)
-			}
-			refs[edgeKey{app: i, slot: s}] = ref
-		}
+		al.webDemand[i] = perApp[app]
 	}
-	for _, nd := range al.webHosts {
-		r := math.Max(0, residual[nd])
-		if _, err := g.AddEdge(1+len(al.webs)+al.hostIdx[nd], sink, r); err != nil {
-			return nil, fmt.Errorf("core: web residual of node %d: %w", nd, err)
-		}
+	if err := al.capacitate(al.webDemand, residual); err != nil {
+		return nil, err
 	}
 	al.flowSolves++
-	if _, err := g.MaxFlow(src, sink); err != nil {
+	if _, err := al.net.MaxFlow(0, al.net.Size()-1); err != nil {
 		return nil, fmt.Errorf("core: web shares: %w", err)
 	}
-	for i, app := range al.webs {
-		nodes := al.pl.NodesOf(app)
-		out := make([]float64, len(nodes))
-		for s := range nodes {
-			if ref, ok := refs[edgeKey{app: i, slot: s}]; ok {
-				out[s] = g.Flow(ref)
-			}
+	h := 0
+	for _, app := range al.webs {
+		out := make([]float64, len(al.pl.NodesOf(app)))
+		for s := range out {
+			out[s] = al.net.Flow(al.hostRefs[h])
+			h++
 		}
 		shares[app] = out
 	}

@@ -3,6 +3,13 @@
 // candidate utility level is feasible iff the demand of every application
 // can be routed through its placed instances into node CPU capacities.
 //
+// A network is built once and run many times. The solver builds one per
+// candidate placement (Clear, then AddEdge per edge) and re-capacitates it
+// before each of the candidate's feasibility probes (SetCapacity per edge,
+// then Reset). A run on a re-capacitated network sees the same edges in
+// the same order as a fresh build with those capacities, so it does the
+// same float arithmetic and returns the same flows, bit for bit.
+//
 // Capacities are float64 because CPU demands are fractional MHz; an
 // epsilon guards against float round-off in residual comparisons.
 package flow
@@ -44,6 +51,20 @@ var ErrBadVertex = errors.New("flow: vertex out of range")
 // NewNetwork creates a network with n vertices and no edges.
 func NewNetwork(n int) *Network {
 	return &Network{adj: make([][]edge, n)}
+}
+
+// Clear empties the network to n vertices and no edges. Each vertex keeps
+// its edge storage, so rebuilding a network of the same or a smaller
+// shape (no vertex with more edges than it had before) allocates nothing.
+// The zero Network is ready for Clear.
+func (g *Network) Clear(n int) {
+	if n > cap(g.adj) {
+		g.adj = append(g.adj[:cap(g.adj)], make([][]edge, n-cap(g.adj))...)
+	}
+	g.adj = g.adj[:n]
+	for u := range g.adj {
+		g.adj[u] = g.adj[u][:0]
+	}
 }
 
 // Size returns the vertex count.

@@ -74,6 +74,17 @@ func TestValidation(t *testing.T) {
 	if _, err := g.AddEdge(0, 1, math.NaN()); err == nil {
 		t.Fatal("NaN capacity accepted")
 	}
+	e := mustEdge(t, g, 0, 1, 1)
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if err := g.SetCapacity(e, c); err == nil {
+			t.Fatalf("SetCapacity accepted capacity %v", c)
+		}
+	}
+	for _, ref := range []EdgeRef{{from: 5}, {from: -1}, {from: 0, idx: 1}, {from: 0, idx: -1}} {
+		if err := g.SetCapacity(ref, 1); !errors.Is(err, ErrBadVertex) {
+			t.Fatalf("SetCapacity(%+v): err = %v", ref, err)
+		}
+	}
 	if _, err := g.MaxFlow(0, 0); err == nil {
 		t.Fatal("source==sink accepted")
 	}
@@ -239,23 +250,212 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func BenchmarkBipartiteAllocationShape(b *testing.B) {
-	// The allocation solver's shape: source → 60 apps → instances on 25
-	// nodes → sink.
-	const apps, nodes = 60, 25
-	for i := 0; i < b.N; i++ {
-		g := NewNetwork(2 + apps + nodes)
-		s, t := 0, 1+apps+nodes
-		for a := 0; a < apps; a++ {
-			_, _ = g.AddEdge(s, 1+a, 1000)
-			_, _ = g.AddEdge(1+a, 1+apps+(a%nodes), 1000)
-			_, _ = g.AddEdge(1+a, 1+apps+((a+7)%nodes), 1000)
+// bipartite is the allocation solver's network shape: source → apps →
+// the hosts each app is placed on → sink. hosts[a] lists app a's host
+// indices; capacities are app demands (on the source edge and every host
+// edge of the app) and host room (on the sink edges).
+type bipartite struct {
+	hosts  [][]int
+	nHosts int
+}
+
+func (s bipartite) size() int { return 2 + len(s.hosts) + s.nHosts }
+
+// build adds s's edges to an empty network in the solver's order (per
+// app its source edge then its host edges, then the sink edges) and
+// appends their refs to refs.
+func (s bipartite) build(g *Network, refs []EdgeRef, demand, room []float64) ([]EdgeRef, error) {
+	add := func(u, v int, c float64) error {
+		ref, err := g.AddEdge(u, v, c)
+		refs = append(refs, ref)
+		return err
+	}
+	apps, sink := len(s.hosts), s.size()-1
+	for a, hs := range s.hosts {
+		if err := add(0, 1+a, demand[a]); err != nil {
+			return nil, err
 		}
-		for n := 0; n < nodes; n++ {
-			_, _ = g.AddEdge(1+apps+n, t, 2500)
-		}
-		if _, err := g.MaxFlow(s, t); err != nil {
-			b.Fatal(err)
+		for _, h := range hs {
+			if err := add(1+a, 1+apps+h, demand[a]); err != nil {
+				return nil, err
+			}
 		}
 	}
+	for h := 0; h < s.nHosts; h++ {
+		if err := add(1+apps+h, sink, room[h]); err != nil {
+			return nil, err
+		}
+	}
+	return refs, nil
+}
+
+// capacitate sets capacities on a network build produced, in the same
+// order, and zeroes its flow.
+func (s bipartite) capacitate(g *Network, refs []EdgeRef, demand, room []float64) error {
+	k := 0
+	for a, hs := range s.hosts {
+		for range 1 + len(hs) {
+			if err := g.SetCapacity(refs[k], demand[a]); err != nil {
+				return err
+			}
+			k++
+		}
+	}
+	for h := 0; h < s.nHosts; h++ {
+		if err := g.SetCapacity(refs[k], room[h]); err != nil {
+			return err
+		}
+		k++
+	}
+	g.Reset()
+	return nil
+}
+
+// TestReusedNetworkMatchesFresh: a network that is cleared to shape after
+// shape, and re-capacitated several times within each, routes exactly as
+// a fresh build of the same edges and capacities — the same total and the
+// same flow on every edge, bit for bit.
+func TestReusedNetworkMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	capacity := func() float64 {
+		if rng.Intn(5) == 0 {
+			return 0
+		}
+		return rng.Float64() * 3000
+	}
+	reused := new(Network)
+	var grew, shrank int
+	for trial := 0; trial < 400; trial++ {
+		s := bipartite{hosts: make([][]int, 1+rng.Intn(8)), nHosts: 1 + rng.Intn(10)}
+		for a := range s.hosts {
+			s.hosts[a] = rng.Perm(s.nHosts)[:1+rng.Intn(min(3, s.nHosts))]
+		}
+		switch n := s.size(); {
+		case n > reused.Size():
+			grew++
+		case n < reused.Size():
+			shrank++
+		}
+		reused.Clear(s.size())
+		if reused.Size() != s.size() {
+			t.Fatalf("trial %d: Clear(%d) left %d vertices", trial, s.size(), reused.Size())
+		}
+		demand, room := make([]float64, len(s.hosts)), make([]float64, s.nHosts)
+		refs, err := s.build(reused, nil, demand, room)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 4; run++ {
+			for a := range demand {
+				demand[a] = capacity()
+			}
+			for h := range room {
+				room[h] = capacity()
+			}
+			if err := s.capacitate(reused, refs, demand, room); err != nil {
+				t.Fatal(err)
+			}
+			fresh := NewNetwork(s.size())
+			freshRefs, err := s.build(fresh, nil, demand, room)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reused.MaxFlow(0, s.size()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.MaxFlow(0, s.size()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("trial %d run %d: reused network routes %v, fresh %v", trial, run, got, want)
+			}
+			for k := range refs {
+				if g, w := reused.Flow(refs[k]), fresh.Flow(freshRefs[k]); g != w {
+					t.Fatalf("trial %d run %d: edge %d carries %v, fresh %v", trial, run, k, g, w)
+				}
+			}
+			gotFlows, wantFlows := reused.Flows(), fresh.Flows()
+			if len(gotFlows) != len(wantFlows) {
+				t.Fatalf("trial %d run %d: %d forward edges, fresh %d", trial, run, len(gotFlows), len(wantFlows))
+			}
+			for k := range gotFlows {
+				if gotFlows[k] != wantFlows[k] {
+					t.Fatalf("trial %d run %d: edge %+v, fresh %+v", trial, run, gotFlows[k], wantFlows[k])
+				}
+			}
+		}
+	}
+	if grew == 0 || shrank == 0 {
+		t.Fatalf("Clear grew the network %d times and shrank it %d times; want both", grew, shrank)
+	}
+}
+
+// TestClearSameShapeAllocatesNothing: rebuilding and running a network of
+// the shape it last had reuses all of its storage.
+func TestClearSameShapeAllocatesNothing(t *testing.T) {
+	s := bipartite{hosts: [][]int{{0, 1}, {1, 2}, {2, 3, 0}}, nHosts: 4}
+	demand, room := []float64{900, 1200, 700}, []float64{500, 800, 600, 400}
+	g := new(Network)
+	var refs []EdgeRef
+	run := func() {
+		g.Clear(s.size())
+		var err error
+		if refs, err = s.build(g, refs[:0], demand, room); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.MaxFlow(0, s.size()-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("Clear and rebuild to the same shape allocates %v objects, want 0", allocs)
+	}
+}
+
+// BenchmarkBipartiteAllocationShape runs the allocation solver's shape —
+// source → 60 apps → instances on 25 nodes → sink — as the solver once
+// did on every probe (build, a fresh network per run) and as it does now
+// (reuse, SetCapacity and Reset on one network).
+func BenchmarkBipartiteAllocationShape(b *testing.B) {
+	const apps, nodes = 60, 25
+	s := bipartite{hosts: make([][]int, apps), nHosts: nodes}
+	demand, room := make([]float64, apps), make([]float64, nodes)
+	for a := range s.hosts {
+		s.hosts[a] = []int{a % nodes, (a + 7) % nodes}
+		demand[a] = 1000
+	}
+	for n := range room {
+		room[n] = 2500
+	}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := NewNetwork(s.size())
+			if _, err := s.build(g, nil, demand, room); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := g.MaxFlow(0, s.size()-1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		b.ReportAllocs()
+		g := NewNetwork(s.size())
+		refs, err := s.build(g, nil, demand, room)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			if err := s.capacitate(g, refs, demand, room); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := g.MaxFlow(0, s.size()-1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
