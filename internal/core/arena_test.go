@@ -88,6 +88,34 @@ func TestWarmProbeAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMultiWebProbeAllocations: once two or more web applications share
+// hosts, every probe routes them with a max-flow. The routing network is
+// kept by the allocator and only re-capacitated, so such a probe
+// allocates nothing, and each probe still reaches the flow solver.
+func TestMultiWebProbeAllocations(t *testing.T) {
+	p, pl := allocProblem(t, 3)
+	var tbl table
+	tbl.build(p)
+	var al allocator
+	al.aim(&tbl, pl)
+	if !al.feasible(-1, -1) {
+		t.Fatal("floor probe infeasible")
+	}
+	level := 0.0
+	before := al.flowSolves
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		al.feasible(level, -1)
+		level += 1e-3
+	})
+	if solved := al.flowSolves - before; solved < runs {
+		t.Fatalf("%d probes ran %d flow solves; a multi-web probe must route through the max-flow", runs, solved)
+	}
+	if allocs != 0 {
+		t.Fatalf("multi-web probe (3 web apps on 5 hosts): %v objects, want 0", allocs)
+	}
+}
+
 // TestWarmEvaluateAllocatesOnlyItsResult: a warm incremental evaluation
 // allocates no more than copying out the Evaluation it returns, web
 // shares included.
