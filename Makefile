@@ -35,10 +35,14 @@ staticcheck:
 
 # Documentation integrity: every relative markdown link in README/docs/
 # resolves, every package carries a package-level doc comment, and the
-# examples vet clean.
+# examples vet clean. Like the CI docs job, it also checks that
+# internal/scheduler depends on neither internal/core nor internal/shard.
 docs:
 	$(GO) run ./cmd/doccheck
 	$(GO) vet ./examples/...
+	@if $(GO) list -deps ./internal/scheduler | grep -Ex 'dynplace/internal/(core|shard)'; then \
+		echo "internal/scheduler must not depend on the optimizer; build placement problems in internal/control" >&2; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

@@ -21,9 +21,9 @@ import (
 	"dynplace"
 	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
+	"dynplace/internal/control"
 	"dynplace/internal/core"
 	"dynplace/internal/experiments"
-	"dynplace/internal/scheduler"
 	"dynplace/internal/trace"
 )
 
@@ -111,29 +111,58 @@ func BenchmarkAblationGridResolution(b *testing.B) {
 
 // BenchmarkAblationPlacementCosts reruns an Experiment Two point with
 // the virtualization cost model enabled (the paper excludes costs there)
-// to show the effect on goal satisfaction and churn.
+// to show the effect on goal satisfaction and churn. Each leg runs under
+// one cost model, which the APC both weighs and is charged.
 func BenchmarkAblationPlacementCosts(b *testing.B) {
 	opts := experiments.DefaultExperiment2Options()
 	opts.Jobs = 300
-	out := "Ablation — placement-action costs (APC, 100 s inter-arrival, 300 jobs)\n"
+	var out string
 	for i := 0; i < b.N; i++ {
 		out = "Ablation — placement-action costs (APC, 100 s inter-arrival, 300 jobs)\n"
-		free, err := experiments.RunExperiment2Cell(opts,
-			&scheduler.APC{Costs: cluster.FreeCostModel()}, 100)
+		freeOnTime, freeChanges, err := costAblationLeg(opts, cluster.FreeCostModel())
 		if err != nil {
 			b.Fatal(err)
 		}
-		costed, err := experiments.RunExperiment2Cell(opts,
-			&scheduler.APC{Costs: cluster.DefaultCostModel()}, 100)
+		costedOnTime, costedChanges, err := costAblationLeg(opts, cluster.DefaultCostModel())
 		if err != nil {
 			b.Fatal(err)
+		}
+		if freeOnTime == costedOnTime && freeChanges == costedChanges {
+			b.Fatalf("both legs printed on-time %.3f, %d changes: the cost model had no effect",
+				freeOnTime, freeChanges)
 		}
 		out += fmt.Sprintf("  costs excluded (paper): on-time %.1f%%  changes %d\n",
-			100*free.OnTimeRate, free.Changes)
+			100*freeOnTime, freeChanges)
 		out += fmt.Sprintf("  costs modeled:          on-time %.1f%%  changes %d\n",
-			100*costed.OnTimeRate, costed.Changes)
+			100*costedOnTime, costedChanges)
 	}
 	printOnce(b, out)
+}
+
+// costAblationLeg runs the APC on the Experiment Two point at 100 s
+// inter-arrival with costs as the Runner's cost model.
+func costAblationLeg(opts experiments.Experiment2Options, costs cluster.CostModel) (onTime float64, changes int, err error) {
+	cl, err := cluster.Uniform(opts.Nodes, 4*3900, 16384)
+	if err != nil {
+		return 0, 0, err
+	}
+	apc, err := control.NewAPC(control.DynamicConfig{})
+	if err != nil {
+		return 0, 0, err
+	}
+	r, err := control.NewRunner(control.Config{
+		Cluster: cl, CycleSeconds: opts.CycleSeconds, Policy: apc, Costs: costs,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := r.SubmitAll(trace.Experiment2Workload(opts.Seed, opts.Jobs, 100)); err != nil {
+		return 0, 0, err
+	}
+	if err := r.RunUntilDrained(5e7); err != nil {
+		return 0, 0, err
+	}
+	return r.OnTimeRate(), r.TotalChanges(), nil
 }
 
 // BenchmarkAblationComparisonResolution sweeps the optimizer's utility
@@ -146,8 +175,11 @@ func BenchmarkAblationComparisonResolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out = "Ablation — utility comparison resolution ε (APC, 100 s inter-arrival)\n"
 		for _, eps := range []float64{0.005, 0.02, 0.1} {
-			cell, err := experiments.RunExperiment2Cell(opts,
-				&scheduler.APC{Costs: cluster.FreeCostModel(), Epsilon: eps}, 100)
+			apc, err := control.NewAPC(control.DynamicConfig{Epsilon: eps})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cell, err := experiments.RunExperiment2Cell(opts, apc, 100)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,8 +7,9 @@
 // configurations:
 //
 //   - Policy mode: batch jobs are scheduled by a pluggable policy (APC,
-//     EDF, FCFS) on the nodes not reserved for web workloads; web
-//     applications, if any, are statically assigned dedicated nodes.
+//     defined here, or the EDF and FCFS baselines of internal/scheduler)
+//     on the nodes not reserved for web workloads; web applications, if
+//     any, are statically assigned dedicated nodes.
 //   - Dynamic mode: the placement controller manages web applications and
 //     batch jobs together on the full cluster, sharing resources by
 //     equalizing relative performance.
@@ -17,9 +18,10 @@
 // action accounting — lives in Planner and is written once. Runner drives
 // it under virtual time, scheduling the simulated events and recording
 // the time series the paper's figures report; the live daemon
-// (internal/daemon) drives the same calls on a real clock. When
-// DynamicConfig.Shards is set, the planner delegates each solve to the
-// sharded coordinator (internal/shard), which solves the cluster as
+// (internal/daemon) drives the same calls on a real clock. The planner
+// and the APC policy build and solve their placement problem through one
+// solver; when DynamicConfig.Shards is set, it delegates each solve to
+// the sharded coordinator (internal/shard), which solves the cluster as
 // independent zones instead of one flat placement problem.
 package control
 
@@ -43,8 +45,6 @@ type DynamicConfig struct {
 	Epsilon float64
 	// MaxPasses bounds optimizer sweeps.
 	MaxPasses int
-	// Levels overrides the hypothetical sampling grid.
-	Levels []float64
 	// ExactHypothetical selects bisection over the sampled grid.
 	ExactHypothetical bool
 	// Parallelism bounds the optimizer's candidate-evaluation workers
@@ -397,7 +397,7 @@ func (r *Runner) cycle(now float64) error {
 			asg = plan.Assignments
 		}
 	} else {
-		asg, err = r.cfg.Policy.Schedule(now, r.cfg.CycleSeconds, live, r.batchNodes())
+		asg, err = r.cfg.Policy.Schedule(now, r.cfg.CycleSeconds, live, r.batchNodes(), r.cfg.Costs)
 	}
 	if err != nil {
 		return err

@@ -60,7 +60,7 @@ func TestSingleJobLifecycle(t *testing.T) {
 	cl := mustCluster(t, 1, 1000, 2000)
 	r := mustRunner(t, Config{
 		Cluster: cl, CycleSeconds: 1,
-		Policy: &scheduler.APC{Costs: cluster.FreeCostModel()},
+		Policy: mustAPC(t, DynamicConfig{}),
 		Costs:  cluster.FreeCostModel(),
 	})
 	if err := r.Submit(batch.SingleStage("j", 4000, 1000, 750, 0, 20)); err != nil {
@@ -105,7 +105,7 @@ func TestFigure1EndToEnd(t *testing.T) {
 			cl := mustCluster(t, 1, 1000, 2000)
 			r := mustRunner(t, Config{
 				Cluster: cl, CycleSeconds: 1,
-				Policy: &scheduler.APC{Costs: cluster.FreeCostModel(), ExactHypothetical: true},
+				Policy: mustAPC(t, DynamicConfig{ExactHypothetical: true}),
 				Costs:  cluster.FreeCostModel(),
 			})
 			specs := []*batch.Spec{
@@ -173,7 +173,7 @@ func TestFCFSvsAPCOnTightWorkload(t *testing.T) {
 		return r.OnTimeRate(), worst
 	}
 	fcfsOnTime, fcfsWorst := runPolicy(scheduler.FCFS{})
-	apcOnTime, apcWorst := runPolicy(&scheduler.APC{Costs: cluster.FreeCostModel()})
+	apcOnTime, apcWorst := runPolicy(mustAPC(t, DynamicConfig{}))
 	if apcOnTime+0.05 < fcfsOnTime {
 		t.Fatalf("APC on-time %v well below FCFS %v", apcOnTime, fcfsOnTime)
 	}
@@ -282,7 +282,7 @@ func TestFailNodeSuspendsAndRecovers(t *testing.T) {
 	cl := mustCluster(t, 2, 1000, 2000)
 	r := mustRunner(t, Config{
 		Cluster: cl, CycleSeconds: 1,
-		Policy: &scheduler.APC{Costs: cluster.FreeCostModel()},
+		Policy: mustAPC(t, DynamicConfig{}),
 		Costs:  cluster.FreeCostModel(),
 	})
 	// Two jobs, one per node.
@@ -344,7 +344,7 @@ func TestCompletionUtilitiesSeries(t *testing.T) {
 	cl := mustCluster(t, 1, 1000, 2000)
 	r := mustRunner(t, Config{
 		Cluster: cl, CycleSeconds: 1,
-		Policy: &scheduler.APC{Costs: cluster.FreeCostModel()},
+		Policy: mustAPC(t, DynamicConfig{}),
 		Costs:  cluster.FreeCostModel(),
 	})
 	if err := r.Submit(batch.SingleStage("j", 2000, 1000, 750, 0, 10)); err != nil {
@@ -392,7 +392,7 @@ func TestRunnerDeterministic(t *testing.T) {
 		cl := mustCluster(t, 4, 15600, 16384)
 		r := mustRunner(t, Config{
 			Cluster: cl, CycleSeconds: 300,
-			Policy: &scheduler.APC{Costs: cluster.DefaultCostModel()},
+			Policy: mustAPC(t, DynamicConfig{}),
 			Costs:  cluster.DefaultCostModel(),
 		})
 		if err := r.SubmitAll(trace.Experiment2Workload(77, 40, 400)); err != nil {

@@ -78,8 +78,8 @@ func (p *Planner) explain(problem *core.Problem, res *core.Result) *PlanExplanat
 	ex := core.Explain(problem, res, before)
 
 	var moves map[string]shard.Move
-	if p.coord != nil {
-		ms := p.coord.Moves()
+	if p.solver.coord != nil {
+		ms := p.solver.coord.Moves()
 		moves = make(map[string]shard.Move, len(ms))
 		for _, m := range ms {
 			moves[m.App] = m

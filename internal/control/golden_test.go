@@ -111,7 +111,7 @@ func goldenStaticPartition(t *testing.T) *Runner {
 	}
 	r := mustRunner(t, Config{
 		Cluster: mustCluster(t, 5, 15600, 16384), CycleSeconds: 300,
-		Policy: &scheduler.APC{Costs: cluster.DefaultCostModel()}, Costs: cluster.DefaultCostModel(),
+		Policy: mustAPC(t, DynamicConfig{}), Costs: cluster.DefaultCostModel(),
 		WebApps:  []*txn.App{web},
 		WebNodes: []cluster.NodeID{0, 1},
 		WebLoad:  [][]LoadPhase{{{Start: 1500, ArrivalRate: 45}, {Start: 4500, ArrivalRate: 10}}},
@@ -207,7 +207,7 @@ func TestRunnerGolden(t *testing.T) {
 		{"exp2_fcfs", func(t *testing.T) *Runner { return goldenExperiment2(t, scheduler.FCFS{}) }},
 		{"exp2_edf", func(t *testing.T) *Runner { return goldenExperiment2(t, scheduler.EDF{}) }},
 		{"exp2_apc", func(t *testing.T) *Runner {
-			return goldenExperiment2(t, &scheduler.APC{Costs: cluster.FreeCostModel()})
+			return goldenExperiment2(t, mustAPC(t, DynamicConfig{}))
 		}},
 		{"static_partition_fail", goldenStaticPartition},
 		{"exp3_dynamic_load", goldenExperiment3},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"dynplace/internal/cluster"
 	"dynplace/internal/core"
@@ -36,7 +35,10 @@ type Planner struct {
 	// reflects it.
 	inv   *cluster.Inventory
 	costs cluster.CostModel
-	dyn   DynamicConfig
+	// solver builds and solves each cycle's placement problem; it
+	// carries the optimizer tuning and, when sharding is on, the zone
+	// coordinator.
+	solver *solver
 
 	webApps      []*txn.App
 	webPlacement [][]cluster.NodeID
@@ -52,11 +54,6 @@ type Planner struct {
 	jobNames map[string]bool
 	// actions accumulates lifetime placement-action totals.
 	actions *metrics.Counter
-
-	// coord is the sharded placement coordinator, engaged when the
-	// configuration asks for at least one shard; nil means every cycle
-	// is one flat placement problem.
-	coord *shard.Coordinator
 
 	// fc estimates per-app demand when forecast-driven control is on
 	// (DynamicConfig.Forecast non-nil); nil keeps the reactive loop and
@@ -93,22 +90,16 @@ func RestorePlanner(inv *cluster.Inventory, costs cluster.CostModel, dyn Dynamic
 	if inv == nil {
 		return nil, fmt.Errorf("%w: nil inventory", ErrBadConfig)
 	}
+	s, err := newSolver(dyn)
+	if err != nil {
+		return nil, err
+	}
 	p := &Planner{
 		inv:      inv,
 		costs:    costs,
-		dyn:      dyn,
+		solver:   s,
 		jobNames: make(map[string]bool),
 		actions:  metrics.NewCounter(),
-	}
-	if dyn.Shards < 0 {
-		return nil, fmt.Errorf("%w: negative shard count %d", ErrBadConfig, dyn.Shards)
-	}
-	if dyn.Shards >= 1 {
-		coord, err := shard.New(shard.Config{Count: dyn.Shards, Seed: dyn.ShardSeed})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
-		}
-		p.coord = coord
 	}
 	if dyn.Forecast != nil {
 		p.fc = forecast.NewSet(*dyn.Forecast)
@@ -119,10 +110,10 @@ func RestorePlanner(inv *cluster.Inventory, costs cluster.CostModel, dyn Dynamic
 // ShardStats returns the per-zone stats of the most recent sharded
 // cycle, or nil when sharding is off.
 func (p *Planner) ShardStats() []shard.Stats {
-	if p.coord == nil {
+	if p.solver.coord == nil {
 		return nil
 	}
-	return p.coord.Stats()
+	return p.solver.coord.Stats()
 }
 
 // AddWebApp registers a transactional application with the controller. The
@@ -445,25 +436,20 @@ func (p *Planner) Plan(now, cycle float64, live []*scheduler.Job) (*Plan, error)
 // result extraction) is recorded as a span on ct. A nil trace records
 // nothing and costs nothing beyond a few branch checks.
 func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.CycleTrace) (*Plan, error) {
-	// Placeable nodes (active state), densely renumbered for the
-	// optimizer. Draining nodes are deliberately excluded: the replan
-	// places nothing new on them and live-migrates whatever they still
-	// host, which is exactly the graceful-drain contract.
+	// Placeable nodes (active state), in inventory order. Draining nodes
+	// are deliberately excluded: the replan places nothing new on them
+	// and live-migrates whatever they still host, which is exactly the
+	// graceful-drain contract.
 	endInv := ct.Span("inventory_snapshot")
 	version := p.inv.Version()
 	invNodes := p.inv.Nodes()
 	states := make(map[cluster.NodeID]cluster.NodeState, len(invNodes))
-	var defs []cluster.Node
-	var toOriginal []cluster.NodeID
-	toDense := make(map[cluster.NodeID]cluster.NodeID)
+	var offered []cluster.Node
 	for _, n := range invNodes {
 		states[n.ID] = n.State
-		if n.State != cluster.NodeActive {
-			continue
+		if n.State == cluster.NodeActive {
+			offered = append(offered, n.Node)
 		}
-		toDense[n.ID] = cluster.NodeID(len(defs))
-		toOriginal = append(toOriginal, n.ID)
-		defs = append(defs, cluster.Node{Name: n.Name, CPUMHz: n.CPUMHz, MemMB: n.MemMB})
 	}
 
 	// Rescue jobs stranded on vanished capacity before planning: a job
@@ -494,17 +480,13 @@ func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.
 	if nWeb+len(live) == 0 {
 		return plan, nil
 	}
-	if len(defs) == 0 {
+	if len(offered) == 0 {
 		// Work exists but no node can take it: the cluster is
 		// (transiently) overcommitted to the extreme. Report it as the
 		// infeasibility it is so drivers surface a degraded state.
 		p.infeasibleCycles++
 		return nil, fmt.Errorf("%w: no active nodes in inventory (version %d)",
 			core.ErrInfeasible, version)
-	}
-	cl, err := cluster.New(defs...)
-	if err != nil {
-		return nil, err
 	}
 
 	// Forecast-driven demand: observe each app's current rate (the
@@ -514,91 +496,30 @@ func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.
 	// optimizer solves. The registry apps are never mutated; the
 	// optimizer sees shallow copies carrying the prediction, so
 	// snapshots and the API keep reporting observed demand.
-	var predicted []float64
+	web := p.webApps
 	if p.fc != nil {
 		endFc := ct.Span("forecast")
-		predicted = make([]float64, nWeb)
+		web = make([]*txn.App, nWeb)
+		plan.WebPredictedRate = make([]float64, nWeb)
 		for i, w := range p.webApps {
 			p.fc.Observe(w.Name, now, w.ArrivalRate)
 			pred, ok := p.fc.Forecast(w.Name, now, cycle)
 			if !ok {
 				pred = w.ArrivalRate
 			}
-			predicted[i] = pred
+			plan.WebPredictedRate[i] = pred
 			p.fc.NotePrediction(w.Name, now+cycle, pred, w.ArrivalRate)
+			web[i] = w
+			if pred != w.ArrivalRate {
+				cp := *w
+				cp.ArrivalRate = pred
+				web[i] = &cp
+			}
 		}
-		plan.WebPredictedRate = predicted
 		endFc()
 	}
 
-	endBuild := ct.Span("build_problem")
-	apps := make([]*core.Application, 0, nWeb+len(live))
-	current := core.NewPlacement(nWeb + len(live))
-	lastNodes := make([]cluster.NodeID, nWeb+len(live))
-	for i, w := range p.webApps {
-		web := w
-		if predicted != nil && predicted[i] != w.ArrivalRate {
-			cp := *w
-			cp.ArrivalRate = predicted[i]
-			web = &cp
-		}
-		apps = append(apps, &core.Application{
-			Name: w.Name, Kind: core.KindWeb, Web: web, AntiCollocate: w.AntiCollocate,
-		})
-		lastNodes[i] = -1
-		for _, nd := range p.webPlacement[i] {
-			if dense, ok := toDense[nd]; ok {
-				current.Add(i, dense)
-			}
-		}
-	}
-	for k, j := range live {
-		idx := nWeb + k
-		apps = append(apps, &core.Application{
-			Name: j.Spec.Name, Kind: core.KindBatch,
-			Job: j.Spec, Done: j.Done, Started: j.Started,
-			AntiCollocate: j.Spec.AntiCollocate,
-		})
-		lastNodes[idx] = -1
-		if j.LastNode != scheduler.NoNode {
-			if dense, ok := toDense[j.LastNode]; ok {
-				lastNodes[idx] = dense
-			}
-		}
-		if j.Node != scheduler.NoNode {
-			if dense, ok := toDense[j.Node]; ok {
-				current.Add(idx, dense)
-			}
-		}
-	}
-
-	problem := &core.Problem{
-		Cluster:           cl,
-		Now:               now,
-		Cycle:             cycle,
-		Apps:              apps,
-		Current:           current,
-		LastNode:          lastNodes,
-		Costs:             p.costs,
-		Levels:            p.dyn.Levels,
-		ExactHypothetical: p.dyn.ExactHypothetical,
-		Epsilon:           p.dyn.Epsilon,
-		MaxPasses:         p.dyn.MaxPasses,
-		Parallelism:       p.dyn.Parallelism,
-	}
-	endBuild()
-	var res *core.Result
-	if p.coord != nil {
-		solveStart := ct.Elapsed()
-		res, plan.Shards, err = p.coord.Solve(problem)
-		if err == nil {
-			addShardSpans(ct, solveStart, p.coord.Timings(), plan.Shards)
-		}
-	} else {
-		endSolve := ct.Span("solve")
-		res, err = core.Optimize(problem)
-		endSolve()
-	}
+	sol, err := p.solver.solve(ct, now, cycle, p.costs, offered, web, p.webPlacement, live)
 	if err != nil {
 		if errors.Is(err, core.ErrInfeasible) {
 			p.infeasibleCycles++
@@ -608,6 +529,7 @@ func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.
 
 	endExtract := ct.Span("extract")
 	defer endExtract()
+	res, ids := sol.res, sol.ids
 	// Persist web placement and report instances with their shares.
 	for i := range p.webApps {
 		nodes := res.Placement.NodesOf(i)
@@ -615,8 +537,8 @@ func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.
 		orig := make([]cluster.NodeID, 0, len(nodes))
 		instances := make([]WebInstance, 0, len(nodes))
 		for k, nd := range nodes {
-			orig = append(orig, toOriginal[nd])
-			in := WebInstance{Node: toOriginal[nd]}
+			orig = append(orig, ids[nd])
+			in := WebInstance{Node: ids[nd]}
 			if k < len(shares) {
 				in.PowerMHz = shares[k]
 			}
@@ -627,46 +549,15 @@ func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.
 		plan.WebAllocMHz[i] = res.Eval.PerApp[i]
 		plan.WebUtilities[i] = res.Eval.Utilities[i]
 	}
-
-	for k, j := range live {
-		idx := nWeb + k
-		plan.BatchUtilities[k] = res.Eval.Utilities[idx]
-		nodes := res.Placement.NodesOf(idx)
-		if len(nodes) == 0 {
-			continue
-		}
-		plan.Assignments = append(plan.Assignments, scheduler.Assignment{
-			Job:      j,
-			Node:     toOriginal[nodes[0]],
-			SpeedMHz: res.Eval.PerApp[idx],
-		})
-	}
+	copy(plan.BatchUtilities, res.Eval.Utilities[nWeb:])
+	plan.Assignments = sol.assignments()
 	plan.OmegaG = res.Eval.OmegaG
 	plan.Changes = res.Changes
-	if p.dyn.Explain {
+	plan.Shards = sol.shards
+	if p.solver.dyn.Explain {
 		endExplain := ct.Span("explain")
-		plan.Explanation = p.explain(problem, res)
+		plan.Explanation = p.explain(sol.problem, res)
 		endExplain()
 	}
 	return plan, nil
-}
-
-// addShardSpans reconstructs the sharded solve's concurrent timeline
-// as trace spans: the rebalance-and-partition prologue, each zone's
-// solve (zones overlap in time), and the merge/verify epilogue.
-// solveStart is the coordinator call's offset from the cycle start.
-func addShardSpans(ct *obs.CycleTrace, solveStart time.Duration, t shard.Timings, stats []shard.Stats) {
-	if ct == nil {
-		return
-	}
-	ct.AddSpan("shard_rebalance", solveStart, t.Rebalance)
-	for s, st := range stats {
-		var off time.Duration
-		if s < len(t.ZoneStart) {
-			off = t.ZoneStart[s]
-		}
-		ct.AddSpan(fmt.Sprintf("zone_solve:%d", s), solveStart+off,
-			time.Duration(st.SolveMillis*float64(time.Millisecond)))
-	}
-	ct.AddSpan("merge_verify", ct.Elapsed()-t.Merge, t.Merge)
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // This file holds the job ledger and the observe and act halves of the
-// control step; the decide half is PlanTraced (or, in the Runner's
-// policy mode, scheduler.Policy.Schedule).
+// control step. The decide half is PlanTraced, or in the Runner's policy
+// mode scheduler.Policy.Schedule; PlanTraced and the APC policy both
+// build and solve through the solver in solve.go.
 
 // Submit enters a job into the ledger. It joins the live set at the
 // first Advance at or after its submit time. A name submitted before,

@@ -142,7 +142,7 @@ func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool) (*Evaluati
 	ar.states, ar.stateApp, ar.completed, ar.completedAt = states, stateApp, completed, completedAt
 
 	if len(states) > 0 {
-		if err := ar.hyp.Reset(horizon, states, p.Levels); err != nil {
+		if err := ar.hyp.Reset(horizon, states, nil); err != nil {
 			return nil, fmt.Errorf("core: hypothetical: %w", err)
 		}
 		if p.ExactHypothetical {

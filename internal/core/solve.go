@@ -31,8 +31,6 @@ type Problem struct {
 	LastNode []cluster.NodeID
 	// Costs is the placement-action cost model.
 	Costs cluster.CostModel
-	// Levels is the hypothetical-RPF sampling grid (nil = default).
-	Levels []float64
 	// ExactHypothetical switches the hypothetical evaluation from the
 	// paper's sampled grid to exact bisection.
 	ExactHypothetical bool

@@ -235,8 +235,8 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.SnapshotEvery = 64
 	}
 	// The flight recorder is always on: the explanation pass is one
-	// post-hoc sweep per cycle (never per candidate) and the obs-overhead
-	// gate covers its cost, so there is no flag to discover mid-incident.
+	// post-hoc sweep per cycle, never per candidate, so there is no flag
+	// to discover mid-incident.
 	cfg.Dynamic.Explain = true
 	planner, err := control.NewPlanner(cfg.Cluster, cfg.Costs, cfg.Dynamic)
 	if err != nil {

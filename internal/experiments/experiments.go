@@ -85,10 +85,14 @@ func RunExperiment1(opts Experiment1Options) (*Experiment1Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	apc, err := control.NewAPC(control.DynamicConfig{})
+	if err != nil {
+		return nil, err
+	}
 	runner, err := control.NewRunner(control.Config{
 		Cluster:      cl,
 		CycleSeconds: opts.CycleSeconds,
-		Policy:       &scheduler.APC{Costs: cluster.DefaultCostModel()},
+		Policy:       apc,
 		Costs:        cluster.DefaultCostModel(),
 	})
 	if err != nil {
@@ -152,17 +156,8 @@ type Experiment2Cell struct {
 	DistancesByFactor map[string][]float64
 }
 
-// Experiment2Policies returns fresh instances of the compared policies.
-// Placement-action costs are excluded, as in the paper.
-func Experiment2Policies() []scheduler.Policy {
-	return []scheduler.Policy{
-		scheduler.FCFS{},
-		scheduler.EDF{},
-		&scheduler.APC{Costs: cluster.FreeCostModel()},
-	}
-}
-
 // RunExperiment2Cell runs one policy at one inter-arrival time.
+// Placement-action costs are excluded, as in the paper.
 func RunExperiment2Cell(opts Experiment2Options, policy scheduler.Policy, interarrival float64) (*Experiment2Cell, error) {
 	cl, err := paperNodes(opts.Nodes)
 	if err != nil {
@@ -202,7 +197,11 @@ func RunExperiment2Cell(opts Experiment2Options, policy scheduler.Policy, intera
 func RunExperiment2(opts Experiment2Options) ([]*Experiment2Cell, error) {
 	var out []*Experiment2Cell
 	for _, inter := range opts.Interarrivals {
-		for _, policy := range Experiment2Policies() {
+		apc, err := control.NewAPC(control.DynamicConfig{})
+		if err != nil {
+			return nil, err
+		}
+		for _, policy := range []scheduler.Policy{scheduler.FCFS{}, scheduler.EDF{}, apc} {
 			cell, err := RunExperiment2Cell(opts, policy, inter)
 			if err != nil {
 				return nil, fmt.Errorf("experiment 2 (%s @ %v s): %w", policy.Name(), inter, err)

@@ -20,7 +20,7 @@ var _ Policy = FCFS{}
 func (FCFS) Name() string { return "FCFS" }
 
 // Schedule implements Policy.
-func (FCFS) Schedule(now, cycle float64, jobs []*Job, nodes []NodeCapacity) ([]Assignment, error) {
+func (FCFS) Schedule(now, cycle float64, jobs []*Job, nodes []NodeCapacity, _ cluster.CostModel) ([]Assignment, error) {
 	free := newFreeMap(nodes)
 	var out []Assignment
 	// Keep running (and paused) jobs exactly where they are, at the
@@ -69,7 +69,7 @@ var _ Policy = EDF{}
 func (EDF) Name() string { return "EDF" }
 
 // Schedule implements Policy.
-func (EDF) Schedule(now, cycle float64, jobs []*Job, nodes []NodeCapacity) ([]Assignment, error) {
+func (EDF) Schedule(now, cycle float64, jobs []*Job, nodes []NodeCapacity, _ cluster.CostModel) ([]Assignment, error) {
 	free := newFreeMap(nodes)
 	ranked := make([]*Job, 0, len(jobs))
 	for _, j := range jobs {

@@ -27,7 +27,7 @@ func TestFCFSStartsInSubmitOrder(t *testing.T) {
 	d := pending("d", 4000, 1000, 750, 3, 40)
 	e := pending("e", 4000, 1000, 750, 4, 40)
 	jobs := []*Job{e, c, a, d, b} // shuffled input
-	asg, err := FCFS{}.Schedule(10, 1, jobs, nodes)
+	asg, err := FCFS{}.Schedule(10, 1, jobs, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestFCFSNeverPreempts(t *testing.T) {
 	long.Started = true
 	urgent := pending("urgent", 500, 1000, 750, 5, 6)
 	jobs := []*Job{long, urgent}
-	asg, err := FCFS{}.Schedule(5, 1, jobs, nodes)
+	asg, err := FCFS{}.Schedule(5, 1, jobs, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestFCFSHeadOfLineBlocking(t *testing.T) {
 	nodes := []NodeCapacity{{ID: 0, CPUMHz: 1000, MemMB: 1000}}
 	big := pending("big", 1000, 500, 1200, 0, 50)
 	small := pending("small", 1000, 500, 800, 1, 50)
-	asg, err := FCFS{}.Schedule(2, 1, []*Job{big, small}, nodes)
+	asg, err := FCFS{}.Schedule(2, 1, []*Job{big, small}, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestEDFPreemptsForEarlierDeadline(t *testing.T) {
 	relaxed.Started = true
 	urgent := pending("urgent", 500, 1000, 750, 5, 7)
 	jobs := []*Job{relaxed, urgent}
-	asg, err := EDF{}.Schedule(5, 1, jobs, nodes)
+	asg, err := EDF{}.Schedule(5, 1, jobs, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestEDFPrefersCurrentNode(t *testing.T) {
 	j.Node = 1
 	j.SpeedMHz = 1000
 	j.Started = true
-	asg, err := EDF{}.Schedule(1, 1, []*Job{j}, nodes)
+	asg, err := EDF{}.Schedule(1, 1, []*Job{j}, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -134,11 +134,11 @@ func TestEDFOrderDeterministic(t *testing.T) {
 	a := pending("a", 4000, 1000, 750, 0, 50)
 	b := pending("b", 4000, 1000, 750, 0, 50) // same deadline, same submit
 	c := pending("c", 4000, 1000, 750, 0, 20)
-	asg1, err := EDF{}.Schedule(0, 1, []*Job{a, b, c}, nodes)
+	asg1, err := EDF{}.Schedule(0, 1, []*Job{a, b, c}, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	asg2, err := EDF{}.Schedule(0, 1, []*Job{c, b, a}, nodes)
+	asg2, err := EDF{}.Schedule(0, 1, []*Job{c, b, a}, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestSpeedClaimRespectsCPU(t *testing.T) {
 	nodes := []NodeCapacity{{ID: 0, CPUMHz: 1000, MemMB: 4000}}
 	a := pending("a", 4000, 800, 750, 0, 100)
 	b := pending("b", 4000, 800, 750, 1, 100)
-	asg, err := FCFS{}.Schedule(2, 1, []*Job{a, b}, nodes)
+	asg, err := FCFS{}.Schedule(2, 1, []*Job{a, b}, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -173,70 +173,8 @@ func TestSpeedClaimRespectsCPU(t *testing.T) {
 	}
 }
 
-func TestAPCPolicySchedules(t *testing.T) {
-	nodes := twoNodes(1000, 2000)
-	a := pending("a", 4000, 1000, 750, 0, 20)
-	b := pending("b", 4000, 1000, 750, 0, 20)
-	apc := &APC{Costs: cluster.FreeCostModel(), ExactHypothetical: true}
-	asg, err := apc.Schedule(0, 1, []*Job{a, b}, nodes)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	if len(asg) != 2 {
-		t.Fatalf("assignments = %d, want 2 (both fit)", len(asg))
-	}
-	// Two identical jobs on two free nodes: both should run at full
-	// speed on separate nodes.
-	if asg[0].Node == asg[1].Node {
-		t.Fatalf("both jobs on node %v; want spread", asg[0].Node)
-	}
-	for _, x := range asg {
-		if math.Abs(x.SpeedMHz-1000) > 1 {
-			t.Fatalf("speed = %v, want 1000", x.SpeedMHz)
-		}
-	}
-	if apc.LastResult == nil || apc.LastResult.Eval == nil {
-		t.Fatal("LastResult not recorded")
-	}
-}
-
-func TestAPCPolicyKeepsPlacementStable(t *testing.T) {
-	nodes := twoNodes(1000, 2000)
-	a := pending("a", 40000, 1000, 750, 0, 200)
-	b := pending("b", 40000, 1000, 750, 0, 200)
-	apc := &APC{Costs: cluster.FreeCostModel()}
-	jobs := []*Job{a, b}
-	counter := metrics.NewCounter()
-	asg, err := apc.Schedule(0, 10, jobs, nodes)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	Apply(0, jobs, asg, cluster.FreeCostModel(), counter)
-	for _, j := range jobs {
-		j.AdvanceTo(10)
-	}
-	asg, err = apc.Schedule(10, 10, jobs, nodes)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	changes := Apply(10, jobs, asg, cluster.FreeCostModel(), counter)
-	if changes != 0 {
-		t.Fatalf("steady state caused %d changes", changes)
-	}
-	if counter.Get(ActionSuspend) != 0 || counter.Get(ActionMigrate) != 0 {
-		t.Fatal("steady state suspended or migrated jobs")
-	}
-}
-
-func TestAPCPolicyNoNodes(t *testing.T) {
-	apc := &APC{}
-	if _, err := apc.Schedule(0, 1, nil, nil); err == nil {
-		t.Fatal("Schedule with no nodes succeeded")
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
-	if (FCFS{}).Name() != "FCFS" || (EDF{}).Name() != "EDF" || (&APC{}).Name() != "APC" {
+	if (FCFS{}).Name() != "FCFS" || (EDF{}).Name() != "EDF" {
 		t.Fatal("policy names wrong")
 	}
 }

@@ -1,8 +1,9 @@
-// Package scheduler manages the lifecycle of batch jobs and implements
-// the scheduling policies the paper compares: the APC-driven policy
-// (lowest relative performance first, via the placement controller), the
-// preemptive Earliest Deadline First baseline, and the non-preemptive
-// First-Come First-Served baseline, both with first-fit placement.
+// Package scheduler manages the lifecycle of batch jobs, applies a
+// cycle's assignments with their action costs, and implements the two
+// baseline policies the paper compares the placement controller with:
+// preemptive Earliest Deadline First and non-preemptive First-Come
+// First-Served, both with first-fit placement. The APC policy, which
+// decides through the placement controller, is control.APC.
 package scheduler
 
 import (
@@ -194,9 +195,10 @@ type Assignment struct {
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Schedule is called once per control cycle with the incomplete jobs
-	// and per-node capacities available to batch work.
-	Schedule(now, cycle float64, jobs []*Job, nodes []NodeCapacity) ([]Assignment, error)
+	// Schedule is called once per control cycle with the incomplete jobs,
+	// the per-node capacities available to batch work and the cost model
+	// the resulting placement actions are charged under.
+	Schedule(now, cycle float64, jobs []*Job, nodes []NodeCapacity, costs cluster.CostModel) ([]Assignment, error)
 }
 
 // Action counter names used with metrics.Counter.

@@ -433,7 +433,6 @@ func buildSubproblems(p *core.Problem, lay layout, st *cycleState) []*subproblem
 			Now:               p.Now,
 			Cycle:             p.Cycle,
 			Costs:             p.Costs,
-			Levels:            p.Levels,
 			ExactHypothetical: p.ExactHypothetical,
 			Epsilon:           p.Epsilon,
 			MaxPasses:         p.MaxPasses,

@@ -23,13 +23,10 @@ type settings struct {
 	policyName string
 	dynamic    bool
 	webNodes   []cluster.NodeID
-	forecast   *forecast.Config
 
-	epsilon           float64
-	maxPasses         int
-	parallelism       int
-	exactHypothetical bool
-	shards            ShardSpec
+	// dyn is the optimizer tuning, handed to dynamic mode or to the APC
+	// policy.
+	dyn control.DynamicConfig
 }
 
 // ErrBadOption reports an invalid configuration.
@@ -138,7 +135,7 @@ func WithForecastSpec(spec ForecastSpec) Option {
 		if spec.SeasonalGamma < 0 || spec.SeasonalGamma > 1 {
 			return fmt.Errorf("%w: seasonal gamma must be in [0, 1]", ErrBadOption)
 		}
-		s.forecast = &forecast.Config{
+		s.dyn.Forecast = &forecast.Config{
 			SeasonSeconds:   spec.SeasonSeconds,
 			Slots:           spec.Slots,
 			LevelTauSeconds: spec.LevelTauSeconds,
@@ -220,7 +217,7 @@ func WithComparisonResolution(eps float64) Option {
 		if eps <= 0 || eps >= 1 {
 			return fmt.Errorf("%w: resolution must be in (0,1)", ErrBadOption)
 		}
-		s.epsilon = eps
+		s.dyn.Epsilon = eps
 		return nil
 	}
 }
@@ -229,7 +226,7 @@ func WithComparisonResolution(eps float64) Option {
 // the paper's sampled-grid interpolation to exact bisection.
 func WithExactHypothetical() Option {
 	return func(s *settings) error {
-		s.exactHypothetical = true
+		s.dyn.ExactHypothetical = true
 		return nil
 	}
 }
@@ -241,7 +238,7 @@ func WithOptimizerPasses(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("%w: passes must be positive", ErrBadOption)
 		}
-		s.maxPasses = n
+		s.dyn.MaxPasses = n
 		return nil
 	}
 }
@@ -256,7 +253,7 @@ func WithParallelism(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("%w: parallelism must be nonnegative", ErrBadOption)
 		}
-		s.parallelism = n
+		s.dyn.Parallelism = n
 		return nil
 	}
 }
@@ -291,7 +288,7 @@ func WithShardSpec(spec ShardSpec) Option {
 		if spec.Count < 1 {
 			return fmt.Errorf("%w: shard count must be at least 1, got %d", ErrBadOption, spec.Count)
 		}
-		s.shards = spec
+		s.dyn.Shards, s.dyn.ShardSeed = spec.Count, spec.Seed
 		return nil
 	}
 }
@@ -317,29 +314,15 @@ func (s *settings) build() (control.Config, error) {
 		Costs:        s.costs,
 		WebNodes:     s.webNodes,
 	}
-	if s.forecast != nil && !s.dynamic {
+	if s.dyn.Forecast != nil && !s.dynamic {
 		return control.Config{}, fmt.Errorf("%w: WithForecast requires WithDynamicPlacement", ErrBadOption)
 	}
 	switch {
 	case s.dynamic:
-		cfg.Dynamic = &control.DynamicConfig{
-			Epsilon:           s.epsilon,
-			MaxPasses:         s.maxPasses,
-			ExactHypothetical: s.exactHypothetical,
-			Parallelism:       s.parallelism,
-			Shards:            s.shards.Count,
-			ShardSeed:         s.shards.Seed,
-			Forecast:          s.forecast,
-		}
+		cfg.Dynamic = &s.dyn
 	case s.policyName == "" || s.policyName == "apc":
-		cfg.Policy = &scheduler.APC{
-			Costs:             s.costs,
-			Epsilon:           s.epsilon,
-			MaxPasses:         s.maxPasses,
-			ExactHypothetical: s.exactHypothetical,
-			Parallelism:       s.parallelism,
-			Shards:            s.shards.Count,
-			ShardSeed:         s.shards.Seed,
+		if cfg.Policy, err = control.NewAPC(s.dyn); err != nil {
+			return control.Config{}, err
 		}
 	case s.policyName == "edf":
 		cfg.Policy = scheduler.EDF{}
