@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 20s ./internal/trace
 
 # The CI coverage job: statement-coverage floor (85%) on
+# internal/core, flow, rpf, batch and txn (the paper's algorithm),
 # internal/forecast, internal/trace, internal/control and
 # internal/daemon.
 cover:

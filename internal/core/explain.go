@@ -111,9 +111,11 @@ type Explanation struct {
 //
 // before, when non-nil, supplies the previous cycle's utility per
 // application (NaN or missing entries are ignored) and feeds
-// UtilityDelta. The call costs O(apps × nodes) plus one candidate
-// evaluation per denied application — once per cycle, not per
-// candidate, so explanations stay out of the optimizer's hot path.
+// UtilityDelta. The call costs O(apps × nodes) plus, per denied
+// application with a memory- and collocation-clean node, one probe of
+// that node: at most 62 feasibility tests (the floor, level 1 and the
+// solver's 60 halvings) — once per cycle, not per candidate, so
+// explanations stay out of the optimizer's hot path.
 func Explain(p *Problem, res *Result, before []float64) *Explanation {
 	ex := &Explanation{
 		Decisions: make([]AppDecision, len(p.Apps)),
@@ -298,13 +300,13 @@ func probeBinding(p *Problem, res *Result, d *AppDecision, probe cluster.NodeID)
 }
 
 // probeUtility reports whether the candidate placement is feasible and,
-// if so, the utility level the probed application could reach. Every
-// other application is frozen at its adopted allocation, so only the
-// probed app's level is bisected — a full lexicographic re-solve here
-// would cost an order of magnitude more per denial and push the
-// explain-on cycle past its overhead budget. Without adopted
+// if so, the utility level the probed application could reach, found by
+// the solver's own level search (allocator.level). Every other
+// application is frozen at its adopted allocation, so only the probed
+// app's level is searched — a full lexicographic re-solve here would
+// cost an order of magnitude more per denial. Without adopted
 // allocations to freeze against (res.Eval nil), all apps share the
-// bisected level, which still separates feasible from infeasible.
+// searched level, which still separates feasible from infeasible.
 func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, float64) {
 	ar := arenas.Get().(*arena)
 	defer arenas.Put(ar)
@@ -327,28 +329,7 @@ func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, floa
 	if !al.feasible(rpf.MinUtility, -1) {
 		return false, 0
 	}
-	// The solver's 60-iteration bisection buys precision a reason string
-	// cannot show; 12 halvings pin the level within 5e-4 — tighter than
-	// the %.3f the reason prints — and every feasibility test past that
-	// is a wasted probe.
-	const probeLevelIterations = 12
-	lo, hi := rpf.MinUtility, 1.0
-	if al.feasible(hi, -1) {
-		lo = hi
-	} else {
-		for i := 0; i < probeLevelIterations; i++ {
-			mid := lo + (hi-lo)/2
-			if al.feasible(mid, -1) {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-	}
-	if cap := ar.tbl.utilityCap(app); cap < lo {
-		lo = cap
-	}
-	return true, lo
+	return true, min(al.level(), ar.tbl.utilityCap(app))
 }
 
 // diagnoseLostNodes explains a move, shrink or eviction: for each node

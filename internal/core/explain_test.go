@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -81,6 +82,114 @@ func TestExplainDeniedAntiCollocation(t *testing.T) {
 	winner := p.Apps[placed].Name
 	if !strings.Contains(d.Reasons[0], `"`+winner+`"`) {
 		t.Errorf("diagnosis should name the conflictor %q: %q", winner, d.Reasons[0])
+	}
+}
+
+// checkProbedLevel re-probes a utility-bound denial on a fresh arena:
+// the adopted placement plus the denied app on the node its reason names,
+// every other placed app frozen at its adopted allocation. The level the
+// decision reports, Utility + UtilityDelta, must be feasible there and,
+// unless it is the app's utility cap, infeasible probeDelta above.
+func checkProbedLevel(t *testing.T, p *Problem, res *Result, d AppDecision) {
+	t.Helper()
+	probe := cluster.NodeID(-1)
+	for _, nd := range p.Cluster.Nodes() {
+		if strings.HasPrefix(d.Reasons[0], "an instance on "+nd.Name+" ") {
+			probe = nd.ID
+		}
+	}
+	if probe < 0 {
+		t.Fatalf("app %d: reason names no probe node: %q", d.App, d.Reasons[0])
+	}
+	cand := res.Placement.Clone()
+	cand.Add(d.App, probe)
+	ar := new(arena)
+	ar.tbl.build(p)
+	al := &ar.al
+	al.aim(&ar.tbl, cand)
+	for _, placed := range [][]int{al.jobs, al.webs} {
+		for _, other := range placed {
+			if other != d.App {
+				al.freeze(other, res.Eval.PerApp[other])
+			}
+		}
+	}
+	level := d.Utility + d.UtilityDelta
+	if !al.feasible(level, -1) {
+		t.Errorf("app %d: reported level %v on %s is infeasible", d.App, level, nodeName(p, probe))
+	}
+	if capU := ar.tbl.utilityCap(d.App); math.Abs(level-capU) > capTolerance &&
+		al.feasible(level+probeDelta, -1) {
+		t.Errorf("app %d: level %v + %v on %s is still feasible (cap %v): the search stopped short",
+			d.App, level, probeDelta, nodeName(p, probe), capU)
+	}
+}
+
+// TestExplainDeniedUtility: a denial that fits memory, collocation and
+// CPU floors binds on utility, and the level it reports is the one the
+// probe reached, to the solver's precision. One node holds two of three
+// identical-speed jobs at full CPU; the third is denied. Seeded random
+// instances add utility-bound denials under the default cost model.
+func TestExplainDeniedUtility(t *testing.T) {
+	cl, err := cluster.Uniform(1, 3000, 16384)
+	if err != nil {
+		t.Fatalf("Uniform: %v", err)
+	}
+	var apps []*Application
+	for i := 0; i < 3; i++ {
+		apps = append(apps, batchApp(fmt.Sprintf("j%d", i), 40000, 1500, 3000, 0, 30+10*float64(i)))
+	}
+	p := &Problem{Cluster: cl, Cycle: 1, Apps: apps, Costs: cluster.FreeCostModel()}
+	res := mustOptimize(t, p)
+	d := Explain(p, res, nil).Decisions[2]
+	wantDecision(t, d, OutcomeDenied, BindUtility)
+	checkProbedLevel(t, p, res, d)
+
+	denials := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		p := randomProblem(t, seed)
+		res := mustOptimize(t, p)
+		for _, d := range Explain(p, res, nil).Decisions {
+			if d.Outcome == OutcomeDenied && d.Binding == BindUtility {
+				denials++
+				checkProbedLevel(t, p, res, d)
+			}
+		}
+	}
+	if denials == 0 {
+		t.Fatal("no seeded instance produced a utility-bound denial")
+	}
+}
+
+// TestProbeUtilityReachesAdoptedLevel pins a case the explain probe once
+// got wrong by ~2.4e5: with a web app and a job sharing one node at the
+// max-min level, probing the adopted placement for either app must find
+// that level again, with the other app frozen and with nothing frozen.
+func TestProbeUtilityReachesAdoptedLevel(t *testing.T) {
+	cl, err := cluster.Uniform(1, 2000, 4000)
+	if err != nil {
+		t.Fatalf("Uniform: %v", err)
+	}
+	w := webApp("w")
+	w.Web.ArrivalRate = 30
+	j := batchApp("j", 40000, 1500, 750, 0, 30)
+	p := &Problem{Cluster: cl, Cycle: 1, Apps: []*Application{w, j},
+		Costs: cluster.FreeCostModel()}
+	res := mustOptimize(t, p)
+	const adopted = -2.7234
+	for app, u := range res.Eval.Utilities {
+		if math.Abs(u-adopted) > 1e-3 {
+			t.Fatalf("app %d adopted utility = %v, want %v", app, u, adopted)
+		}
+	}
+	for _, r := range []*Result{res, {Placement: res.Placement}} {
+		for app := range p.Apps {
+			ok, u := probeUtility(p, r, res.Placement, app)
+			if !ok || math.Abs(u-adopted) > 1e-3 {
+				t.Errorf("probeUtility(app %d, frozen %t) = %t, %v; want true, %v",
+					app, r.Eval != nil, ok, u, adopted)
+			}
+		}
 	}
 }
 

@@ -453,6 +453,29 @@ func (al *allocator) capacitate(demand, residual []float64) error {
 	return nil
 }
 
+// level is the highest utility level every unfrozen app can reach at
+// once, the frozen ones held at their fixed demands: 1 if that is
+// feasible, else the feasible end of levelIterations halvings of
+// [rpf.MinUtility, 1], which the caller has checked is feasible. It
+// costs at most levelIterations+1 probes. Explain's probeUtility calls it
+// too, so an explanation reports a level found the way solve finds its
+// own, to the same precision.
+func (al *allocator) level() float64 {
+	lo, hi := rpf.MinUtility, 1.0
+	if al.feasible(hi, -1) {
+		return hi
+	}
+	for i := 0; i < levelIterations; i++ {
+		mid := lo + (hi-lo)/2
+		if al.feasible(mid, -1) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // solve runs the lexicographic max-min level search and returns the
 // per-app allocations, or feasibleOK=false. skipMemCheck elides the full
 // per-node memory/anti-collocation scan: the incremental evaluation path
@@ -473,21 +496,7 @@ func (al *allocator) solve(skipMemCheck bool) (perApp []float64, shares map[int]
 	unfrozenCount := len(active)
 
 	for rounds := 0; unfrozenCount > 0 && rounds <= len(active)+1; rounds++ {
-		// Bisect the highest common feasible level for unfrozen apps.
-		lo, hi := rpf.MinUtility, 1.0
-		if al.feasible(hi, -1) {
-			lo = hi
-		} else {
-			for i := 0; i < levelIterations; i++ {
-				mid := lo + (hi-lo)/2
-				if al.feasible(mid, -1) {
-					lo = mid
-				} else {
-					hi = mid
-				}
-			}
-		}
-		level := lo
+		level := al.level()
 		// Freeze apps that reached their achievable cap.
 		newlyFrozen := 0
 		for _, app := range active {

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
-# Enforce the statement-coverage floor on the forecasting stack and the
-# control step: the demand estimator and the trace codec feed placement
-# decisions, and internal/control and internal/daemon run every cycle of
-# both the simulator and the live service, so untested branches there
-# turn directly into misplacements. The floor is per package, read from
-# the standard `go test -cover` summary.
+# Enforce the statement-coverage floor on the paper's algorithm, the
+# forecasting stack and the control step: internal/core (candidate search
+# and max-min allocation), internal/flow (web routing), internal/rpf,
+# internal/batch and internal/txn (the utility models) compute every
+# placement; the demand estimator and the trace codec feed its inputs;
+# and internal/control and internal/daemon run every cycle of both the
+# simulator and the live service. Untested branches in any of them turn
+# directly into misplacements. The floor is per package, read from the
+# standard `go test -cover` summary.
 set -euo pipefail
 
 FLOOR=85
-PACKAGES=(./internal/forecast ./internal/trace ./internal/control ./internal/daemon)
+PACKAGES=(./internal/core ./internal/flow ./internal/rpf ./internal/batch ./internal/txn
+    ./internal/forecast ./internal/trace ./internal/control ./internal/daemon)
 
 fail=0
 for pkg in "${PACKAGES[@]}"; do
