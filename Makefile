@@ -96,7 +96,7 @@ fuzz:
 
 # The CI coverage job: statement-coverage floor (85%) on
 # internal/core, flow, rpf, batch and txn (the paper's algorithm),
-# internal/forecast, internal/trace, internal/control and
-# internal/daemon.
+# internal/forecast, internal/trace, internal/control, internal/daemon,
+# internal/scheduler, internal/sim and internal/shard.
 cover:
 	./scripts/coverage_floor.sh

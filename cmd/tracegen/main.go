@@ -1,5 +1,7 @@
 // Command tracegen generates reproducible job traces as JSON, suitable
-// for feeding experiments or external tooling.
+// for feeding experiments or external tooling. A job trace is a JSON
+// array of dynplace.JobSpec, the job shape POST /v1/jobs accepts and the
+// daemon journals.
 //
 // Usage:
 //
@@ -17,11 +19,13 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"dynplace"
 	"dynplace/internal/batch"
 	"dynplace/internal/trace"
 )
@@ -72,13 +76,7 @@ func run(out io.Writer, args []string) error {
 	var specs []*batch.Spec
 	switch *workload {
 	case "exp1":
-		rng := *interarrival
-		if rng == 260 {
-			specs = trace.Experiment1Workload(*seed, *jobs)
-		} else {
-			// Custom inter-arrival: regenerate with the same job shape.
-			specs = trace.Experiment3Workload(*seed, *jobs, 0, rng, rng)
-		}
+		specs = trace.Experiment1Workload(*seed, *jobs, *interarrival)
 	case "exp2":
 		specs = trace.Experiment2Workload(*seed, *jobs, *interarrival)
 	case "exp3":
@@ -86,5 +84,11 @@ func run(out io.Writer, args []string) error {
 	default:
 		return fmt.Errorf("unknown workload %q (exp1, exp2, exp3, replay)", *workload)
 	}
-	return trace.WriteJSON(out, specs)
+	wire := make([]dynplace.JobSpec, len(specs))
+	for i, s := range specs {
+		wire[i] = dynplace.JobSpecOf(s)
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(wire)
 }

@@ -1,21 +1,41 @@
 package main
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dynplace"
+	"dynplace/internal/batch"
 	"dynplace/internal/trace"
 )
 
-func TestGenerateExp1(t *testing.T) {
+// generate runs tracegen with args and decodes its job trace the way the
+// daemon decodes a submitted job.
+func generate(t *testing.T, args ...string) []*batch.Spec {
+	t.Helper()
 	var buf strings.Builder
-	if err := run(&buf, []string{"-workload", "exp1", "-jobs", "12"}); err != nil {
+	if err := run(&buf, args); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	specs, err := trace.ReadJSON(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
+	var wire []dynplace.JobSpec
+	if err := json.Unmarshal([]byte(buf.String()), &wire); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
+	specs := make([]*batch.Spec, len(wire))
+	for i, w := range wire {
+		spec, err := dynplace.CompileJob(w)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		specs[i] = spec
+	}
+	return specs
+}
+
+func TestGenerateExp1(t *testing.T) {
+	specs := generate(t, "-workload", "exp1", "-jobs", "12")
 	if len(specs) != 12 {
 		t.Fatalf("jobs = %d, want 12", len(specs))
 	}
@@ -25,30 +45,34 @@ func TestGenerateExp1(t *testing.T) {
 }
 
 func TestGenerateExp2(t *testing.T) {
-	var buf strings.Builder
-	if err := run(&buf, []string{"-workload", "exp2", "-jobs", "30", "-interarrival", "100"}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	specs, err := trace.ReadJSON(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
+	specs := generate(t, "-workload", "exp2", "-jobs", "30", "-interarrival", "100")
 	if len(specs) != 30 {
 		t.Fatalf("jobs = %d, want 30", len(specs))
 	}
 }
 
 func TestGenerateExp3(t *testing.T) {
-	var buf strings.Builder
-	if err := run(&buf, []string{"-workload", "exp3", "-heavy", "10", "-light", "5"}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	specs, err := trace.ReadJSON(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
+	specs := generate(t, "-workload", "exp3", "-heavy", "10", "-light", "5")
 	if len(specs) != 15 {
 		t.Fatalf("jobs = %d, want 15", len(specs))
+	}
+}
+
+// TestGeneratedSpecsRoundTrip: every job trace decodes to exactly the
+// specs the workload generator drew.
+func TestGeneratedSpecsRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []*batch.Spec
+	}{
+		{[]string{"-workload", "exp1", "-jobs", "20"}, trace.Experiment1Workload(1, 20, 260)},
+		{[]string{"-workload", "exp1", "-jobs", "20", "-interarrival", "100", "-seed", "3"}, trace.Experiment1Workload(3, 20, 100)},
+		{[]string{"-workload", "exp2", "-jobs", "25", "-interarrival", "200", "-seed", "11"}, trace.Experiment2Workload(11, 25, 200)},
+		{[]string{"-workload", "exp3", "-heavy", "10", "-light", "5"}, trace.Experiment3Workload(1, 10, 5, 180, 600)},
+	} {
+		if got := generate(t, tc.args...); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v: decoded specs differ from the generator's", tc.args)
+		}
 	}
 }
 

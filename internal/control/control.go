@@ -130,7 +130,6 @@ type Runner struct {
 	// reports (Jobs, OnTimeRate, CompletionUtilities); the planner's
 	// ledger drops jobs once they complete.
 	submitted []*scheduler.Job
-	finishes  map[*scheduler.Job]sim.Handle
 	// deferredErr holds the first error from a scheduled node-lifecycle
 	// event; Run surfaces it once the horizon is reached.
 	deferredErr error
@@ -179,7 +178,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		cfg:        cfg,
 		sim:        sim.New(),
 		planner:    p,
-		finishes:   make(map[*scheduler.Job]sim.Handle),
 		hypoUtil:   metrics.NewSeries("batch hypothetical utility"),
 		batchAlloc: metrics.NewSeries("batch allocation MHz"),
 		queueLen:   metrics.NewSeries("queued jobs"),
@@ -210,8 +208,9 @@ func (r *Runner) AddWebApp(app *txn.App, phases []LoadPhase) error {
 	return nil
 }
 
-// Submit registers a job for arrival at its spec's submit time. A job
-// name already submitted is rejected.
+// Submit registers a job for arrival at its spec's submit time; a submit
+// time already passed makes it live at the next cycle, as in the daemon.
+// A job name already submitted is rejected.
 func (r *Runner) Submit(spec *batch.Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -221,11 +220,7 @@ func (r *Runner) Submit(spec *batch.Spec) error {
 		return err
 	}
 	r.submitted = append(r.submitted, j)
-	_, err = r.sim.At(sim.Time(spec.Submit), func(sim.Time) {
-		// Arrival is recorded implicitly: the job is Pending and its
-		// submit time has passed; the next control cycle sees it.
-	})
-	return err
+	return nil
 }
 
 // SubmitAll registers a whole trace.
@@ -256,12 +251,7 @@ func (r *Runner) FailNode(at float64, node cluster.NodeID) error {
 			r.noteDeferredErr(fmt.Errorf("%w: no node %d", ErrBadConfig, node))
 			return
 		}
-		for _, j := range r.planner.FailNode(node, now.Seconds()) {
-			if h, ok := r.finishes[j]; ok {
-				r.sim.Cancel(h)
-				delete(r.finishes, j)
-			}
-		}
+		r.planner.FailNode(node, now.Seconds())
 	})
 	return err
 }
@@ -350,21 +340,18 @@ func (r *Runner) run(horizon float64, drain bool) error {
 	if _, err := r.sim.At(start, tick); err != nil {
 		return err
 	}
-	r.sim.Run(sim.Time(horizon))
+	// Jobs advance only when the planner reads them, so work finishing
+	// between the last cycle and the horizon is credited here.
+	r.planner.Advance(r.sim.Run(sim.Time(horizon)).Seconds())
 	if tickErr == nil {
 		tickErr = r.deferredErr
 	}
 	return tickErr
 }
 
-func (r *Runner) allDone() bool {
-	for _, j := range r.submitted {
-		if j.Status != scheduler.Completed {
-			return false
-		}
-	}
-	return true
-}
+// allDone reports whether every submitted job has completed: the
+// planner's ledger retires exactly the completed jobs.
+func (r *Runner) allDone() bool { return len(r.planner.jobs) == 0 }
 
 // batchNodes returns the capacities available to batch work: the active
 // nodes outside the static web partition.
@@ -411,7 +398,6 @@ func (r *Runner) cycle(now float64) error {
 	r.totalChanges += changed
 	r.changes.Add(now, float64(changed))
 	r.queueLen.Add(now, float64(queued))
-	r.scheduleCompletions(now)
 	return nil
 }
 
@@ -487,35 +473,6 @@ func (r *Runner) recordHypothetical(now float64, live []*scheduler.Job, omegaG f
 		return
 	}
 	r.hypoUtil.Add(now, batch.Mean(h.Predict(omegaG)))
-}
-
-// scheduleCompletions (re)schedules exact completion events for running
-// jobs.
-func (r *Runner) scheduleCompletions(now float64) {
-	for j, h := range r.finishes {
-		r.sim.Cancel(h)
-		delete(r.finishes, j)
-	}
-	for _, j := range r.planner.jobs {
-		if j.Status != scheduler.Running {
-			continue
-		}
-		ft := j.FinishTime()
-		if math.IsInf(ft, 1) {
-			continue
-		}
-		if ft < now {
-			ft = now
-		}
-		job := j
-		h, err := r.sim.At(sim.Time(ft), func(t sim.Time) {
-			job.AdvanceTo(t.Seconds())
-			delete(r.finishes, job)
-		})
-		if err == nil {
-			r.finishes[job] = h
-		}
-	}
 }
 
 // Now returns the current virtual time.

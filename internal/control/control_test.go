@@ -340,6 +340,47 @@ func TestRunHorizonLeavesIncomplete(t *testing.T) {
 	}
 }
 
+// TestRunCreditsWorkBeforeHorizon: a job finishing after the last cycle
+// but before the horizon completes at its exact finish instant, credited
+// by the read Run makes at the horizon.
+func TestRunCreditsWorkBeforeHorizon(t *testing.T) {
+	r := mustRunner(t, Config{
+		Cluster: mustCluster(t, 1, 1000, 2000), CycleSeconds: 60,
+		Dynamic: &DynamicConfig{}, Costs: cluster.FreeCostModel(),
+	})
+	if err := r.Submit(batch.SingleStage("j", 90000, 1000, 750, 0, 1000)); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := r.Run(100); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if j := r.Jobs()[0]; j.Status != scheduler.Completed || j.CompletedAt != 90 {
+		t.Fatalf("status %v at %v, want Completed at exactly 90", j.Status, j.CompletedAt)
+	}
+}
+
+// TestSubmitInThePastAfterRun: a job submitted after Run with a submit
+// time already passed is accepted, as the daemon accepts it, and is live
+// at the next cycle.
+func TestSubmitInThePastAfterRun(t *testing.T) {
+	r := mustRunner(t, Config{
+		Cluster: mustCluster(t, 1, 1000, 2000), CycleSeconds: 60,
+		Dynamic: &DynamicConfig{}, Costs: cluster.FreeCostModel(),
+	})
+	if err := r.Run(120); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := r.Submit(batch.SingleStage("late", 1e6, 1000, 750, 30, 1e5)); err != nil {
+		t.Fatalf("Submit at %v with submit time 30: %v", r.Now(), err)
+	}
+	if err := r.Run(180); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if j := r.Jobs()[0]; j.Status != scheduler.Running {
+		t.Fatalf("status %v after the next cycle, want Running", j.Status)
+	}
+}
+
 func TestCompletionUtilitiesSeries(t *testing.T) {
 	cl := mustCluster(t, 1, 1000, 2000)
 	r := mustRunner(t, Config{

@@ -98,7 +98,9 @@ func RunExperiment1(opts Experiment1Options) (*Experiment1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := trace.Experiment1Workload(opts.Seed, opts.Jobs)
+	// Always the paper's 260 s mean: opts.MeanInterarrival is only
+	// reported, and the scaled test options that set it were tuned at 260.
+	specs := trace.Experiment1Workload(opts.Seed, opts.Jobs, 260)
 	if err := runner.SubmitAll(specs); err != nil {
 		return nil, err
 	}

@@ -237,32 +237,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// JainIndex returns Jain's fairness index of the values shifted into the
-// positive range: (Σx)²/(n·Σx²) after x ← x − min + 1. It is 1.0 when
-// all values are equal and approaches 1/n as one value dominates — a
-// scalar summary of how evenly a policy spreads goal satisfaction.
-func JainIndex(values []float64) float64 {
-	if len(values) == 0 {
-		return 1
-	}
-	min := values[0]
-	for _, v := range values {
-		if v < min {
-			min = v
-		}
-	}
-	var sum, sumSq float64
-	for _, v := range values {
-		x := v - min + 1
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(values)) * sumSq)
-}
-
 // Counter accumulates named integer counts deterministically. It is
 // not safe for concurrent use; the caller serializes writers against
 // readers (the daemon increments and reads only under its control-loop

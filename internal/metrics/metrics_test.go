@@ -155,32 +155,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestJainIndex(t *testing.T) {
-	if got := JainIndex(nil); got != 1 {
-		t.Fatalf("empty = %v, want 1", got)
-	}
-	if got := JainIndex([]float64{5, 5, 5}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("equal values = %v, want 1", got)
-	}
-	// One dominant value drives the index toward 1/n.
-	skewed := JainIndex([]float64{0, 0, 0, 1000})
-	if skewed > 0.3 {
-		t.Fatalf("skewed = %v, want near 1/4", skewed)
-	}
-	// More even distributions score higher.
-	even := JainIndex([]float64{10, 12, 9, 11})
-	uneven := JainIndex([]float64{1, 40, 2, 3})
-	if even <= uneven {
-		t.Fatalf("even %v should exceed uneven %v", even, uneven)
-	}
-	// Shift invariance: adding a constant does not change the index.
-	a := JainIndex([]float64{1, 2, 3})
-	b := JainIndex([]float64{101, 102, 103})
-	if math.Abs(a-b) > 1e-12 {
-		t.Fatalf("shift changed index: %v vs %v", a, b)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	c := NewCounter()
 	c.Inc("suspend", 2)

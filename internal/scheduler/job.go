@@ -8,7 +8,6 @@ package scheduler
 
 import (
 	"fmt"
-	"math"
 
 	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
@@ -121,7 +120,11 @@ func (j *Job) Evict() {
 
 // AdvanceTo progresses the job to virtual time now at its current speed,
 // honoring the action-cost block and per-stage speed caps. If the job
-// finishes, it transitions to Completed with the exact completion time.
+// finishes, it transitions to Completed with the exact completion time,
+// however far past it now is. This is the only job clock: both cycle
+// hosts call it only when the planner reads the job (each cycle, at a
+// node failure, and at the end of a simulated run), so a job completes
+// at the same instant, bit for bit, on either host.
 func (j *Job) AdvanceTo(now float64) {
 	if now <= j.lastAdvance {
 		return
@@ -147,22 +150,6 @@ func (j *Job) AdvanceTo(now float64) {
 		j.LastNode = j.Node
 		j.Node = NoNode
 	}
-}
-
-// FinishTime predicts when the job completes at its current allocation,
-// or +Inf if it is not progressing.
-func (j *Job) FinishTime() float64 {
-	if j.Status == Completed {
-		return j.CompletedAt
-	}
-	if j.Status != Running || j.SpeedMHz <= 0 {
-		return math.Inf(1)
-	}
-	start := j.lastAdvance
-	if j.BlockedUntil > start {
-		start = j.BlockedUntil
-	}
-	return start + j.Spec.TimeToFinish(j.Done, j.SpeedMHz)
 }
 
 // DistanceToGoal returns the paper's Figure 5 metric: deadline minus

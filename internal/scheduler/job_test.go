@@ -92,20 +92,16 @@ func TestJobNoProgressWhenSuspendedOrPending(t *testing.T) {
 	}
 }
 
-func TestFinishTime(t *testing.T) {
+// TestAdvanceToCompletesBlockedJob: a read past the finish completes a
+// blocked job at the exact instant its work ran out, not at the read.
+func TestAdvanceToCompletesBlockedJob(t *testing.T) {
 	j := NewJob(spec("j", 4000, 1000, 100, 0, 20))
-	if !math.IsInf(j.FinishTime(), 1) {
-		t.Fatal("pending job has finite finish time")
-	}
 	j.Status = Running
 	j.SpeedMHz = 500
 	j.BlockedUntil = 1
-	if got := j.FinishTime(); math.Abs(got-9) > 1e-9 {
-		t.Fatalf("FinishTime = %v, want 9 (block 1 + 4000/500)", got)
-	}
-	j.AdvanceTo(9)
-	if got := j.FinishTime(); math.Abs(got-9) > 1e-9 {
-		t.Fatalf("completed FinishTime = %v, want 9", got)
+	j.AdvanceTo(20)
+	if j.Status != Completed || j.CompletedAt != 9 {
+		t.Fatalf("status %v at %v, want Completed at exactly 9 (block 1 + 4000/500)", j.Status, j.CompletedAt)
 	}
 }
 

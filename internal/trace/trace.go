@@ -1,13 +1,10 @@
-// Package trace generates the paper's experiment workloads and reads and
-// writes job traces as JSON, so experiments are reproducible and
+// Package trace generates the paper's experiment workloads and the
+// mixed-workload replay traces, so experiments are reproducible and
 // shareable between the CLI tools and the benchmark harness.
 package trace
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"dynplace/internal/batch"
@@ -40,11 +37,12 @@ func Experiment1Job(name string, submit float64) *batch.Spec {
 	return batch.SingleStage(name, work, maxSpeed, memory, submit, submit+goalFactor*minExec)
 }
 
-// Experiment1Workload generates the 800 identical jobs of Experiment One
-// with exponential inter-arrivals of mean 260 s.
-func Experiment1Workload(seed int64, jobs int) []*batch.Spec {
+// Experiment1Workload generates the identical jobs of Experiment One with
+// exponential inter-arrivals of the given mean (the paper: 800 jobs,
+// mean 260 s).
+func Experiment1Workload(seed int64, jobs int, meanInterarrival float64) []*batch.Spec {
 	rng := rand.New(rand.NewSource(seed))
-	arrivals := ExponentialArrivals(rng, 0, 260, jobs)
+	arrivals := ExponentialArrivals(rng, 0, meanInterarrival, jobs)
 	out := make([]*batch.Spec, jobs)
 	for i, t := range arrivals {
 		out[i] = Experiment1Job(fmt.Sprintf("job-%04d", i), t)
@@ -146,81 +144,4 @@ func Experiment3Workload(seed int64, heavyJobs, lightJobs int, heavyInterarrival
 		out[i] = Experiment1Job(fmt.Sprintf("job-%04d", i), t)
 	}
 	return out
-}
-
-// jobJSON is the serialized form of a job spec.
-type jobJSON struct {
-	Name         string      `json:"name"`
-	Stages       []stageJSON `json:"stages"`
-	Submit       float64     `json:"submitSeconds"`
-	DesiredStart float64     `json:"desiredStartSeconds"`
-	Deadline     float64     `json:"deadlineSeconds"`
-}
-
-type stageJSON struct {
-	WorkMcycles float64 `json:"workMcycles"`
-	MaxSpeedMHz float64 `json:"maxSpeedMHz"`
-	MinSpeedMHz float64 `json:"minSpeedMHz,omitempty"`
-	MemoryMB    float64 `json:"memoryMB"`
-}
-
-// WriteJSON serializes a job trace.
-func WriteJSON(w io.Writer, specs []*batch.Spec) error {
-	out := make([]jobJSON, len(specs))
-	for i, s := range specs {
-		if s == nil {
-			return errors.New("trace: nil spec")
-		}
-		stages := make([]stageJSON, len(s.Stages))
-		for j, st := range s.Stages {
-			stages[j] = stageJSON{
-				WorkMcycles: st.WorkMcycles,
-				MaxSpeedMHz: st.MaxSpeedMHz,
-				MinSpeedMHz: st.MinSpeedMHz,
-				MemoryMB:    st.MemoryMB,
-			}
-		}
-		out[i] = jobJSON{
-			Name:         s.Name,
-			Stages:       stages,
-			Submit:       s.Submit,
-			DesiredStart: s.DesiredStart,
-			Deadline:     s.Deadline,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ReadJSON deserializes and validates a job trace.
-func ReadJSON(r io.Reader) ([]*batch.Spec, error) {
-	var in []jobJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	out := make([]*batch.Spec, len(in))
-	for i, j := range in {
-		stages := make([]batch.Stage, len(j.Stages))
-		for k, st := range j.Stages {
-			stages[k] = batch.Stage{
-				WorkMcycles: st.WorkMcycles,
-				MaxSpeedMHz: st.MaxSpeedMHz,
-				MinSpeedMHz: st.MinSpeedMHz,
-				MemoryMB:    st.MemoryMB,
-			}
-		}
-		spec := &batch.Spec{
-			Name:         j.Name,
-			Stages:       stages,
-			Submit:       j.Submit,
-			DesiredStart: j.DesiredStart,
-			Deadline:     j.Deadline,
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: job %d: %w", i, err)
-		}
-		out[i] = spec
-	}
-	return out, nil
 }
