@@ -83,7 +83,7 @@ func runExperiment1(out io.Writer, nodes, jobs int, seed int64, points int) erro
 	opts.Jobs = jobs
 	opts.Seed = seed
 	fmt.Fprintf(out, "Experiment One: %d nodes, %d jobs, exp(%v s) arrivals, T=%v s\n",
-		opts.Nodes, opts.Jobs, opts.MeanInterarrival, opts.CycleSeconds)
+		opts.Nodes, opts.Jobs, experiments.Experiment1Interarrival, opts.CycleSeconds)
 	res, err := experiments.RunExperiment1(opts)
 	if err != nil {
 		return err

@@ -49,6 +49,7 @@ func deepCopyAllocs(ev *Evaluation) float64 {
 		cp.PerApp = append([]float64(nil), ev.PerApp...)
 		cp.Utilities = append([]float64(nil), ev.Utilities...)
 		cp.Vector = append(cp.Vector[:0:0], ev.Vector...)
+		cp.brackets = append(cp.brackets[:0:0], ev.brackets...)
 		if ev.WebShares != nil {
 			cp.WebShares = make(map[int][]float64, len(ev.WebShares))
 			for app, s := range ev.WebShares {
@@ -125,7 +126,7 @@ func TestWarmEvaluateAllocatesOnlyItsResult(t *testing.T) {
 		tbl := new(table)
 		tbl.build(p)
 		ctx := &evalContext{t: tbl}
-		ctx.rebase(pl)
+		ctx.rebase(pl, nil)
 		cand := pl.Clone()
 		cand.Remove(webs+2, 2)
 		cand.Add(webs+25, 2) // a queued job takes the freed slot

@@ -75,17 +75,19 @@ func Evaluate(p *Problem, pl *Placement) (*Evaluation, error) {
 	ar := arenas.Get().(*arena)
 	defer arenas.Put(ar)
 	ar.tbl.build(p)
-	return ar.evaluate(&ar.tbl, pl, false)
+	return ar.evaluate(&ar.tbl, pl, false, nil)
 }
 
 // evaluate runs the CPU-distribution solve for pl and derives the
 // per-application predictions. Shared by the full and incremental
 // evaluation paths, which differ only in how feasibility of the
 // placement's memory/anti-collocation constraints is established
-// (skipMemCheck: the caller already has).
-func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool) (*Evaluation, error) {
+// (skipMemCheck: the caller already has). hints seed the level searches
+// (allocator.level); they change the work, never the result.
+func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool, hints [][2]float64) (*Evaluation, error) {
 	p, al := t.p, &ar.al
 	al.aim(t, pl)
+	al.hints = hints
 	perApp, shares, ok, err := al.solve(skipMemCheck)
 	if err != nil {
 		return nil, err
@@ -186,7 +188,9 @@ func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool) (*Evaluati
 // of re-running the full O(nodes × apps) memory scan per candidate,
 // feasibility is re-established on the touched nodes alone. The
 // CPU-distribution solve itself is unchanged, which keeps incremental
-// scores bit-identical to Evaluate's.
+// scores bit-identical to Evaluate's; it only starts each level search
+// from the base's bracket for the same round, which skips most of the
+// probes when the candidate's level is the base's.
 //
 // Between rebase calls the context is read-only to evaluate, which is
 // what the evaluation workers call concurrently (each with its own
@@ -197,6 +201,8 @@ type evalContext struct {
 	base *Placement
 	// residents indexes the base placement by node.
 	residents residentIndex
+	// hints are the base's level-search brackets (allocator.brackets).
+	hints [][2]float64
 	// gen is the candidate generators' scratch.
 	gen genScratch
 }
@@ -204,10 +210,13 @@ type evalContext struct {
 // rebase makes base the placement candidates are derived from. The base
 // must satisfy the memory and anti-collocation constraints (the
 // optimizer guarantees this: the initial placement is repaired and every
-// adopted candidate was evaluated feasible).
-func (c *evalContext) rebase(base *Placement) {
+// adopted candidate was evaluated feasible). hints are the brackets of
+// base's evaluation by this context (Evaluation.brackets), nil before
+// there is one.
+func (c *evalContext) rebase(base *Placement, hints [][2]float64) {
 	c.base = base
 	c.residents.build(base, len(c.t.nodeCaps))
+	c.hints = hints
 }
 
 // evaluate scores a candidate placement incrementally. When the problem
@@ -220,7 +229,10 @@ func (c *evalContext) evaluate(ar *arena, cand *Placement) (*Evaluation, error) 
 	if !c.feasibleDelta(ar, cand) {
 		return &Evaluation{Feasible: false}, nil
 	}
-	ev, err := ar.evaluate(c.t, cand, true)
+	ev, err := ar.evaluate(c.t, cand, true, c.hints)
+	if err == nil && ev.Feasible {
+		ev.brackets = slices.Clone(ar.al.brackets)
+	}
 	if err != nil || !c.t.p.VerifyIncremental {
 		return ev, err
 	}

@@ -78,7 +78,7 @@ func Optimize(p *Problem) (*Result, error) {
 	t := &pool.own.tbl
 	t.build(p)
 	ctx := &evalContext{t: t}
-	ctx.rebase(current)
+	ctx.rebase(current, nil)
 	best, err := ctx.evaluate(pool.own, current)
 	if err != nil {
 		return nil, err
@@ -87,6 +87,7 @@ func Optimize(p *Problem) (*Result, error) {
 	if !best.Feasible {
 		return nil, fmt.Errorf("%w even after repair", ErrInfeasible)
 	}
+	ctx.hints = best.brackets
 
 	eps := p.epsilon()
 	bestQ := best.Vector.Quantize(eps)
@@ -116,7 +117,7 @@ func Optimize(p *Problem) (*Result, error) {
 			}
 		}
 		if adopted {
-			ctx.rebase(current)
+			ctx.rebase(current, best.brackets)
 		}
 		// The per-node loop is sequential by construction — each node's
 		// candidates are generated against the incumbent chosen so far —
@@ -199,7 +200,7 @@ func Optimize(p *Problem) (*Result, error) {
 					current, best, bestQ = bestCand, bestEval, bestCandQ
 					improved = true
 					adopted = true
-					ctx.rebase(current)
+					ctx.rebase(current, best.brackets)
 					break // rest of the window is stale
 				}
 			}

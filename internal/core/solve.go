@@ -143,8 +143,14 @@ type Evaluation struct {
 	// Probes counts the bisection feasibility probes the allocation
 	// solve made for this placement, FlowSolves the max-flow runs among
 	// them (plus the one that splits web shares). They are work counts,
-	// set on infeasible evaluations too.
+	// set on infeasible evaluations too, and smaller for Optimize's
+	// candidates, whose level searches start from the incumbent's.
 	Probes, FlowSolves int
+
+	// brackets are the level searches' final brackets
+	// (allocator.brackets), kept on Optimize's feasible candidates so an
+	// adopted one seeds the next candidates' searches.
+	brackets [][2]float64
 }
 
 const (
@@ -199,6 +205,12 @@ type allocator struct {
 	// work counters, copied into the Evaluation.
 	probes, flowSolves int
 
+	// brackets records each level search's final (lo, hi), or (1, 1)
+	// when level 1 was feasible, one per call since aim; hints, when
+	// set, are another placement's brackets that the searches of the
+	// same index start from (see level).
+	brackets, hints [][2]float64
+
 	// scratch
 	jobDemand, webDemand []float64
 	active, blocked      []int
@@ -227,6 +239,7 @@ func (al *allocator) aim(t *table, pl *Placement) {
 	al.jobNodes, al.webHosts = al.jobNodes[:0], al.webHosts[:0]
 	al.netBuilt = false
 	al.probes, al.flowSolves = 0, 0
+	al.brackets, al.hints = al.brackets[:0], nil
 
 	if len(al.frozen) < len(t.apps) {
 		al.frozen = make([]bool, len(t.apps))
@@ -456,23 +469,69 @@ func (al *allocator) capacitate(demand, residual []float64) error {
 // level is the highest utility level every unfrozen app can reach at
 // once, the frozen ones held at their fixed demands: 1 if that is
 // feasible, else the feasible end of levelIterations halvings of
-// [rpf.MinUtility, 1], which the caller has checked is feasible. It
-// costs at most levelIterations+1 probes. Explain's probeUtility calls it
-// too, so an explanation reports a level found the way solve finds its
-// own, to the same precision.
+// [rpf.MinUtility, 1], which the caller has checked is feasible. Explain's
+// probeUtility calls it too, so an explanation reports a level found the
+// way solve finds its own, to the same precision.
+//
+// Every app's demandAt at a level u ≤ t.monotoneTo is at most its
+// demandAt at any level above u (only an unbounded web app's curve bends
+// back, and above monotoneTo), and rounding keeps the node sums monotone.
+// So a probe at a feasible level f settles every level ≤ min(f,
+// monotoneTo), and one at an infeasible level g ≤ monotoneTo every level
+// ≥ g. The search uses that to skip probes without changing its answer:
+// it first probes a ladder around hints[r], the bracket another
+// placement's r-th search ended with — a candidate usually shares the
+// incumbent's level bit for bit — and then replays the bisection,
+// probing only the midpoints the ladder left open. The (lo, hi)
+// sequence, and so the result, is the unhinted search's whatever the
+// hints hold; they only change how many of its levelIterations+1 probes
+// are made, plus at most six ladder probes.
 func (al *allocator) level() float64 {
+	top := al.t.monotoneTo
+	f, g := rpf.MinUtility, math.Inf(1) // known feasible, known infeasible
+	probe := func(u float64) bool {
+		if al.feasible(u, -1) {
+			f = max(f, u)
+			return true
+		}
+		if u <= top {
+			g = u
+		}
+		return false
+	}
+	if r := len(al.brackets); r < len(al.hints) {
+		hl, hh := al.hints[r][0], al.hints[r][1]
+		for _, h := range [...]float64{hl, hh, hl - probeDelta, hh + probeDelta, hl - 1, hh + 1} {
+			// Probe only rungs the search has not settled and that it
+			// could ask about: none lies above 1. This also skips NaN.
+			if h > f && h < g && h <= 1 {
+				probe(h)
+			}
+		}
+	}
+	test := func(u float64) bool {
+		switch {
+		case u <= f && u <= top:
+			return true
+		case u >= g:
+			return false
+		}
+		return probe(u)
+	}
 	lo, hi := rpf.MinUtility, 1.0
-	if al.feasible(hi, -1) {
+	if test(hi) {
+		al.brackets = append(al.brackets, [2]float64{hi, hi})
 		return hi
 	}
 	for i := 0; i < levelIterations; i++ {
 		mid := lo + (hi-lo)/2
-		if al.feasible(mid, -1) {
+		if test(mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
+	al.brackets = append(al.brackets, [2]float64{lo, hi})
 	return lo
 }
 

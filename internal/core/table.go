@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"dynplace/internal/batch"
@@ -38,12 +39,18 @@ type table struct {
 	// anti-collocation relation; when none does, collocation checks are
 	// skipped entirely.
 	conflicts bool
+	// monotoneTo bounds the levels where every demand curve is monotone:
+	// an unbounded web app (MaxPowerMHz 0) needs more than its webMax
+	// between MaxDemand's level, webCap−1e-3, and webCap, where
+	// demandAt drops back to webMax. +Inf when there is no such app.
+	monotoneTo float64
 }
 
 // build fills the table for p, reusing its storage.
 func (t *table) build(p *Problem) {
 	t.p = p
 	t.conflicts = false
+	t.monotoneTo = math.Inf(1)
 	t.apps = slices.Grow(t.apps[:0], len(p.Apps))[:len(p.Apps)]
 	for i, a := range p.Apps {
 		c := appConsts{}
@@ -51,6 +58,9 @@ func (t *table) build(p *Problem) {
 		case KindWeb:
 			c.web = a.Web
 			c.webCap, c.webMax, c.mem = a.Web.UtilityCap(), a.Web.MaxDemand(), a.Web.MemoryMB
+			if a.Web.MaxPowerMHz <= 0 {
+				t.monotoneTo = min(t.monotoneTo, c.webCap-1e-3)
+			}
 		case KindBatch:
 			c.job = a.Job.ConstsAt(a.Done, p.Now)
 			c.mem = c.job.Memory

@@ -34,6 +34,10 @@ func paperNodes(count int) (*cluster.Cluster, error) {
 	return cluster.Uniform(count, 4*3900, 16384)
 }
 
+// Experiment1Interarrival is Experiment One's mean exponential
+// inter-arrival time in seconds, the paper's 260 at every scale.
+const Experiment1Interarrival = 260.0
+
 // Experiment1Options parameterizes Experiment One. The zero value is not
 // meaningful; use DefaultExperiment1Options (the paper's settings) and
 // scale down for quick runs.
@@ -42,8 +46,6 @@ type Experiment1Options struct {
 	Nodes int
 	// Jobs is the number of identical jobs submitted (paper: 800).
 	Jobs int
-	// MeanInterarrival is the exponential inter-arrival mean (paper: 260).
-	MeanInterarrival float64
 	// CycleSeconds is the control cycle (paper: 600).
 	CycleSeconds float64
 	// Seed drives the arrival process.
@@ -53,11 +55,10 @@ type Experiment1Options struct {
 // DefaultExperiment1Options returns the paper's Experiment One settings.
 func DefaultExperiment1Options() Experiment1Options {
 	return Experiment1Options{
-		Nodes:            25,
-		Jobs:             800,
-		MeanInterarrival: 260,
-		CycleSeconds:     600,
-		Seed:             1,
+		Nodes:        25,
+		Jobs:         800,
+		CycleSeconds: 600,
+		Seed:         1,
 	}
 }
 
@@ -98,9 +99,7 @@ func RunExperiment1(opts Experiment1Options) (*Experiment1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Always the paper's 260 s mean: opts.MeanInterarrival is only
-	// reported, and the scaled test options that set it were tuned at 260.
-	specs := trace.Experiment1Workload(opts.Seed, opts.Jobs, 260)
+	specs := trace.Experiment1Workload(opts.Seed, opts.Jobs, Experiment1Interarrival)
 	if err := runner.SubmitAll(specs); err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ func scaled1() Experiment1Options {
 	o := DefaultExperiment1Options()
 	o.Nodes = 6
 	o.Jobs = 60
-	o.MeanInterarrival = 260 * 25 / 6 // same per-node pressure
 	return o
 }
 

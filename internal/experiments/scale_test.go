@@ -67,6 +67,20 @@ func TestScaleProblemParallelIdentity(t *testing.T) {
 	requireSameResult(t, solveScaleProblem(t, 500, 1, false), solveScaleProblem(t, 500, 4, false))
 }
 
+// TestFlatSolveWorkCounts pins the solver's exact work on the 500-node
+// scale problem, the smallest size BenchmarkFlatSolve measures: its
+// candidates, allocation probes and max-flow solves. The counts do not
+// depend on the machine, so a change that makes the solver do more work
+// fails here rather than only reading slower in a benchmark.
+func TestFlatSolveWorkCounts(t *testing.T) {
+	res := solveScaleProblem(t, 500, 1, false)
+	type counts struct{ Candidates, Probes, FlowSolves int }
+	got := counts{res.CandidatesEvaluated, res.Probes, res.FlowSolves}
+	if want := (counts{Candidates: 176, Probes: 2833, FlowSolves: 2999}); got != want {
+		t.Errorf("500-node flat solve: %+v, want %+v", got, want)
+	}
+}
+
 // BenchmarkFlatSolve times one sequential flat placement solve of the
 // scale problem at 500, 1 000 and 2 000 nodes and reports the solver's
 // work beside the time: candidates, allocation probes and max-flow
