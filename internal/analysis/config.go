@@ -27,15 +27,14 @@ var deterministicPackages = []string{
 }
 
 // DefaultClockConfig is the repository allowlist for wall-clock
-// reads: command mains and examples, the experiment harness (it
-// measures real elapsed time), the observability layer (span and
-// histogram timing), and the WallClock implementation itself inside
-// the otherwise-deterministic daemon package.
+// reads: command mains, the experiment harness (it measures real
+// elapsed time), the observability layer (span and histogram timing),
+// and the WallClock implementation itself inside the
+// otherwise-deterministic daemon package.
 func DefaultClockConfig() ClockHygieneConfig {
 	return ClockHygieneConfig{
 		AllowedPackages: []string{
 			"dynplace/cmd/",
-			"dynplace/examples/",
 			"dynplace/internal/experiments",
 			"dynplace/internal/obs",
 		},

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"os"
 	"strings"
 )
@@ -112,24 +111,4 @@ func targetLine(lines []string, line, col int) int {
 		return next
 	}
 	return line
-}
-
-// HasIgnoreComment reports whether any comment in the group is an
-// ignore directive for the named analyzer — used by analyzers whose
-// findings attach to declarations rather than single lines.
-func HasIgnoreComment(cg *ast.CommentGroup, analyzer string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		rest, ok := strings.CutPrefix(c.Text, ignorePrefix+" ")
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) >= 2 && fields[0] == analyzer {
-			return true
-		}
-	}
-	return false
 }

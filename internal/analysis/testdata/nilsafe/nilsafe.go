@@ -19,7 +19,7 @@ func (p *Probe) Add(d int) {
 }
 
 // AddOne delegates to a guarded sibling — the one-liner wrapper
-// pattern ObserveSince/ObserveDuration use.
+// pattern ObserveSince uses.
 func (p *Probe) AddOne() { p.Add(1) }
 
 // Bad lacks the guard.

@@ -50,7 +50,7 @@ func refRequiredSpeed(s *Spec, u, done, now float64) (float64, bool) {
 	if u <= rpf.MinUtility {
 		return 0, true
 	}
-	t := s.CompletionForUtility(u)
+	t := s.Deadline - u*s.RelativeGoal()
 	if t <= now {
 		return capSpeed, false
 	}

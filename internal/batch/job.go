@@ -137,18 +137,6 @@ func (s *Spec) MemoryAt(done float64) float64 {
 	return s.Stages[i].MemoryMB
 }
 
-// MaxMemory returns the largest stage footprint; placement uses it as the
-// conservative reservation for multi-stage jobs.
-func (s *Spec) MaxMemory() float64 {
-	var mm float64
-	for _, st := range s.Stages {
-		if st.MemoryMB > mm {
-			mm = st.MemoryMB
-		}
-	}
-	return mm
-}
-
 // MaxSpeedAt returns the speed cap of the stage in progress.
 func (s *Spec) MaxSpeedAt(done float64) float64 {
 	i, _ := s.StageAt(done)
@@ -269,12 +257,6 @@ func (c *Consts) UtilityAtSpeed(omega float64) float64 {
 	return completionUtility(c.Deadline, c.RelativeGoal, c.Now+c.Remaining/omega)
 }
 
-// MinRemainingTime returns the shortest time to finish the outstanding
-// work, honoring per-stage speed caps.
-func (s *Spec) MinRemainingTime(done float64) float64 {
-	return s.ConstsAt(done, 0).MinTime
-}
-
 // Advance simulates running the job at allocated speed for dt seconds
 // starting from done megacycles, honoring per-stage speed caps, and
 // returns the new done value and the unused time (nonzero when the job
@@ -304,25 +286,6 @@ func (s *Spec) Advance(done, speed, dt float64) (newDone, idleTime float64) {
 	return done, 0
 }
 
-// TimeToFinish returns the time needed to complete the outstanding work
-// running at the given allocated speed (clamped per stage). It returns
-// +Inf when the speed is nonpositive and work remains.
-func (s *Spec) TimeToFinish(done, speed float64) float64 {
-	if s.Remaining(done) == 0 {
-		return 0
-	}
-	if speed <= 0 {
-		return math.Inf(1)
-	}
-	var t float64
-	idx, remIn := s.StageAt(done)
-	t += remIn / math.Min(speed, s.Stages[idx].MaxSpeedMHz)
-	for i := idx + 1; i < len(s.Stages); i++ {
-		t += s.Stages[i].WorkMcycles / math.Min(speed, s.Stages[i].MaxSpeedMHz)
-	}
-	return t
-}
-
 // completionUtility is equation (2): u = (τ − t)/(τ − τ^start).
 func completionUtility(deadline, relativeGoal, t float64) float64 {
 	return rpf.Clamp((deadline - t) / relativeGoal)
@@ -332,11 +295,6 @@ func completionUtility(deadline, relativeGoal, t float64) float64 {
 // completes at time t, equation (2).
 func (s *Spec) UtilityAtCompletion(t float64) float64 {
 	return completionUtility(s.Deadline, s.RelativeGoal(), t)
-}
-
-// CompletionForUtility inverts UtilityAtCompletion.
-func (s *Spec) CompletionForUtility(u float64) float64 {
-	return s.Deadline - u*s.RelativeGoal()
 }
 
 // UtilityCap, RequiredSpeed and UtilityAtSpeed are Consts' methods for

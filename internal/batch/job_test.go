@@ -155,9 +155,6 @@ func TestMultiStage(t *testing.T) {
 	if got := s.MemoryAt(1500); got != 1500 {
 		t.Fatalf("MemoryAt = %v, want 1500", got)
 	}
-	if got := s.MaxMemory(); got != 1500 {
-		t.Fatalf("MaxMemory = %v, want 1500", got)
-	}
 	if got := s.MaxSpeedAt(3100); got != 3000 {
 		t.Fatalf("MaxSpeedAt = %v, want 3000", got)
 	}
@@ -168,9 +165,9 @@ func TestMultiStage(t *testing.T) {
 	if math.Abs(done-1500) > 1e-9 || idle != 0 {
 		t.Fatalf("Advance across boundary = %v, %v; want 1500, 0", done, idle)
 	}
-	// MinRemainingTime is stage-aware.
-	if got, want := s.MinRemainingTime(1500), 3.0+0.1; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MinRemainingTime(1500) = %v, want %v", got, want)
+	// The minimum remaining time is stage-aware.
+	if got, want := s.ConstsAt(1500, 0).MinTime, 3.0+0.1; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("ConstsAt(1500, 0).MinTime = %v, want %v", got, want)
 	}
 }
 
@@ -184,9 +181,6 @@ func TestUtilityAtCompletion(t *testing.T) {
 	}
 	if got := j.UtilityAtCompletion(33); math.Abs(got+1) > 1e-12 {
 		t.Fatalf("u(33) = %v, want -1", got)
-	}
-	if got := j.CompletionForUtility(0.75); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("CompletionForUtility(0.75) = %v, want 5", got)
 	}
 }
 

@@ -94,21 +94,6 @@ func (c *Cluster) TotalMem() float64 {
 	return sum
 }
 
-// Subset returns a new cluster containing only the nodes whose current IDs
-// are listed, renumbered sequentially. Used to build the static partitions
-// of Experiment Three.
-func (c *Cluster) Subset(ids []NodeID) (*Cluster, error) {
-	nodes := make([]Node, 0, len(ids))
-	for _, id := range ids {
-		n, ok := c.Node(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: no node %d", ErrBadNode, id)
-		}
-		nodes = append(nodes, n)
-	}
-	return New(nodes...)
-}
-
 // CostModel gives the virtual-time cost, in seconds, of each placement
 // action. The default constants are the measurements reported in the
 // paper's Section 5 for a popular Intel virtualization product: linear in

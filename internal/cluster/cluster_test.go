@@ -72,27 +72,6 @@ func TestNodesReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	c, err := Uniform(5, 100, 200)
-	if err != nil {
-		t.Fatalf("Uniform: %v", err)
-	}
-	sub, err := c.Subset([]NodeID{3, 4})
-	if err != nil {
-		t.Fatalf("Subset: %v", err)
-	}
-	if sub.Len() != 2 {
-		t.Fatalf("subset Len = %d, want 2", sub.Len())
-	}
-	n, ok := sub.Node(0)
-	if !ok || n.ID != 0 {
-		t.Fatalf("subset nodes not renumbered: %+v", n)
-	}
-	if _, err := c.Subset([]NodeID{9}); err == nil {
-		t.Fatal("Subset with bad ID succeeded")
-	}
-}
-
 func TestDefaultCostModel(t *testing.T) {
 	cm := DefaultCostModel()
 	// The paper: Suspend = footprint * 0.0353 s, Resume = * 0.0333,

@@ -178,10 +178,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		cfg:        cfg,
 		sim:        sim.New(),
 		planner:    p,
-		hypoUtil:   metrics.NewSeries("batch hypothetical utility"),
-		batchAlloc: metrics.NewSeries("batch allocation MHz"),
-		queueLen:   metrics.NewSeries("queued jobs"),
-		changes:    metrics.NewSeries("placement changes"),
+		hypoUtil:   new(metrics.Series),
+		batchAlloc: new(metrics.Series),
+		queueLen:   new(metrics.Series),
+		changes:    new(metrics.Series),
 	}
 	for i, w := range cfg.WebApps {
 		var phases []LoadPhase
@@ -203,8 +203,8 @@ func (r *Runner) AddWebApp(app *txn.App, phases []LoadPhase) error {
 		return err
 	}
 	r.planner.ScheduleLoad(app.Name, phases)
-	r.webUtil = append(r.webUtil, metrics.NewSeries(app.Name+" utility"))
-	r.webAlloc = append(r.webAlloc, metrics.NewSeries(app.Name+" allocation MHz"))
+	r.webUtil = append(r.webUtil, new(metrics.Series))
+	r.webAlloc = append(r.webAlloc, new(metrics.Series))
 	return nil
 }
 
@@ -518,7 +518,7 @@ func (r *Runner) BatchAllocation() *metrics.Series { return r.batchAlloc }
 // WebUtility returns the utility series of web app i (Figure 6).
 func (r *Runner) WebUtility(i int) *metrics.Series {
 	if i < 0 || i >= len(r.webUtil) {
-		return metrics.NewSeries("missing")
+		return new(metrics.Series)
 	}
 	return r.webUtil[i]
 }
@@ -526,7 +526,7 @@ func (r *Runner) WebUtility(i int) *metrics.Series {
 // WebAllocation returns the allocation series of web app i (Figure 7).
 func (r *Runner) WebAllocation(i int) *metrics.Series {
 	if i < 0 || i >= len(r.webAlloc) {
-		return metrics.NewSeries("missing")
+		return new(metrics.Series)
 	}
 	return r.webAlloc[i]
 }

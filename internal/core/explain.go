@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dynplace/internal/cluster"
@@ -124,20 +125,16 @@ func Explain(p *Problem, res *Result, before []float64) *Explanation {
 	// One pass over the final placement builds the node → residents
 	// index the diagnoses scan; per-node OnNode lookups would make each
 	// denial O(nodes × apps) and dominate the whole call.
-	residents := make(map[cluster.NodeID][]int)
-	for app := 0; app < res.Placement.Apps(); app++ {
-		for _, n := range res.Placement.NodesOf(app) {
-			residents[n] = append(residents[n], app)
-		}
-	}
+	var residents residentIndex
+	residents.build(res.Placement, p.Cluster.Len())
 	for i := range p.Apps {
-		ex.Decisions[i] = explainApp(p, res, before, i, residents)
+		ex.Decisions[i] = explainApp(p, res, before, i, &residents)
 	}
 	return ex
 }
 
 func explainApp(p *Problem, res *Result, before []float64, app int,
-	residents map[cluster.NodeID][]int) AppDecision {
+	residents *residentIndex) AppDecision {
 	d := AppDecision{App: app}
 	if res.Eval != nil && app < len(res.Eval.Utilities) {
 		d.Utility = res.Eval.Utilities[app]
@@ -171,7 +168,7 @@ func explainApp(p *Problem, res *Result, before []float64, app int,
 		d.Outcome = OutcomeEvicted
 		diagnoseLostNodes(p, &d, was, residents)
 		return d
-	case sameNodes(was, now):
+	case slices.Equal(was, now):
 		d.Outcome = OutcomeKept
 		return d
 	}
@@ -207,7 +204,7 @@ func demands(a *Application) bool {
 // if one passes memory and collocation, probe it with a real candidate
 // evaluation.
 func diagnoseDenied(p *Problem, res *Result, d *AppDecision,
-	index map[cluster.NodeID][]int) {
+	index *residentIndex) {
 	a := p.Apps[d.App]
 	var (
 		anyAllowed   bool
@@ -223,7 +220,7 @@ func diagnoseDenied(p *Problem, res *Result, d *AppDecision,
 			continue
 		}
 		anyAllowed = true
-		residents := index[nd.ID]
+		residents := index.on(nd.ID)
 		mem := a.MemoryMB()
 		for _, r := range residents {
 			mem += p.Apps[r].MemoryMB()
@@ -338,7 +335,7 @@ func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, floa
 // node pins the binding constraint; otherwise the optimizer traded the
 // old spot away for utility.
 func diagnoseLostNodes(p *Problem, d *AppDecision, lost []cluster.NodeID,
-	index map[cluster.NodeID][]int) {
+	index *residentIndex) {
 	a := p.Apps[d.App]
 	stayable := false
 	for _, id := range lost {
@@ -351,7 +348,7 @@ func diagnoseLostNodes(p *Problem, d *AppDecision, lost []cluster.NodeID,
 			}
 			continue
 		}
-		residents := index[id]
+		residents := index.on(id)
 		mem := a.MemoryMB()
 		conflict := -1
 		for _, r := range residents {
@@ -396,19 +393,6 @@ func placedWebs(p *Problem, pl *Placement) int {
 		}
 	}
 	return n
-}
-
-// sameNodes reports set equality of two sorted node lists.
-func sameNodes(a, b []cluster.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // diffNodes returns the sorted elements of a not present in b.

@@ -510,12 +510,3 @@ func repair(p *Problem, pl *Placement) (bool, error) {
 	}
 	return repaired, nil
 }
-
-// UtilityOf is a convenience for reporting: the utility of one app in an
-// evaluation, or rpf.MinUtility if out of range.
-func (e *Evaluation) UtilityOf(app int) float64 {
-	if app < 0 || app >= len(e.Utilities) {
-		return rpf.MinUtility
-	}
-	return e.Utilities[app]
-}

@@ -90,11 +90,13 @@ func drawSchedule(seed int64) hostSchedule {
 	return s
 }
 
-// hostRun is what one host reports about a schedule: ω_G and the web
-// utility at each cycle, and each job's outcome by name.
+// hostRun is what one host reports about a schedule: ω_G, the web
+// utility and the web allocation at each cycle, the disruptive placement
+// changes over the run, and each job's outcome by name.
 type hostRun struct {
-	omegaG, webUtil []float64
-	jobs            map[string]dynplace.JobResult
+	omegaG, webUtil, webAlloc []float64
+	changes                   int
+	jobs                      map[string]dynplace.JobResult
 }
 
 // runSystem runs the schedule on the simulated host.
@@ -140,7 +142,11 @@ func runSystem(t *testing.T, s hostSchedule) hostRun {
 		for _, pt := range sys.WebUtilitySeries(s.web.Name) {
 			run.webUtil = append(run.webUtil, pt.Value)
 		}
+		for _, pt := range sys.WebAllocationSeries(s.web.Name) {
+			run.webAlloc = append(run.webAlloc, pt.Value)
+		}
 	}
+	run.changes = sys.PlacementChanges()
 	run.jobs = jobsByName(sys.JobResults())
 	return run
 }
@@ -191,8 +197,10 @@ func runDaemon(t *testing.T, s hostSchedule) hostRun {
 			t.Fatalf("t=%v: placement of t=%v, err %q", now, snap.Time, snap.Err)
 		}
 		run.omegaG = append(run.omegaG, snap.OmegaGMHz)
+		run.changes += snap.Changes
 		if s.web != nil {
 			run.webUtil = append(run.webUtil, snap.Web[0].Utility)
+			run.webAlloc = append(run.webAlloc, snap.Web[0].AllocMHz)
 		}
 	}
 	run.jobs = jobsByName(d.JobResults())
@@ -221,8 +229,9 @@ func firstDiff(a, b []float64) int {
 // TestHostsAgree runs seeded schedules — job submits, an optional web
 // app with load phases, node failure, drain and join — on the simulated
 // System and on a SimClock daemon. Both hosts run one control step, so
-// they must agree bit for bit: ω_G and the web utility at every cycle,
-// and every job's completion instant and action counts at the end.
+// they must agree bit for bit: ω_G, the web utility and the web
+// allocation at every cycle, and at the end the disruptive placement
+// changes and every job's completion instant and action counts.
 func TestHostsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		s := drawSchedule(seed)
@@ -232,6 +241,12 @@ func TestHostsAgree(t *testing.T) {
 		}
 		if i := firstDiff(sys.webUtil, dmn.webUtil); i >= 0 {
 			t.Fatalf("seed %d: web utility from cycle %d: System %v, daemon %v", seed, i, sys.webUtil[i:], dmn.webUtil[i:])
+		}
+		if i := firstDiff(sys.webAlloc, dmn.webAlloc); i >= 0 {
+			t.Fatalf("seed %d: web allocation from cycle %d: System %v, daemon %v", seed, i, sys.webAlloc[i:], dmn.webAlloc[i:])
+		}
+		if sys.changes != dmn.changes {
+			t.Fatalf("seed %d: placement changes: System %d, daemon %d", seed, sys.changes, dmn.changes)
 		}
 		for _, spec := range s.jobs {
 			a, okA := sys.jobs[spec.Name]

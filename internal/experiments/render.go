@@ -141,7 +141,7 @@ func sweepTable(title string, cells []*Experiment2Cell, format func(*Experiment2
 // seriesText renders a downsampled (time, value) series as one row per
 // point.
 func seriesText(name string, pts []metrics.Point, points int) string {
-	s := metrics.NewSeries(name)
+	s := new(metrics.Series)
 	for _, p := range pts {
 		s.Add(p.T, p.V)
 	}

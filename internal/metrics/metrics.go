@@ -27,17 +27,11 @@ type Point struct {
 	V float64
 }
 
-// Series is an append-only time series.
+// Series is an append-only time series. The zero value is empty and
+// ready to use.
 type Series struct {
-	name   string
 	points []Point
 }
-
-// NewSeries creates a named series.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
 
 // Add appends a sample.
 func (s *Series) Add(t, v float64) { s.points = append(s.points, Point{T: t, V: v}) }
@@ -87,13 +81,9 @@ func (s *Series) Downsample(n int) []Point {
 	return out
 }
 
-// Summary describes a sample distribution.
+// Summary describes a sample distribution by its five-number summary.
 type Summary struct {
-	Count                int
-	Min, Max, Mean       float64
-	P25, Median, P75     float64
-	P10, P90, StdDev     float64
-	SumOfSquaredResidual float64
+	Min, P25, Median, P75, Max float64
 }
 
 // Summarize computes distribution statistics. An empty input returns the
@@ -105,28 +95,12 @@ func Summarize(values []float64) Summary {
 	v := make([]float64, len(values))
 	copy(v, values)
 	sort.Float64s(v)
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	mean := sum / float64(len(v))
-	var ss float64
-	for _, x := range v {
-		d := x - mean
-		ss += d * d
-	}
 	return Summary{
-		Count:                len(v),
-		Min:                  v[0],
-		Max:                  v[len(v)-1],
-		Mean:                 mean,
-		P10:                  Quantile(v, 0.10),
-		P25:                  Quantile(v, 0.25),
-		Median:               Quantile(v, 0.50),
-		P75:                  Quantile(v, 0.75),
-		P90:                  Quantile(v, 0.90),
-		StdDev:               math.Sqrt(ss / float64(len(v))),
-		SumOfSquaredResidual: ss,
+		Min:    v[0],
+		P25:    Quantile(v, 0.25),
+		Median: Quantile(v, 0.50),
+		P75:    Quantile(v, 0.75),
+		Max:    v[len(v)-1],
 	}
 }
 

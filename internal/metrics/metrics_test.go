@@ -9,10 +9,7 @@ import (
 )
 
 func TestSeriesBasics(t *testing.T) {
-	s := NewSeries("util")
-	if s.Name() != "util" {
-		t.Fatalf("Name = %q", s.Name())
-	}
+	s := new(Series)
 	s.Add(0, 1)
 	s.Add(10, 2)
 	s.Add(20, 3)
@@ -39,13 +36,13 @@ func TestSeriesBasics(t *testing.T) {
 }
 
 func TestSeriesMeanEmpty(t *testing.T) {
-	if got := NewSeries("x").Mean(); got != 0 {
+	if got := new(Series).Mean(); got != 0 {
 		t.Fatalf("empty Mean = %v", got)
 	}
 }
 
 func TestDownsample(t *testing.T) {
-	s := NewSeries("x")
+	s := new(Series)
 	for i := 0; i < 100; i++ {
 		s.Add(float64(i), float64(i))
 	}
@@ -57,7 +54,7 @@ func TestDownsample(t *testing.T) {
 		t.Fatalf("Downsample endpoints = %v, %v", pts[0], pts[4])
 	}
 	// Fewer points than requested: unchanged.
-	s2 := NewSeries("y")
+	s2 := new(Series)
 	s2.Add(1, 1)
 	if got := s2.Downsample(10); len(got) != 1 {
 		t.Fatalf("small Downsample len = %d", len(got))
@@ -66,16 +63,10 @@ func TestDownsample(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	sum := Summarize([]float64{4, 1, 3, 2})
-	if sum.Count != 4 || sum.Min != 1 || sum.Max != 4 {
-		t.Fatalf("Summary = %+v", sum)
+	if want := (Summary{Min: 1, P25: 1.75, Median: 2.5, P75: 3.25, Max: 4}); sum != want {
+		t.Fatalf("Summary = %+v, want %+v", sum, want)
 	}
-	if sum.Mean != 2.5 {
-		t.Fatalf("Mean = %v", sum.Mean)
-	}
-	if sum.Median != 2.5 {
-		t.Fatalf("Median = %v", sum.Median)
-	}
-	if got := Summarize(nil); got.Count != 0 {
+	if got := Summarize(nil); got != (Summary{}) {
 		t.Fatalf("empty Summarize = %+v", got)
 	}
 }

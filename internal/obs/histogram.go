@@ -134,11 +134,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
-}
-
 // HistogramSnapshot is a point-in-time aggregate of a histogram:
 // per-bucket counts (not cumulative; the final entry is the +Inf
 // bucket), the observation total and the value sum.

@@ -43,15 +43,6 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n. Negative deltas are a programming error for a counter;
-// n is unsigned to make that unrepresentable.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -74,21 +65,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds d to the current value (CAS loop; safe for concurrent
-// adders).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // Value returns the current value.

@@ -135,10 +135,6 @@ func (s *striped) inc() {
 	s.cells[rand.Uint64()&stripeMask].v.Add(1)
 }
 
-func (s *striped) add(n uint64) {
-	s.cells[rand.Uint64()&stripeMask].v.Add(n)
-}
-
 func (s *striped) value() uint64 {
 	var total uint64
 	for i := range s.cells {

@@ -1,5 +1,8 @@
-// Package rpf defines relative performance functions (RPFs) and the
-// ordered utility vectors the placement controller optimizes.
+// Package rpf defines the utility range of relative performance
+// functions (RPFs) and the ordered utility vectors the placement
+// controller optimizes. The paper's two RPFs live with their workload
+// models: the queueing-model RPF of web applications in internal/txn,
+// the completion-time RPF of batch jobs in internal/batch.
 //
 // A relative performance function measures an application's performance
 // relative to its goal: 0 exactly at the goal, positive when the goal is
@@ -23,22 +26,6 @@ const MinUtility = -1e9
 // MaxUtility is the largest meaningful relative performance: completing
 // work instantaneously relative to its goal window.
 const MaxUtility = 1.0
-
-// Curve maps a CPU allocation (MHz) to a relative performance value, and
-// back. Curves must be monotonically nondecreasing in the allocation.
-type Curve interface {
-	// UtilityAt returns the relative performance attained with an
-	// aggregate allocation of omega MHz.
-	UtilityAt(omega float64) float64
-	// DemandFor returns the smallest allocation achieving utility u, or
-	// MaxDemand() if u is unreachable.
-	DemandFor(u float64) float64
-	// UtilityCap returns the maximum achievable utility.
-	UtilityCap() float64
-	// MaxDemand returns the largest useful allocation: allocating more
-	// than this does not improve utility.
-	MaxDemand() float64
-}
 
 // Clamp bounds u to the representable utility range.
 func Clamp(u float64) float64 {
@@ -148,30 +135,4 @@ func (v Vector) Quantize(step float64) Vector {
 
 func (v Vector) String() string {
 	return fmt.Sprintf("%.3f", []float64(v))
-}
-
-// Linear is the paper's linear RPF shape u(t) = (goal − t) / window,
-// reusable by both workload models: for transactional applications the
-// window is the response-time goal itself; for batch jobs it is the
-// relative goal (completion goal minus desired start).
-type Linear struct {
-	// Goal is the target metric value (response time or completion time)
-	// at which utility is exactly zero.
-	Goal float64
-	// Window scales the distance from the goal; utility is 1.0 when the
-	// metric is Goal−Window "early".
-	Window float64
-}
-
-// Utility returns (Goal − observed) / Window, clamped.
-func (l Linear) Utility(observed float64) float64 {
-	if l.Window <= 0 {
-		return MinUtility
-	}
-	return Clamp((l.Goal - observed) / l.Window)
-}
-
-// Metric inverts Utility: the observed value that yields utility u.
-func (l Linear) Metric(u float64) float64 {
-	return l.Goal - u*l.Window
 }

@@ -140,39 +140,6 @@ func TestQuickMonotone(t *testing.T) {
 	}
 }
 
-func TestLinear(t *testing.T) {
-	l := Linear{Goal: 20, Window: 20}
-	if got := l.Utility(20); got != 0 {
-		t.Fatalf("Utility(goal) = %v, want 0", got)
-	}
-	if got := l.Utility(6); math.Abs(got-0.7) > 1e-12 {
-		t.Fatalf("Utility(6) = %v, want 0.7", got)
-	}
-	if got := l.Metric(0.7); math.Abs(got-6) > 1e-12 {
-		t.Fatalf("Metric(0.7) = %v, want 6", got)
-	}
-	// Degenerate window.
-	bad := Linear{Goal: 10, Window: 0}
-	if got := bad.Utility(5); got != MinUtility {
-		t.Fatalf("zero-window utility = %v, want MinUtility", got)
-	}
-}
-
-// Property: Linear Utility/Metric round-trip within the clamp range.
-func TestQuickLinearRoundTrip(t *testing.T) {
-	l := Linear{Goal: 100, Window: 60}
-	f := func(raw float64) bool {
-		if math.IsNaN(raw) || math.IsInf(raw, 0) {
-			return true
-		}
-		u := math.Mod(math.Abs(raw), 1.9) - 0.9 // in (-0.9, 1.0)
-		return math.Abs(l.Utility(l.Metric(u))-u) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestVectorMinEmpty(t *testing.T) {
 	if got := (Vector{}).Min(); got != MaxUtility {
 		t.Fatalf("empty Min = %v, want MaxUtility", got)

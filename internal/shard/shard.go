@@ -205,9 +205,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return &Coordinator{cfg: cfg, assign: make(map[string]int)}, nil
 }
 
-// Count returns the configured zone count.
-func (c *Coordinator) Count() int { return c.cfg.Count }
-
 // Assignments returns a copy of the current application→zone map.
 func (c *Coordinator) Assignments() map[string]int {
 	out := make(map[string]int, len(c.assign))

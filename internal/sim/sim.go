@@ -24,9 +24,6 @@ type Time float64
 // Duration is a span of virtual time in seconds.
 type Duration = float64
 
-// Before reports whether t is strictly earlier than other.
-func (t Time) Before(other Time) bool { return t < other }
-
 // Add returns the time d seconds after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

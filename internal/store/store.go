@@ -154,9 +154,6 @@ func Open(dir string) (*Store, error) {
 func (s *Store) walPath() string  { return filepath.Join(s.dir, walName) }
 func (s *Store) snapPath() string { return filepath.Join(s.dir, snapName) }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // Info reports the store's current durability gauges.
 func (s *Store) Info() Info {
 	info := Info{

@@ -46,9 +46,6 @@ type App struct {
 	MaxPowerMHz float64
 	// MemoryMB is the load-independent memory footprint of one instance.
 	MemoryMB float64
-	// MinInstancePowerMHz is the smallest meaningful CPU share for one
-	// instance (placement below this is pointless). Optional.
-	MinInstancePowerMHz float64
 	// AntiCollocate lists application names this one must never share a
 	// node with — a placement constraint carried with the app.
 	AntiCollocate []string
@@ -187,22 +184,3 @@ func (a *App) MaxDemand() float64 {
 	t := a.GoalResponseTime * (1 - nearCap)
 	return a.saturationDemand() + a.percentileFactor()*a.DemandPerRequest/(t-a.BaseLatency)
 }
-
-// Curve adapts the app model to the rpf.Curve interface.
-type Curve struct {
-	App *App
-}
-
-var _ rpf.Curve = Curve{}
-
-// UtilityAt implements rpf.Curve.
-func (c Curve) UtilityAt(omega float64) float64 { return c.App.Utility(omega) }
-
-// DemandFor implements rpf.Curve.
-func (c Curve) DemandFor(u float64) float64 { return c.App.Demand(u) }
-
-// UtilityCap implements rpf.Curve.
-func (c Curve) UtilityCap() float64 { return c.App.UtilityCap() }
-
-// MaxDemand implements rpf.Curve.
-func (c Curve) MaxDemand() float64 { return c.App.MaxDemand() }

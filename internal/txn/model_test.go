@@ -138,23 +138,6 @@ func TestQuickMonotoneAndInverse(t *testing.T) {
 	}
 }
 
-func TestCurveInterface(t *testing.T) {
-	a := experiment3App()
-	var c rpf.Curve = Curve{App: a}
-	if got, want := c.UtilityAt(100000), a.Utility(100000); got != want {
-		t.Fatalf("UtilityAt = %v, want %v", got, want)
-	}
-	if got, want := c.DemandFor(0.3), a.Demand(0.3); got != want {
-		t.Fatalf("DemandFor = %v, want %v", got, want)
-	}
-	if got, want := c.UtilityCap(), a.UtilityCap(); got != want {
-		t.Fatalf("UtilityCap = %v, want %v", got, want)
-	}
-	if got, want := c.MaxDemand(), a.MaxDemand(); got != want {
-		t.Fatalf("MaxDemand = %v, want %v", got, want)
-	}
-}
-
 func TestPercentileGoal(t *testing.T) {
 	mean := experiment3App()
 	p95 := experiment3App()
