@@ -55,7 +55,7 @@ shuffle:
 
 # The CI bench-smoke job: one run of the reactive-vs-forecast replay
 # sweep, which gates forecast-driven control against reactive, and of
-# the flat solve at 500-2 000 nodes; then the two solver
+# the flat solve at 500-5 000 nodes; then the two solver
 # micro-benchmarks. Each prints the solver's work counts (candidates,
 # probes, flow solves per op) beside time; the flat solve and the
 # micro-benchmarks also print bytes and objects per op.

@@ -9,7 +9,7 @@ package dynplace_test
 //	go test -run '^$' -bench . -benchmem
 //
 // The paper's figures and tables render from cmd/mixedsim; the flat
-// solve at 500-2 000 nodes is BenchmarkFlatSolve in
+// solve at 500-5 000 nodes is BenchmarkFlatSolve in
 // internal/experiments.
 
 import (

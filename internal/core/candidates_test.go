@@ -7,18 +7,21 @@ import (
 	"dynplace/internal/cluster"
 )
 
-// TestCandidateCountJumpsWithOneAppBelowCap pins why BenchmarkFlatSolve's
-// candidate count jumps from 176 at 500 nodes to 4 247 at 1 000 (ROADMAP):
-// the count is not a function of cluster size but of whether any
-// application is short of its utility cap. With every application at its
-// cap (and none queued) addableApps is empty on every node, so only
-// occupied nodes emit candidates — one pure removal per resident. One
-// application below its cap is addable on every node that has the memory
-// for it, so every such node — empty ones included — emits an additive
-// candidate per removal depth, up to maxAddsPerNode each. At 500 nodes
-// the scale problem's draw ends with all 52 applications at cap; at 1 000 one
-// web application ends 0.008 short and seven jobs stay queued, and nearly
-// every one of the 1 000 nodes emits its four additive prefixes.
+// TestCandidateCountJumpsWithOneAppBelowCap pins the class skip and the
+// candidates it removes. The count is not a function of cluster size but
+// of whether any application is short of its utility cap. With every
+// application at its cap (and none queued) addableApps is empty on every
+// node, so only occupied nodes emit candidates — one pure removal per
+// resident. One application below its cap is addable on every node that
+// has the memory for it, so every such node — empty ones included —
+// offers an additive candidate per removal depth, up to maxAddsPerNode
+// each. Empty nodes with the same capacities and web rank offer the same
+// candidates up to the node id, so Optimize scores only the first of
+// each class unless a node is distinguished (twinOf). On
+// BenchmarkFlatSolve's scale problem this is the difference between 500
+// nodes, where all 52 applications end at cap (176 candidates), and
+// 1 000, where one web application ends 0.008 short and seven jobs stay
+// queued (383 candidates; 4 247 without the skip).
 func TestCandidateCountJumpsWithOneAppBelowCap(t *testing.T) {
 	const nodes = 8
 	build := func(job1MaxSpeed float64) *Problem {
@@ -56,16 +59,30 @@ func TestCandidateCountJumpsWithOneAppBelowCap(t *testing.T) {
 
 	// job-1 could use 9 000 MHz but no node has it: it sits below its
 	// cap wherever it runs, so it is addable (as a migration) on every
-	// other node. The five empty nodes emit one additive candidate each;
-	// nodes 0 and 2 emit their removal plus job-1 in the freed memory;
-	// node 1 emits only the removal of job-1 itself. No candidate helps,
-	// none is adopted, and the count still went from 4 to 11.
+	// other node. Nodes 0 and 2 emit their removal plus job-1 in the
+	// freed memory; node 1 emits only the removal of job-1 itself. The
+	// five empty nodes are interchangeable: node 3 emits one additive
+	// candidate and nodes 4–7 are skipped as its twins. No candidate
+	// helps, none is adopted; without the skip the count was 11.
 	belowCap, err := Optimize(build(9000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 + 5*1 + 2*2 + 1; belowCap.CandidatesEvaluated != want || belowCap.Changes != 0 {
+	if want := 1 + 1 + 2*2 + 1; belowCap.CandidatesEvaluated != want || belowCap.Changes != 0 {
 		t.Fatalf("one app below cap: %d candidates, %d changes; want %d and 0",
 			belowCap.CandidatesEvaluated, belowCap.Changes, want)
+	}
+
+	// An empty node that is job-1's LastNode is distinguished: it keeps
+	// its own candidate, so the count goes up by exactly one.
+	p := build(9000)
+	p.LastNode = []cluster.NodeID{-1, 6, -1}
+	withLast, err := Optimize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 2 + 2*2 + 1; withLast.CandidatesEvaluated != want || withLast.Changes != 0 {
+		t.Fatalf("job-1's LastNode empty: %d candidates, %d changes; want %d and 0",
+			withLast.CandidatesEvaluated, withLast.Changes, want)
 	}
 }

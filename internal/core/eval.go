@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -203,6 +204,11 @@ type evalContext struct {
 	residents residentIndex
 	// hints are the base's level-search brackets (allocator.brackets).
 	hints [][2]float64
+	// webRank counts, per node, the base's web-hosting nodes with a
+	// lower index, and classes maps each class of interchangeable nodes
+	// (twinOf) visited since the last rebase to its first visited member.
+	webRank []int
+	classes map[nodeClass]cluster.NodeID
 	// gen is the candidate generators' scratch.
 	gen genScratch
 }
@@ -214,9 +220,25 @@ type evalContext struct {
 // base's evaluation by this context (Evaluation.brackets), nil before
 // there is one.
 func (c *evalContext) rebase(base *Placement, hints [][2]float64) {
+	t, n := c.t, len(c.t.nodeCaps)
 	c.base = base
-	c.residents.build(base, len(c.t.nodeCaps))
+	c.residents.build(base, n)
 	c.hints = hints
+	c.webRank = slices.Grow(c.webRank[:0], n)[:n]
+	rank := 0
+	for nd := range c.webRank {
+		c.webRank[nd] = rank
+		for _, app := range c.residents.on(cluster.NodeID(nd)) {
+			if t.apps[app].web != nil {
+				rank++
+				break
+			}
+		}
+	}
+	if c.classes == nil {
+		c.classes = make(map[nodeClass]cluster.NodeID)
+	}
+	clear(c.classes)
 }
 
 // evaluate scores a candidate placement incrementally. When the problem
@@ -240,8 +262,8 @@ func (c *evalContext) evaluate(ar *arena, cand *Placement) (*Evaluation, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := compareEvaluations(ev, full); err != nil {
-		return nil, err
+	if err := diffEvaluations(ev, full); err != nil {
+		return nil, fmt.Errorf("core: incremental evaluation diverged from the full one: %w", err)
 	}
 	return ev, nil
 }
@@ -370,52 +392,48 @@ func (c *evalContext) nodeAccepts(ar *arena, tn touchedNode) bool {
 	return true
 }
 
-// compareEvaluations is the VerifyIncremental cross-check: incremental
-// and full evaluations must agree exactly, because they run the same
-// solve on the same inputs and differ only in how feasibility was
-// established.
-func compareEvaluations(inc, full *Evaluation) error {
-	if inc.Feasible != full.Feasible {
-		return fmt.Errorf("core: incremental evaluation feasibility mismatch: incremental %v, full %v",
-			inc.Feasible, full.Feasible)
+// diffEvaluations describes the first difference between two
+// evaluations, or returns nil when they agree bit for bit on everything
+// an adoption decision or a caller reads. VerifyIncremental uses it
+// twice: an incremental evaluation must equal the full one, which runs
+// the same solve on the same inputs and differs only in how feasibility
+// was established; and a node Optimize skipped as interchangeable must
+// score exactly as the node it was skipped for (checkTwin).
+func diffEvaluations(a, b *Evaluation) error {
+	if a.Feasible != b.Feasible {
+		return fmt.Errorf("feasible %v vs %v", a.Feasible, b.Feasible)
 	}
-	if !inc.Feasible {
+	if !a.Feasible {
 		return nil
 	}
-	if inc.OmegaG != full.OmegaG {
-		return fmt.Errorf("core: incremental evaluation diverged on omegaG: incremental %v, full %v",
-			inc.OmegaG, full.OmegaG)
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.OmegaG, b.OmegaG) {
+		return fmt.Errorf("omegaG %v vs %v", a.OmegaG, b.OmegaG)
 	}
 	// Vector is what adoption decisions compare, so check it directly
 	// rather than relying on it staying derived from Utilities alone.
-	if inc.Vector.Compare(full.Vector) != 0 {
-		return fmt.Errorf("core: incremental evaluation diverged on utility vector: incremental %v, full %v",
-			inc.Vector, full.Vector)
+	if len(a.Vector) != len(b.Vector) {
+		return fmt.Errorf("utility vector of %d entries vs %d", len(a.Vector), len(b.Vector))
 	}
-	for i := range full.Utilities {
-		if inc.Utilities[i] != full.Utilities[i] {
-			return fmt.Errorf("core: incremental evaluation diverged at app %d: incremental %v, full %v",
-				i, inc.Utilities[i], full.Utilities[i])
-		}
-		if inc.PerApp[i] != full.PerApp[i] {
-			return fmt.Errorf("core: incremental evaluation diverged on app %d allocation: incremental %v, full %v",
-				i, inc.PerApp[i], full.PerApp[i])
+	for i := range b.Vector {
+		if !same(a.Vector[i], b.Vector[i]) {
+			return fmt.Errorf("utility vector entry %d %v vs %v", i, a.Vector[i], b.Vector[i])
 		}
 	}
-	if len(inc.WebShares) != len(full.WebShares) {
-		return fmt.Errorf("core: incremental evaluation diverged on web share count: incremental %d, full %d",
-			len(inc.WebShares), len(full.WebShares))
-	}
-	for app, want := range full.WebShares {
-		got, ok := inc.WebShares[app]
-		if !ok || len(got) != len(want) {
-			return fmt.Errorf("core: incremental evaluation diverged on app %d web shares", app)
+	for i := range b.Utilities {
+		if !same(a.Utilities[i], b.Utilities[i]) {
+			return fmt.Errorf("app %d utility %v vs %v", i, a.Utilities[i], b.Utilities[i])
 		}
-		for s := range want {
-			if got[s] != want[s] {
-				return fmt.Errorf("core: incremental evaluation diverged on app %d web share %d: incremental %v, full %v",
-					app, s, got[s], want[s])
-			}
+		if !same(a.PerApp[i], b.PerApp[i]) {
+			return fmt.Errorf("app %d allocation %v vs %v", i, a.PerApp[i], b.PerApp[i])
+		}
+	}
+	if len(a.WebShares) != len(b.WebShares) {
+		return fmt.Errorf("%d web share lists vs %d", len(a.WebShares), len(b.WebShares))
+	}
+	for app, want := range b.WebShares {
+		if got, ok := a.WebShares[app]; !ok || !slices.EqualFunc(got, want, same) {
+			return fmt.Errorf("app %d web shares %v vs %v", app, got, want)
 		}
 	}
 	return nil

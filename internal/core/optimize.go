@@ -21,7 +21,9 @@ type Result struct {
 	// CandidatesEvaluated counts the placement evaluations consumed by
 	// the decision sequence. Speculative evaluations the parallel
 	// pipeline discards are excluded, so the value is identical at
-	// every Parallelism setting.
+	// every Parallelism setting. So are the candidates of a node Optimize
+	// skipped as interchangeable with one already visited: they are
+	// neither scored nor counted.
 	CandidatesEvaluated int
 	// Probes and FlowSolves sum Evaluation.Probes and FlowSolves over the
 	// same replayed evaluations CandidatesEvaluated counts, so they too
@@ -48,6 +50,12 @@ var ErrInfeasible = fmt.Errorf("%w: placement infeasible", ErrBadProblem)
 // it improves the sorted utility vector by more than epsilon, which
 // both enforces the extended max-min objective and minimizes placement
 // churn.
+//
+// Empty nodes are mostly interchangeable, and the outer loop skips a
+// node whose candidates would repeat those of an equivalent node already
+// visited against the same incumbent (see twinOf): they would score bit
+// for bit the same, so none of them could be adopted either. Skipped
+// candidates are neither scored nor counted in CandidatesEvaluated.
 //
 // Candidate evaluation is embarrassingly parallel — every candidate is
 // scored against the same problem state — so candidates are fanned out
@@ -141,8 +149,14 @@ func Optimize(p *Problem) (*Result, error) {
 		for n := 0; n < p.Cluster.Len(); {
 			counts, flat = counts[:0], flat[:0]
 			for m := n; m < p.Cluster.Len() && (m == n || len(flat) < windowTarget); m++ {
-				before := len(flat)
-				flat = ctx.candidatesForNode(best, cluster.NodeID(m), flat)
+				node, before := cluster.NodeID(m), len(flat)
+				if twin := ctx.twinOf(node); twin < 0 {
+					flat = ctx.candidatesForNode(best, node, flat)
+				} else if p.VerifyIncremental {
+					if err := ctx.checkTwin(best, node, twin); err != nil {
+						return nil, err
+					}
+				}
 				counts = append(counts, len(flat)-before)
 			}
 			evs, err := pool.evalAll(ctx, flat)
@@ -293,6 +307,77 @@ func (c *evalContext) candidatesForNode(best *Evaluation, node cluster.NodeID, o
 		}
 	}
 	return out
+}
+
+// nodeClass is what makes two nodes interchangeable to the outer loop
+// when neither is distinguished (table.distinguished) and the base
+// places nothing on either: the same capacities, and the same number of
+// the base's web-hosting nodes below them.
+type nodeClass struct {
+	cpu, mem float64
+	webRank  int
+}
+
+// twinOf returns a node equivalent to node that was visited since the
+// last rebase, or -1 when there is none and node must be visited; node
+// then becomes its class's representative.
+//
+// Equivalent nodes have the same candidates up to the node id, and those
+// score bit for bit the same: an empty, undistinguished node gives
+// actionCost and restartDelay nothing to tell it apart by, and with the
+// same web rank it takes the same position in every NodesOf list, in the
+// allocator's webHosts and in the routing network's edge order. Nothing
+// else of a candidate depends on which node it was made for. The
+// representative was visited against the same incumbent and none of its
+// candidates was adopted, or rebase would have forgotten it, so none of
+// its twins' candidates would be either.
+func (c *evalContext) twinOf(node cluster.NodeID) cluster.NodeID {
+	t := c.t
+	if t.distinguished[node] || len(c.residents.on(node)) > 0 {
+		return -1
+	}
+	k := nodeClass{cpu: t.nodeCaps[node], mem: t.nodeMem[node], webRank: c.webRank[node]}
+	rep, ok := c.classes[k]
+	if !ok {
+		c.classes[k] = node
+	}
+	if !ok || rep == node {
+		return -1
+	}
+	return rep
+}
+
+// checkTwin is the VerifyIncremental cross-check of the class skip: it
+// generates the candidates of node, which was skipped as twin's equal,
+// and fails unless each one scores exactly as twin's candidate at the
+// same index under a full Evaluate and makes as many changes to the
+// incumbent.
+func (c *evalContext) checkTwin(best *Evaluation, node, twin cluster.NodeID) error {
+	want := c.candidatesForNode(best, twin, nil)
+	got := c.candidatesForNode(best, node, nil)
+	if len(got) != len(want) {
+		return fmt.Errorf("core: skipped node %d has %d candidates, its twin node %d has %d",
+			node, len(got), twin, len(want))
+	}
+	for i := range got {
+		wantEv, err := Evaluate(c.t.p, want[i])
+		if err != nil {
+			return err
+		}
+		gotEv, err := Evaluate(c.t.p, got[i])
+		if err != nil {
+			return err
+		}
+		if err := diffEvaluations(gotEv, wantEv); err != nil {
+			return fmt.Errorf("core: skipped node %d's candidate %d scores unlike twin node %d's: %w",
+				node, i, twin, err)
+		}
+		if g, w := got[i].Changes(c.base), want[i].Changes(c.base); g != w {
+			return fmt.Errorf("core: skipped node %d's candidate %d makes %d changes, twin node %d's %d",
+				node, i, g, twin, w)
+		}
+	}
+	return nil
 }
 
 // maxAddsPerNode bounds the additive prefix sweep per candidate node. The

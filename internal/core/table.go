@@ -35,6 +35,13 @@ type table struct {
 	apps     []appConsts
 	nodeCaps []float64 // CPU MHz per node
 	nodeMem  []float64 // memory MB per node
+	// distinguished marks the nodes whose candidates and their scores
+	// depend on the node itself, not only on its capacities and
+	// residents: a node hosting an instance in p.Current (an instance
+	// kept there costs no action), some application's LastNode (resuming
+	// there is cheaper than moving) or one of its PinnedNodes. Optimize
+	// never treats such a node as interchangeable with another.
+	distinguished []bool
 	// conflicts reports whether any application declares an
 	// anti-collocation relation; when none does, collocation checks are
 	// skipped entirely.
@@ -75,6 +82,28 @@ func (t *table) build(p *Problem) {
 	for i := 0; i < n; i++ {
 		nd, _ := p.Cluster.Node(cluster.NodeID(i))
 		t.nodeCaps[i], t.nodeMem[i] = nd.CPUMHz, nd.MemMB
+	}
+	t.distinguished = slices.Grow(t.distinguished[:0], n)[:n]
+	clear(t.distinguished)
+	mark := func(nd cluster.NodeID) {
+		if nd >= 0 && int(nd) < n {
+			t.distinguished[nd] = true
+		}
+	}
+	if p.Current != nil {
+		for _, ns := range p.Current.nodes {
+			for _, nd := range ns {
+				mark(nd)
+			}
+		}
+	}
+	for _, nd := range p.LastNode {
+		mark(nd)
+	}
+	for _, a := range p.Apps {
+		for _, nd := range a.PinnedNodes {
+			mark(nd)
+		}
 	}
 }
 

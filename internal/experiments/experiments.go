@@ -11,7 +11,7 @@
 // trace through reactive and forecast-driven control, and its
 // benchmark (BenchmarkReplaySweep) holds the forecasting contract at
 // full scale. BenchmarkFlatSolve times the flat placement solver at
-// 500-2 000 nodes on a randomized mixed workload and reports its work
+// 500-5 000 nodes on a randomized mixed workload and reports its work
 // counts. Everything else about the daemon — sharded solves, dispatch,
 // churn, kill -9 recovery, instrumentation cost — is measured by
 // cmd/dynbench and asserted by the packages' own tests.

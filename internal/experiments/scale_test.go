@@ -52,7 +52,10 @@ func requireSameResult(t *testing.T, seq, par *core.Result) {
 // full Evaluate, sequentially and on the worker pool: the touched-node
 // feasibility shortcut and the reused evaluation state must agree with
 // a from-scratch evaluation on every candidate, and both worker counts
-// must reach the same result.
+// must reach the same result. The cross-check also covers the class
+// skip: the candidates of every node skipped as interchangeable (564 of
+// the 655 the solve would otherwise score) are generated and evaluated
+// in full, and must score exactly as their twins'.
 func TestScaleProblemVerifyIncremental(t *testing.T) {
 	requireSameResult(t, solveScaleProblem(t, 200, 1, true), solveScaleProblem(t, 200, 4, true))
 }
@@ -67,22 +70,32 @@ func TestScaleProblemParallelIdentity(t *testing.T) {
 	requireSameResult(t, solveScaleProblem(t, 500, 1, false), solveScaleProblem(t, 500, 4, false))
 }
 
-// TestFlatSolveWorkCounts pins the solver's exact work on the 500-node
-// scale problem, the smallest size BenchmarkFlatSolve measures: its
+// TestFlatSolveWorkCounts pins the solver's exact work on the scale
+// problem at the two smallest sizes BenchmarkFlatSolve measures: its
 // candidates, allocation probes and max-flow solves. The counts do not
 // depend on the machine, so a change that makes the solver do more work
-// fails here rather than only reading slower in a benchmark.
+// fails here rather than only reading slower in a benchmark. At 500
+// nodes every application ends at its cap and empty nodes offer nothing;
+// at 1 000 one stays below it, and the class skip scores one empty node
+// per class instead of all of them (4 247 candidates without it).
 func TestFlatSolveWorkCounts(t *testing.T) {
-	res := solveScaleProblem(t, 500, 1, false)
 	type counts struct{ Candidates, Probes, FlowSolves int }
-	got := counts{res.CandidatesEvaluated, res.Probes, res.FlowSolves}
-	if want := (counts{Candidates: 176, Probes: 2833, FlowSolves: 2999}); got != want {
-		t.Errorf("500-node flat solve: %+v, want %+v", got, want)
+	for _, tc := range []struct {
+		nodes int
+		want  counts
+	}{
+		{500, counts{Candidates: 176, Probes: 2833, FlowSolves: 2999}},
+		{1000, counts{Candidates: 383, Probes: 4482, FlowSolves: 4855}},
+	} {
+		res := solveScaleProblem(t, tc.nodes, 1, false)
+		if got := (counts{res.CandidatesEvaluated, res.Probes, res.FlowSolves}); got != tc.want {
+			t.Errorf("%d-node flat solve: %+v, want %+v", tc.nodes, got, tc.want)
+		}
 	}
 }
 
 // BenchmarkFlatSolve times one sequential flat placement solve of the
-// scale problem at 500, 1 000 and 2 000 nodes and reports the solver's
+// scale problem at 500, 1 000, 2 000 and 5 000 nodes and reports the solver's
 // work beside the time: candidates, allocation probes and max-flow
 // solves per solve. The counts are exact and machine-independent, so
 // they say whether a timing moved because the work changed or because
@@ -90,7 +103,7 @@ func TestFlatSolveWorkCounts(t *testing.T) {
 //
 //	go test -run '^$' -bench BenchmarkFlatSolve -benchtime=1x ./internal/experiments
 func BenchmarkFlatSolve(b *testing.B) {
-	for _, nodes := range []int{500, 1000, 2000} {
+	for _, nodes := range []int{500, 1000, 2000, 5000} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			p, err := buildScaleProblem(nodes)
 			if err != nil {
