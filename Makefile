@@ -58,11 +58,14 @@ shuffle:
 # the flat solve at 500-5 000 nodes; then the two solver
 # micro-benchmarks. Each prints the solver's work counts (candidates,
 # probes, flow solves per op) beside time; the flat solve and the
-# micro-benchmarks also print bytes and objects per op.
+# micro-benchmarks also print bytes and objects per op. Last, one
+# GET /v1/placement on a 2 000-node placement: bytes and objects per
+# read, which stay flat because a read serves the published encoding.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkReplaySweep -benchtime=1x .
 	$(GO) test -run '^$$' -bench BenchmarkFlatSolve -benchmem -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizerCycle|BenchmarkAllocationSolver' -benchmem -benchtime=5x .
+	$(GO) test -run '^$$' -bench BenchmarkPlacementRead -benchmem ./internal/daemon
 
 # The repository's benchmark (cmd/dynbench/README.md): the whole
 # untraced set, each workload in a process of its own, into

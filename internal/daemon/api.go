@@ -52,13 +52,14 @@ import (
 //	GET    /v1/debug/cycles/{n}   span timeline of cycle n
 //	GET    /v1/debug/bundle       self-diagnosing debug bundle (tar.gz)
 //
-// Bodies and responses are JSON; workload specs use the library's public
-// spec types (dynplace.WebAppSpec, dynplace.JobSpec). Errors use a
-// uniform envelope {"error": {"code": "...", "message": "..."}} with
-// machine-readable codes (see codeFor); 503 responses carry a
-// Retry-After header sized to the control cycle. Every route is wrapped
-// in latency/status instrumentation feeding the dynplace_http_* series
-// on /v1/metrics/prom, labeled by its registered pattern.
+// Bodies and responses are JSON, responses compact on one line (the
+// placement as encoded once at publish); workload specs use the
+// library's public spec types (dynplace.WebAppSpec, dynplace.JobSpec).
+// Errors use a uniform envelope {"error": {"code": "...", "message":
+// "..."}} with machine-readable codes (see codeFor); 503 responses
+// carry a Retry-After header sized to the control cycle. Every route is
+// wrapped in latency/status instrumentation feeding the dynplace_http_*
+// series on /v1/metrics/prom, labeled by its registered pattern.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	classes := d.obs.responseClasses()
@@ -239,12 +240,35 @@ func codeForStatus(status int) string {
 	return "internal"
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON answers status with v's compact JSON encoding. The body is
+// encoded before the status line goes out, so a value encoding/json
+// rejects (a NaN or ±Inf float) answers 500 with the internal error
+// envelope, not 200 with a truncated body.
+func (d *Daemon) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		d.encodeFailed(w, err)
+		return
+	}
+	writeBody(w, status, body)
+}
+
+// encodeFailed logs a response that could not be encoded and answers
+// 500 in its place.
+func (d *Daemon) encodeFailed(w http.ResponseWriter, err error) {
+	d.cfg.Warnf("encode response: %v", err)
+	writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+}
+
+var newline = []byte{'\n'}
+
+// writeBody answers status with a compact JSON encoding as one line:
+// the body, then a newline.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
+	_, _ = w.Write(newline)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -252,7 +276,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	if code == "" {
 		code = codeForStatus(status)
 	}
-	writeJSON(w, status, ErrorResponse{Error: ErrorDetail{Code: code, Message: err.Error()}})
+	// Two strings always encode.
+	body, _ := json.Marshal(ErrorResponse{Error: ErrorDetail{Code: code, Message: err.Error()}})
+	writeBody(w, status, body)
 }
 
 // writeError adds the daemon-level response conventions on top of the
@@ -289,15 +315,22 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, d.Health())
+	d.writeJSON(w, http.StatusOK, d.Health())
 }
 
+// handlePlacement serves the published snapshot's encoding verbatim:
+// the snapshot is encoded once, however often it is read.
 func (d *Daemon) handlePlacement(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, d.Placement())
+	body, err := d.placement.Load().encoded()
+	if err != nil {
+		d.encodeFailed(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, d.Metrics())
+	d.writeJSON(w, http.StatusOK, d.Metrics())
 }
 
 func (d *Daemon) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
@@ -339,7 +372,7 @@ func (d *Daemon) handleExplain(w http.ResponseWriter, _ *http.Request) {
 			fmt.Errorf("%w: no cycle explanation recorded yet", ErrNotFound))
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	d.writeJSON(w, http.StatusOK, rec)
 }
 
 func (d *Daemon) handleExplainApp(w http.ResponseWriter, r *http.Request) {
@@ -349,7 +382,7 @@ func (d *Daemon) handleExplainApp(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"app": name, "history": history})
+	d.writeJSON(w, http.StatusOK, map[string]any{"app": name, "history": history})
 }
 
 func (d *Daemon) handleBundle(w http.ResponseWriter, _ *http.Request) {
@@ -372,7 +405,7 @@ func (d *Daemon) handleCycles(w http.ResponseWriter, _ *http.Request) {
 	if traces == nil {
 		traces = []obs.TraceView{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"cycles": traces})
+	d.writeJSON(w, http.StatusOK, map[string]any{"cycles": traces})
 }
 
 func (d *Daemon) handleCycle(w http.ResponseWriter, r *http.Request) {
@@ -388,7 +421,7 @@ func (d *Daemon) handleCycle(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w: no retained trace for cycle %d", ErrNotFound, n))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	d.writeJSON(w, http.StatusOK, view)
 }
 
 func (d *Daemon) handleListApps(w http.ResponseWriter, _ *http.Request) {
@@ -396,7 +429,7 @@ func (d *Daemon) handleListApps(w http.ResponseWriter, _ *http.Request) {
 	if names == nil {
 		names = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"apps": names})
+	d.writeJSON(w, http.StatusOK, map[string][]string{"apps": names})
 }
 
 func (d *Daemon) handleAddApp(w http.ResponseWriter, r *http.Request) {
@@ -408,7 +441,7 @@ func (d *Daemon) handleAddApp(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"added": req.App.Name})
+	d.writeJSON(w, http.StatusCreated, map[string]string{"added": req.App.Name})
 }
 
 func (d *Daemon) handleRemoveApp(w http.ResponseWriter, r *http.Request) {
@@ -417,7 +450,7 @@ func (d *Daemon) handleRemoveApp(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
+	d.writeJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
 
 func (d *Daemon) handleSetLoad(w http.ResponseWriter, r *http.Request) {
@@ -430,7 +463,7 @@ func (d *Daemon) handleSetLoad(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"app": name, "arrivalRate": req.ArrivalRate})
+	d.writeJSON(w, http.StatusOK, map[string]any{"app": name, "arrivalRate": req.ArrivalRate})
 }
 
 func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request) {
@@ -445,7 +478,7 @@ func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	d.writeJSON(w, http.StatusOK, view)
 }
 
 func (d *Daemon) handleRoute(w http.ResponseWriter, r *http.Request) {
@@ -477,7 +510,7 @@ func (d *Daemon) handleRoute(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("%w: %q: all %d requests rejected", router.ErrRejected, name, res.Rejected))
 			return
 		}
-		writeJSON(w, http.StatusOK, BatchRouteResponse{
+		d.writeJSON(w, http.StatusOK, BatchRouteResponse{
 			Requests:   req.N,
 			Dispatched: res.Dispatched,
 			Queued:     res.Queued,
@@ -488,9 +521,9 @@ func (d *Daemon) handleRoute(w http.ResponseWriter, r *http.Request) {
 		node, err := d.router.DispatchBalanced(name)
 		switch {
 		case err == nil && node != "":
-			writeJSON(w, http.StatusOK, RouteResponse{Node: node})
+			d.writeJSON(w, http.StatusOK, RouteResponse{Node: node})
 		case err == nil:
-			writeJSON(w, http.StatusAccepted, RouteResponse{Queued: true})
+			d.writeJSON(w, http.StatusAccepted, RouteResponse{Queued: true})
 		case errors.Is(err, router.ErrRejected):
 			d.writeError(w, http.StatusServiceUnavailable, err)
 		default:
@@ -504,7 +537,7 @@ func (d *Daemon) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	if results == nil {
 		results = []dynplace.JobResult{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": results})
+	d.writeJSON(w, http.StatusOK, map[string]any{"jobs": results})
 }
 
 func (d *Daemon) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -516,11 +549,11 @@ func (d *Daemon) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"submitted": req.Job.Name})
+	d.writeJSON(w, http.StatusCreated, map[string]string{"submitted": req.Job.Name})
 }
 
 func (d *Daemon) handleListNodes(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]NodeView{"nodes": d.NodeViews()})
+	d.writeJSON(w, http.StatusOK, map[string][]NodeView{"nodes": d.NodeViews()})
 }
 
 func (d *Daemon) handleAddNode(w http.ResponseWriter, r *http.Request) {
@@ -533,7 +566,7 @@ func (d *Daemon) handleAddNode(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"added": name})
+	d.writeJSON(w, http.StatusCreated, map[string]string{"added": name})
 }
 
 func (d *Daemon) handleDrainNode(w http.ResponseWriter, r *http.Request) {
@@ -542,7 +575,7 @@ func (d *Daemon) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"draining": name})
+	d.writeJSON(w, http.StatusOK, map[string]string{"draining": name})
 }
 
 func (d *Daemon) handleFailNode(w http.ResponseWriter, r *http.Request) {
@@ -551,7 +584,7 @@ func (d *Daemon) handleFailNode(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"failed": name})
+	d.writeJSON(w, http.StatusOK, map[string]string{"failed": name})
 }
 
 func (d *Daemon) handleRemoveNode(w http.ResponseWriter, r *http.Request) {
@@ -560,11 +593,11 @@ func (d *Daemon) handleRemoveNode(w http.ResponseWriter, r *http.Request) {
 		d.writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
+	d.writeJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
 
 func (d *Daemon) handleState(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, d.Durability())
+	d.writeJSON(w, http.StatusOK, d.Durability())
 }
 
 func (d *Daemon) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
@@ -584,7 +617,7 @@ func (d *Daemon) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	d.writeJSON(w, http.StatusOK, info)
 }
 
 // statusFor maps domain errors onto HTTP statuses: bad specs and bad

@@ -167,7 +167,7 @@ type Daemon struct {
 	// reason (the health endpoint reports "recovering" while replay
 	// holds mu).
 	cycles     atomic.Int64
-	placement  atomic.Pointer[PlacementSnapshot]
+	placement  atomic.Pointer[published]
 	recovering atomic.Bool
 	// recovered gates mutations on a durable daemon: until Recover has
 	// completed, accepting a mutation would journal and acknowledge it,
@@ -256,12 +256,12 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.SnapshotEvery > 0 {
 		d.snapshotEvery = cfg.SnapshotEvery
 	}
-	d.placement.Store(&PlacementSnapshot{
+	d.placement.Store(&published{snap: &PlacementSnapshot{
 		Web:              []WebPlacementView{},
 		Jobs:             []JobPlacementView{},
 		Nodes:            d.nodeViews(nil, nil),
 		InventoryVersion: planner.Inventory().Version(),
-	})
+	}})
 	zones := cfg.Dynamic.Shards
 	if zones < 0 {
 		zones = 0
@@ -319,7 +319,7 @@ func (d *Daemon) Router() *router.Router { return d.router }
 
 // Placement returns the most recent placement snapshot without blocking
 // on the control loop.
-func (d *Daemon) Placement() *PlacementSnapshot { return d.placement.Load() }
+func (d *Daemon) Placement() *PlacementSnapshot { return d.placement.Load().snap }
 
 // AddWebApp registers a transactional application. When relative is true
 // the spec's load-schedule phase times are interpreted as offsets from
@@ -563,7 +563,7 @@ func (d *Daemon) JobResults() []dynplace.JobResult {
 // workload), "failing" when the most recent cycle errored for any other
 // reason, "ok" otherwise. LastError carries the failing cycle's error.
 func (d *Daemon) Health() HealthView {
-	snap := d.placement.Load()
+	snap := d.Placement()
 	status := "ok"
 	switch {
 	case !d.recovered.Load() || d.recovering.Load():
@@ -778,7 +778,7 @@ func (d *Daemon) RemoveNode(name string) error {
 // NodeViews lists every inventory node with its current lifecycle state
 // and the occupancy of the last published placement.
 func (d *Daemon) NodeViews() []NodeView {
-	snap := d.placement.Load()
+	snap := d.Placement()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.nodeViews(snap.Web, snap.Jobs)
@@ -932,10 +932,10 @@ func (d *Daemon) runCycle(now float64) {
 		} else {
 			d.infeasibleStreak = 0
 		}
-		prev := d.placement.Load()
+		prev := d.Placement()
 		nodes := d.nodeViews(prev.Web, prev.Jobs)
 		active := countActive(nodes)
-		d.placement.Store(&PlacementSnapshot{
+		d.placement.Store(&published{snap: &PlacementSnapshot{
 			Cycle:            cycle,
 			Time:             now,
 			Web:              prev.Web,
@@ -947,7 +947,7 @@ func (d *Daemon) runCycle(now float64) {
 			Err:              err.Error(),
 			Infeasible:       infeasible,
 			InfeasibleStreak: d.infeasibleStreak,
-		})
+		}})
 		d.cfg.Logf("cycle %d t=%.1f: plan failed: %v", cycle, now, err)
 		d.history.Push(CycleSnapshot{
 			Cycle: cycle, Time: now, LiveJobs: len(live), Err: err.Error(),
@@ -1034,7 +1034,7 @@ func (d *Daemon) runCycle(now float64) {
 	}
 	snap.Nodes = d.nodeViews(snap.Web, snap.Jobs)
 	active := countActive(snap.Nodes)
-	d.placement.Store(snap)
+	d.placement.Store(&published{snap: snap})
 
 	batchUtil, _ := plan.BatchUtilityMean()
 	maxUtil, imbalance := shardSpread(plan.Shards)

@@ -101,8 +101,10 @@ func getBody(t *testing.T, d *Daemon, path string) []byte {
 // runCycleGolden drives a durable SimClock daemon through a load
 // schedule, batch jobs (one submitted for later), a drained node, a
 // failed node, a load override, and a kill -9 followed by Recover and
-// a node arrival, recording the scenario's observable output.
-func runCycleGolden(t *testing.T, dir string) cycleGolden {
+// a node arrival, recording the scenario's observable output. read,
+// when set, sees every GET /v1/placement body as it is taken, with the
+// daemon that served it.
+func runCycleGolden(t *testing.T, dir string, read func(*Daemon, []byte)) cycleGolden {
 	d, clock := goldenDaemon(t, dir)
 	must := func(err error) {
 		t.Helper()
@@ -130,9 +132,16 @@ func runCycleGolden(t *testing.T, dir string) cycleGolden {
 	must(d.Start())
 
 	var g cycleGolden
+	readPlacement := func(d *Daemon) {
+		body := getBody(t, d, "/v1/placement")
+		if read != nil {
+			read(d, body)
+		}
+		g.Placements = append(g.Placements, sha(body))
+	}
 	step := func(d *Daemon, clock *SimClock) {
 		clock.Advance(60)
-		g.Placements = append(g.Placements, sha(getBody(t, d, "/v1/placement")))
+		readPlacement(d)
 	}
 	for i := 0; i < 8; i++ {
 		switch i {
@@ -148,7 +157,7 @@ func runCycleGolden(t *testing.T, dir string) cycleGolden {
 	g.StateAtKill = stateDirHash(t, dir)
 
 	d2, clock2 := goldenDaemon(t, dir)
-	g.Placements = append(g.Placements, sha(getBody(t, d2, "/v1/placement")))
+	readPlacement(d2)
 	must(d2.Start())
 	for i := 0; i < 10; i++ {
 		if i == 2 {
@@ -169,7 +178,7 @@ func runCycleGolden(t *testing.T, dir string) cycleGolden {
 // bytes. To re-record (only from a tree whose output is the reference):
 // delete the file and run the test once; it writes the file and fails.
 func TestDaemonCycleGolden(t *testing.T) {
-	got := runCycleGolden(t, t.TempDir())
+	got := runCycleGolden(t, t.TempDir(), nil)
 	path := filepath.Join("testdata", "cycle_golden.json")
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {

@@ -176,7 +176,7 @@ func (d *Daemon) newObsState(shards int, traceCycles int) *obsState {
 
 	// --- placement gauges (lock-free: last published snapshot) ---
 	snapGauge := func(name, help string, fn func(*PlacementSnapshot) float64) {
-		reg.GaugeFunc(name, help, func() float64 { return fn(d.placement.Load()) })
+		reg.GaugeFunc(name, help, func() float64 { return fn(d.Placement()) })
 	}
 	snapGauge("dynplace_web_apps", "Registered web applications as of the last cycle.",
 		func(s *PlacementSnapshot) float64 { return float64(len(s.Web)) })
@@ -197,7 +197,7 @@ func (d *Daemon) newObsState(shards int, traceCycles int) *obsState {
 	reg.GaugeSampler("dynplace_web_utility",
 		"Predicted relative performance per web application.",
 		func() []obs.Sample {
-			snap := d.placement.Load()
+			snap := d.Placement()
 			out := make([]obs.Sample, 0, len(snap.Web))
 			for _, w := range snap.Web {
 				out = append(out, obs.Sample{Labels: []string{"app", w.Name}, Value: w.Utility})
@@ -207,7 +207,7 @@ func (d *Daemon) newObsState(shards int, traceCycles int) *obsState {
 	reg.GaugeSampler("dynplace_web_alloc_mhz",
 		"CPU allocation per web application.",
 		func() []obs.Sample {
-			snap := d.placement.Load()
+			snap := d.Placement()
 			out := make([]obs.Sample, 0, len(snap.Web))
 			for _, w := range snap.Web {
 				out = append(out, obs.Sample{Labels: []string{"app", w.Name}, Value: w.AllocMHz})

@@ -248,10 +248,11 @@ func TestDebugCycleTimeline(t *testing.T) {
 }
 
 // TestDaemonMetricsScrapeRace hammers every read surface — /metrics,
-// /metrics/prom, /healthz, /debug/cycles — while a wall-clock daemon
-// runs ~10ms cycles and concurrent writers mutate load and route
-// traffic. Run under -race this is the audit that scrapes never read
-// daemon state unlocked.
+// /metrics/prom, /healthz, /debug/cycles, /placement — while a
+// wall-clock daemon runs ~10ms cycles and concurrent writers mutate
+// load and route traffic. Run under -race this is the audit that
+// scrapes never read daemon state unlocked, and that a placement read
+// racing a publish gets one whole published encoding.
 func TestDaemonMetricsScrapeRace(t *testing.T) {
 	cl, err := cluster.Uniform(2, 3000, 4096)
 	if err != nil {
@@ -293,6 +294,36 @@ func TestDaemonMetricsScrapeRace(t *testing.T) {
 	go get("/v1/metrics/prom")
 	go get("/v1/healthz")
 	go get("/v1/debug/cycles")
+	// Placement readers see only complete bodies, and never an older
+	// cycle than they saw before.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var seen int64
+		for time.Now().Before(deadline) {
+			resp, err := http.Get(srv.URL + "/v1/placement")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(body) {
+				t.Errorf("GET /v1/placement: status %d, %v, body not valid JSON: %.80q", resp.StatusCode, err, body)
+				return
+			}
+			var snap struct{ Cycle int64 }
+			if err := json.Unmarshal(body, &snap); err != nil {
+				t.Error(err)
+				return
+			}
+			if snap.Cycle < seen {
+				t.Errorf("GET /v1/placement: cycle %d read after cycle %d", snap.Cycle, seen)
+				return
+			}
+			seen = snap.Cycle
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -104,8 +104,11 @@ func (d *Daemon) journalCycleLocked(cycle int64, now float64, live []*scheduler.
 			Name: j.Spec.Name, JobState: j.State(),
 		})
 	}
-	if raw, err := json.Marshal(d.placement.Load()); err == nil {
+	if raw, err := d.placement.Load().encoded(); err == nil {
 		rec.Cycle.Placement = raw
+	} else {
+		// Recovery falls back to the previous record's placement.
+		d.cfg.Warnf("cycle %d: placement not journaled (durability degraded): %v", cycle, err)
 	}
 	if _, err := d.store.Append(rec); err != nil {
 		d.walErrors++
@@ -152,9 +155,9 @@ func (d *Daemon) snapshotStateLocked() (*store.State, error) {
 		})
 	}
 	st.JobNames = d.planner.JobNames()
-	raw, err := json.Marshal(d.placement.Load())
+	raw, err := d.placement.Load().encoded()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placement: %w", err)
 	}
 	st.Placement = raw
 	return st, nil
@@ -286,14 +289,12 @@ func (d *Daemon) Recover() error {
 
 	// Rebuild live dispatch weights from the restored placement so
 	// requests route correctly before the first post-recovery cycle.
-	if snap := d.placement.Load(); snap != nil {
-		for _, w := range snap.Web {
-			ins := make([]router.Instance, 0, len(w.Instances))
-			for _, in := range w.Instances {
-				ins = append(ins, router.Instance{Node: in.Node, PowerMHz: in.PowerMHz})
-			}
-			d.router.Update(w.Name, ins)
+	for _, w := range d.Placement().Web {
+		ins := make([]router.Instance, 0, len(w.Instances))
+		for _, in := range w.Instances {
+			ins = append(ins, router.Instance{Node: in.Node, PowerMHz: in.PowerMHz})
 		}
+		d.router.Update(w.Name, ins)
 	}
 
 	// Resume virtual time at the last recorded instant.
@@ -375,8 +376,9 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 	return d.restorePlacementLocked(st.Placement)
 }
 
-// restorePlacementLocked republishes a journaled placement snapshot and
-// the health state derived from it.
+// restorePlacementLocked republishes a journaled placement snapshot,
+// with the journaled bytes as its encoding, and the health state
+// derived from it.
 //
 // dynplace:holds d.mu
 func (d *Daemon) restorePlacementLocked(raw json.RawMessage) error {
@@ -387,7 +389,7 @@ func (d *Daemon) restorePlacementLocked(raw json.RawMessage) error {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("placement snapshot: %w", err)
 	}
-	d.placement.Store(&snap)
+	d.placement.Store(restored(&snap, raw))
 	d.infeasibleStreak = snap.InfeasibleStreak
 	return nil
 }

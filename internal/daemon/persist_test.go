@@ -54,7 +54,7 @@ func newDurableDaemon(t *testing.T, dir string) (*Daemon, *SimClock) {
 	return d, clock
 }
 
-func loadWorkload(t *testing.T, d *Daemon) {
+func loadWorkload(t testing.TB, d *Daemon) {
 	t.Helper()
 	if err := d.AddWebApp(dynplace.WebAppSpec{
 		Name: "shop", ArrivalRate: 20, DemandPerRequest: 50,

@@ -1,6 +1,9 @@
 package daemon
 
 import (
+	"encoding/json"
+	"sync"
+
 	"dynplace"
 	"dynplace/internal/router"
 	"dynplace/internal/shard"
@@ -84,6 +87,35 @@ type PlacementSnapshot struct {
 	// Shards holds the per-zone solve stats when the daemon runs the
 	// sharded coordinator (-shards); absent in flat mode.
 	Shards []shard.Stats `json:"shards,omitempty"`
+}
+
+// published is one published placement: the snapshot and its compact
+// JSON encoding, made at most once however many consumers use it.
+// GET /v1/placement serves the bytes verbatim, and cycle records and
+// state snapshots embed them, so one encoding serves the cycle's reads,
+// its journal record and any state snapshot alike. Neither half
+// changes after publication.
+type published struct {
+	snap *PlacementSnapshot
+	once sync.Once
+	raw  []byte
+	err  error
+}
+
+// restored republishes a journaled snapshot with the bytes it was
+// decoded from, which are its compact encoding: replay encodes nothing,
+// and the first read after recovery serves the journaled bytes.
+func restored(snap *PlacementSnapshot, raw []byte) *published {
+	p := &published{snap: snap}
+	p.once.Do(func() { p.raw = raw })
+	return p
+}
+
+// encoded returns the snapshot's compact JSON encoding, without a
+// trailing newline, encoding it on first use.
+func (p *published) encoded() ([]byte, error) {
+	p.once.Do(func() { p.raw, p.err = json.Marshal(p.snap) })
+	return p.raw, p.err
 }
 
 // CycleSnapshot is the compact per-cycle observation record retained in
