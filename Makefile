@@ -56,7 +56,8 @@ shuffle:
 # The CI bench-smoke job: one run of the reactive-vs-forecast replay
 # sweep, which gates forecast-driven control against reactive, and of
 # the flat solve at 500-5 000 nodes; then the two solver
-# micro-benchmarks. Each prints the solver's work counts (candidates,
+# micro-benchmarks (the allocation solver with one web app, and with two
+# that share hosts, whose probes take the cut test). Each prints the solver's work counts (candidates,
 # probes, flow solves per op) beside time; the flat solve and the
 # micro-benchmarks also print bytes and objects per op. Last, one
 # GET /v1/placement on a 2 000-node placement: bytes and objects per

@@ -272,15 +272,45 @@ func BenchmarkReplaySweep(b *testing.B) {
 }
 
 // BenchmarkAllocationSolver times a single placement evaluation (the
-// optimizer's inner oracle).
+// optimizer's inner oracle) of 75 batch jobs three to a node on 25
+// nodes, next to one web application on every node (webs=1) or two with
+// half its load each that share five of their fifteen hosts (webs=2).
+// Only the second routes web demand: its probes take the cut test.
 func BenchmarkAllocationSolver(b *testing.B) {
-	cl, err := cluster.Uniform(25, 15600, 16384)
+	for _, webs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("webs=%d", webs), func(b *testing.B) {
+			p := allocationSolverProblem(b, webs)
+			b.ResetTimer()
+			var ev *core.Evaluation
+			var err error
+			for i := 0; i < b.N; i++ {
+				if ev, err = core.Evaluate(p, p.Current); err != nil {
+					b.Fatal(err)
+				}
+				if !ev.Feasible {
+					b.Fatal("infeasible")
+				}
+			}
+			b.ReportMetric(float64(ev.Probes), "probes/op")
+			b.ReportMetric(float64(ev.FlowSolves), "flowsolves/op")
+		})
+	}
+}
+
+// allocationSolverProblem is BenchmarkAllocationSolver's problem: with
+// one web app it is on all 25 nodes, with two the first is on nodes
+// 0–14 and the second on nodes 10–24.
+func allocationSolverProblem(b *testing.B, webs int) *core.Problem {
+	// Three jobs and a web app fill 14 960 of a node's 16 384 MB; a shared
+	// host needs room for a second web app's 2 000.
+	cl, err := cluster.Uniform(25, 15600, 16384+2048*float64(webs-1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	apps := make([]*core.Application, 76)
+	const jobs = 75
+	apps := make([]*core.Application, jobs+webs)
 	pl := core.NewPlacement(len(apps))
-	for i := 0; i < 75; i++ {
+	for i := 0; i < jobs; i++ {
 		spec := trace.Experiment1Job(fmt.Sprintf("j%d", i), 0)
 		apps[i] = &core.Application{
 			Name: spec.Name, Kind: core.KindBatch, Job: spec,
@@ -288,28 +318,23 @@ func BenchmarkAllocationSolver(b *testing.B) {
 		}
 		pl.Add(i, cluster.NodeID(i/3))
 	}
-	apps[75] = &core.Application{
-		Name: "web", Kind: core.KindWeb, Web: trace.Experiment3WebApp(),
+	for w := 0; w < webs; w++ {
+		web := trace.Experiment3WebApp()
+		web.Name = fmt.Sprintf("web%d", w)
+		web.ArrivalRate /= float64(webs) // the same total load
+		apps[jobs+w] = &core.Application{Name: web.Name, Kind: core.KindWeb, Web: web}
+		first, last := 0, 24
+		if webs == 2 {
+			first, last = 10*w, 14+10*w
+		}
+		for n := first; n <= last; n++ {
+			pl.Add(jobs+w, cluster.NodeID(n))
+		}
 	}
-	for n := 0; n < 25; n++ {
-		pl.Add(75, cluster.NodeID(n))
-	}
-	p := &core.Problem{
+	return &core.Problem{
 		Cluster: cl, Now: 10000, Cycle: 600, Apps: apps, Current: pl,
 		Costs: cluster.DefaultCostModel(),
 	}
-	b.ResetTimer()
-	var ev *core.Evaluation
-	for i := 0; i < b.N; i++ {
-		if ev, err = core.Evaluate(p, pl); err != nil {
-			b.Fatal(err)
-		}
-		if !ev.Feasible {
-			b.Fatal("infeasible")
-		}
-	}
-	b.ReportMetric(float64(ev.Probes), "probes/op")
-	b.ReportMetric(float64(ev.FlowSolves), "flowsolves/op")
 }
 
 // BenchmarkEndToEndPublicAPI times a small complete run through the

@@ -7,6 +7,7 @@ import (
 
 	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
+	"dynplace/internal/rpf"
 	"dynplace/internal/trace"
 )
 
@@ -89,31 +90,63 @@ func TestWarmProbeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMultiWebProbeAllocations: once two or more web applications share
-// hosts, every probe routes them with a max-flow. The routing network is
-// kept by the allocator and only re-capacitated, so such a probe
-// allocates nothing, and each probe still reaches the flow solver.
-func TestMultiWebProbeAllocations(t *testing.T) {
+// TestMultiWebProbePaths: once two or more web applications share hosts,
+// a probe is settled by the cut condition when it lies clear of the
+// rounding band and by the max-flow inside it. Warm, neither allocates:
+// the cut test's tables and the routing network are kept by the
+// allocator. A cut-decided probe runs no flow solve and a band probe
+// exactly one.
+func TestMultiWebProbePaths(t *testing.T) {
 	p, pl := allocProblem(t, 3)
 	var tbl table
 	tbl.build(p)
 	var al allocator
 	al.aim(&tbl, pl)
-	if !al.feasible(-1, -1) {
-		t.Fatal("floor probe infeasible")
+	// probe runs one probe at level u and reports its answer and the
+	// flow solves it ran.
+	probe := func(u float64) (bool, int) {
+		before := al.flowSolves
+		ok := al.feasible(u, -1)
+		return ok, al.flowSolves - before
 	}
-	level := 0.0
-	before := al.flowSolves
-	const runs = 100
-	allocs := testing.AllocsPerRun(runs, func() {
-		al.feasible(level, -1)
-		level += 1e-3
-	})
-	if solved := al.flowSolves - before; solved < runs {
-		t.Fatalf("%d probes ran %d flow solves; a multi-web probe must route through the max-flow", runs, solved)
+	clearlyFeasible := func(u float64) bool {
+		ok, solves := probe(u)
+		return ok && solves == 0
 	}
-	if allocs != 0 {
-		t.Fatalf("multi-web probe (3 web apps on 5 hosts): %v objects, want 0", allocs)
+	// Bisect for the lowest level the cut test no longer settles as
+	// feasible: its excess has just crossed into the band.
+	lo, hi := rpf.MinUtility, 1.0
+	if !clearlyFeasible(lo) || clearlyFeasible(hi) {
+		t.Fatal("want the floor settled feasible by the cut test and level 1 not")
+	}
+	for math.Nextafter(lo, hi) < hi {
+		if mid := lo + (hi-lo)/2; clearlyFeasible(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if _, solves := probe(hi); solves != 1 {
+		t.Fatalf("the probe at the band's edge ran %d flow solves, want 1", solves)
+	}
+	for _, tc := range []struct {
+		name  string
+		level float64
+		want  int
+	}{
+		{"cut-decided", lo, 0},
+		{"band", hi, 1},
+	} {
+		before := al.flowSolves
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() { al.feasible(tc.level, -1) })
+		// AllocsPerRun makes one warm-up run besides the measured ones.
+		if solved := al.flowSolves - before; solved != tc.want*(runs+1) {
+			t.Errorf("%s probe: %d flow solves in %d probes, want %d per probe", tc.name, solved, runs+1, tc.want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s probe (3 web apps on 5 hosts): %v objects, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -90,6 +90,9 @@ func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool, hints [][2
 	al.aim(t, pl)
 	al.hints = hints
 	perApp, shares, ok, err := al.solve(skipMemCheck)
+	if err == nil {
+		err = al.cutErr
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -141,10 +142,12 @@ type Evaluation struct {
 	// function's input).
 	OmegaG float64
 	// Probes counts the bisection feasibility probes the allocation
-	// solve made for this placement, FlowSolves the max-flow runs among
-	// them (plus the one that splits web shares). They are work counts,
-	// set on infeasible evaluations too, and smaller for Optimize's
-	// candidates, whose level searches start from the incumbent's.
+	// solve made for this placement, FlowSolves its max-flow runs: the
+	// probes the cut condition left inside its rounding band (or that
+	// route more than six web apps), plus the one that splits web
+	// shares. They are work counts, set on infeasible evaluations too, and
+	// smaller for Optimize's candidates, whose level searches start from
+	// the incumbent's.
 	Probes, FlowSolves int
 
 	// brackets are the level searches' final brackets
@@ -197,6 +200,25 @@ type allocator struct {
 	netBuilt                    bool
 	srcRefs, hostRefs, sinkRefs []flow.EdgeRef
 
+	// The cut test (cutDecide) settles most multi-web probes without the
+	// network. Index an app set by a bitmask over webs. aim clears
+	// cutBuilt; the first multi-web probe after it fills cutFree, per app
+	// set, the summed capacity of the web hosts that carry exactly that
+	// set and no batch job (their residual is their capacity at every
+	// probe), cutJobs, the web hosts that do carry a job, and cutEdges,
+	// the routing network's edge count. cutSum and cutDemand are probe
+	// scratch, one entry per app set, and cutHostSet buildCut's, one per
+	// web host.
+	cutBuilt                   bool
+	cutFree, cutSum, cutDemand []float64
+	cutJobs                    []cutHost
+	cutHostSet                 []int
+	cutEdges                   int
+	// cutErr is the first disagreement VerifyIncremental's cross-check
+	// (checkCut) found between a cut decision and the max-flow;
+	// arena.evaluate returns it.
+	cutErr error
+
 	// frozen and fixed, indexed by app: whether the level search has
 	// settled the app, and at which allocation.
 	frozen []bool
@@ -237,7 +259,7 @@ func (al *allocator) aim(t *table, pl *Placement) {
 	al.t, al.pl = t, pl
 	al.jobs, al.jobNode, al.webs = al.jobs[:0], al.jobNode[:0], al.webs[:0]
 	al.jobNodes, al.webHosts = al.jobNodes[:0], al.webHosts[:0]
-	al.netBuilt = false
+	al.netBuilt, al.cutBuilt, al.cutErr = false, false, nil
 	al.probes, al.flowSolves = 0, 0
 	al.brackets, al.hints = al.brackets[:0], nil
 
@@ -384,12 +406,193 @@ func (al *allocator) feasible(u float64, raised int) bool {
 		}
 		return al.webDemand[0] <= residual+tol
 	}
-	// General case: bipartite feasibility by max-flow.
+	// General case: bipartite feasibility, from the cut condition where
+	// it settles the probe, else by max-flow.
+	if len(al.webs) <= maxCutWebs {
+		if ok, decided := al.cutDecide(totalWeb, tol); decided {
+			if cutFault != nil && cutFault() {
+				ok = !ok
+			}
+			if al.t.p.VerifyIncremental {
+				al.checkCut(ok, u, raised, totalWeb, tol)
+			}
+			return ok
+		}
+	}
+	return al.routes(totalWeb, tol)
+}
+
+// routes reports whether the max-flow routes the probe's web demands
+// (webDemand, summing to totalWeb) to within tol.
+func (al *allocator) routes(totalWeb, tol float64) bool {
 	routed, err := al.routeWeb(al.webDemand)
 	if err != nil {
 		return false
 	}
 	return routed >= totalWeb-tol
+}
+
+// maxCutWebs bounds the web applications whose probes cutDecide settles:
+// its work grows as k·2^k in their number k, so above it every
+// multi-web probe runs the max-flow.
+const maxCutWebs = 6
+
+// routeEps is the flow package's eps, the smallest residual capacity
+// Dinic's search follows; cutDecide's bound is written in it.
+// TestRouteEpsIsFlowEps pins the two together.
+const routeEps = 1e-9
+
+// cutFault, when a test sets it, is asked at every probe cutDecide
+// settles and inverts the decision when it returns true: the one way to
+// make a wrong decision reach VerifyIncremental's cross-check.
+var cutFault func() bool
+
+// cutHost is a web host that carries a batch job: its node and the set of
+// web apps it hosts.
+type cutHost struct{ node, set int }
+
+// cutDecide settles a multi-web probe from the supply–demand cut
+// condition when that provably gives routes' answer, and reports
+// decided=false when the probe must run the max-flow.
+//
+// The routing network (buildNet) sends each web app's demand d_i from
+// the source through the app to its hosts, and host n passes at most
+// c_n = max(0, cap_n − load_n) to the sink. Every edge out of an app has
+// the app's own demand as capacity, so a minimum cut keeps some app set
+// S on the source side together with its hosts N(S), and the maximum
+// flow is D − max(0, excess) (Gale 1957), where D = Σ d_i and
+//
+//	excess = max over nonempty S of Σ_{i∈S} d_i − Σ_{n∈N(S)} c_n.
+//
+// The probe computes excess from per-set host capacities in
+// O(job hosts + k·2^k), and decides when it is at least b clear of the
+// band where float arithmetic could tip routes' comparison
+// routed ≥ totalWeb − tol:
+//
+//   - b = routeEps·m + ρ, with m the network's edges. ρ = 4u(H+k+2)(D+C),
+//     u = 2⁻⁵³, bounds the rounding of the sums in excess and of totalWeb:
+//     each per-set capacity sum adds nonnegative terms of at most H web
+//     hosts (C their total capacity) in at most H+k roundings, and N(S)'s
+//     is the difference of two such sums; each demand sum, totalWeb
+//     included, rounds at most k−1 times; the final subtraction once.
+//     First-order that is within (2H+3k+2)u(D+C), so the exact excess of
+//     the capacities the network is given lies within ρ of the computed
+//     one.
+//   - excess > tol + b: the exact maximum flow is below D − tol − routeEps·m,
+//     so routes, whose flow cannot exceed it, reports false.
+//   - excess < −b: let X be the vertices Dinic still reaches from the
+//     source when it stops, through edges of residual above routeEps.
+//     Edges leaving X then carry at least their capacity less routeEps
+//     and edges entering it at most routeEps, so the flow value is at
+//     least cap(X) − routeEps·m. If X holds an app set S′ whose hosts all
+//     lie in X, cap(X) ≥ D − Σ_{S′} d_i + c(N(S′)) > D + routeEps·m,
+//     more than any flow of value ≤ D can leave: impossible. Otherwise
+//     every app has its source edge, or an edge to a host, leaving X, so
+//     the flow is at least D − k·routeEps, and routes reports true (tol
+//     is 1e-6, k·routeEps at most 6e-9).
+//
+// Both cases take Dinic's flows as the exact sums of its pushes; their
+// own rounding, a half ulp of D per push, is what the margins routeEps·m
+// and tol − k·routeEps absorb. VerifyIncremental re-runs the max-flow for
+// every probe decided here (checkCut). Probes between the two bounds,
+// which include the level search's last rungs, and any with a demand or
+// capacity that is not finite and nonnegative run the max-flow, as
+// before.
+func (al *allocator) cutDecide(totalWeb, tol float64) (ok, decided bool) {
+	if !al.cutBuilt {
+		al.buildCut()
+	}
+	full := len(al.cutSum) - 1
+	sum, nodeCaps := al.cutSum, al.t.nodeCaps
+	copy(sum, al.cutFree)
+	for _, h := range al.cutJobs {
+		sum[h.set] += max(0, nodeCaps[h.node]-al.nodeLoad[h.node])
+	}
+	// Subset sums: sum[m] becomes the capacity of the hosts whose app set
+	// lies within m, so N(S) has sum[full] − sum[full^S].
+	for bit := 1; bit <= full; bit <<= 1 {
+		for m := range sum {
+			if m&bit != 0 {
+				sum[m] += sum[m^bit]
+			}
+		}
+	}
+	capTotal := sum[full]
+	if !(capTotal <= math.MaxFloat64 && totalWeb <= math.MaxFloat64) {
+		return false, false // NaN or +Inf
+	}
+	for _, d := range al.webDemand {
+		if !(d >= 0) {
+			return false, false // NaN or negative
+		}
+	}
+	dem := al.cutDemand
+	for s := 1; s <= full; s++ {
+		dem[s] = dem[s&(s-1)] + al.webDemand[bits.TrailingZeros(uint(s))]
+	}
+	excess := math.Inf(-1)
+	for s := 1; s <= full; s++ {
+		excess = max(excess, dem[s]-(capTotal-sum[full^s]))
+	}
+	b := routeEps*float64(al.cutEdges) +
+		0x1p-51*float64(len(al.webHosts)+len(al.webs)+2)*(totalWeb+capTotal)
+	switch {
+	case excess > tol+b:
+		return false, true
+	case excess < -b:
+		return true, true
+	}
+	return false, false
+}
+
+// buildCut fills cutDecide's tables for the aimed placement.
+func (al *allocator) buildCut() {
+	sets := 1 << len(al.webs)
+	al.cutFree = slices.Grow(al.cutFree[:0], sets)[:sets]
+	al.cutSum = slices.Grow(al.cutSum[:0], sets)[:sets]
+	al.cutDemand = slices.Grow(al.cutDemand[:0], sets)[:sets]
+	clear(al.cutFree)
+	al.cutDemand[0] = 0
+	// Each web host's app set; the bit above every set marks a host that
+	// carries a job.
+	hostSet := slices.Grow(al.cutHostSet[:0], len(al.webHosts))[:len(al.webHosts)]
+	clear(hostSet)
+	al.cutHostSet = hostSet
+	al.cutEdges = len(al.webs) + len(al.webHosts)
+	for i, app := range al.webs {
+		nodes := al.pl.NodesOf(app)
+		al.cutEdges += len(nodes)
+		for _, nd := range nodes {
+			hostSet[al.hostIdx[nd]] |= 1 << i
+		}
+	}
+	for _, nd := range al.jobNodes {
+		if h := al.hostIdx[nd]; h >= 0 {
+			hostSet[h] |= sets
+		}
+	}
+	al.cutJobs = al.cutJobs[:0]
+	for h, nd := range al.webHosts {
+		if set := hostSet[h]; set&sets != 0 {
+			al.cutJobs = append(al.cutJobs, cutHost{node: nd, set: set &^ sets})
+		} else {
+			al.cutFree[set] += max(0, al.t.nodeCaps[nd])
+		}
+	}
+	al.cutBuilt = true
+}
+
+// checkCut is VerifyIncremental's cross-check of one probe cutDecide
+// settled: the max-flow must agree. It does not count as a flow solve, so
+// the work counts are those of an unchecked run.
+func (al *allocator) checkCut(ok bool, u float64, raised int, totalWeb, tol float64) {
+	solves := al.flowSolves
+	want := al.routes(totalWeb, tol)
+	al.flowSolves = solves
+	if want != ok && al.cutErr == nil {
+		al.cutErr = fmt.Errorf("core: cut condition decided %v where the max-flow routes %v (level %v, raised app %d)",
+			ok, want, u, raised)
+	}
 }
 
 // routeWeb routes web demands (parallel to webs) through node residuals

@@ -1,14 +1,20 @@
 // Package flow implements Dinic's maximum-flow algorithm on small dense
-// graphs. The allocation solver uses it as a feasibility oracle: a
-// candidate utility level is feasible iff the demand of every application
-// can be routed through its placed instances into node CPU capacities.
+// graphs. The allocation solver routes web demand through it when two or
+// more web applications share hosts, in two places. It splits each web
+// application's allocation across its hosts, reading the shares off the
+// edges. And it is the fallback of the solver's feasibility probe: a
+// candidate utility level is feasible iff every application's demand
+// can be routed through its placed instances into node CPU capacities,
+// which the solver decides from the supply–demand cut condition except
+// within float rounding of the threshold, where only the flow's own
+// answer will do.
 //
 // A network is built once and run many times. The solver builds one per
 // candidate placement (Clear, then AddEdge per edge) and re-capacitates it
-// before each of the candidate's feasibility probes (SetCapacity per edge,
-// then Reset). A run on a re-capacitated network sees the same edges in
-// the same order as a fresh build with those capacities, so it does the
-// same float arithmetic and returns the same flows, bit for bit.
+// before each run (SetCapacity per edge, then Reset). A run on a
+// re-capacitated network sees the same edges in the same order as a
+// fresh build with those capacities, so it does the same float arithmetic
+// and returns the same flows, bit for bit.
 //
 // Capacities are float64 because CPU demands are fractional MHz; an
 // epsilon guards against float round-off in residual comparisons.
