@@ -62,7 +62,9 @@ func OptimizeAnnealing(p *Problem, opts AnnealingOptions) (*Result, error) {
 	} else {
 		current = current.Clone()
 	}
-	repaired, err := repair(p, current)
+	tbl := new(table)
+	tbl.build(p)
+	repaired, err := repair(tbl, current)
 	if err != nil {
 		return nil, err
 	}

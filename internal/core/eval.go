@@ -14,7 +14,7 @@ import (
 // arena is everything one goroutine needs to evaluate placements one
 // after another without allocating per candidate: an allocator that is
 // re-aimed, a hypothetical RPF that is reset, and the scratch of the
-// prediction and touched-node passes. What an evaluation returns (the
+// prediction pass. What an evaluation returns (the
 // Evaluation and its slices) is always freshly allocated; nothing in it
 // aliases the arena.
 //
@@ -38,25 +38,6 @@ type arena struct {
 	preds       []batch.Prediction
 	completed   []int
 	completedAt []float64 // parallel to completed
-
-	// feasibleDelta scratch: the nodes where a candidate differs from the
-	// base, each with the chain of its differences in application order.
-	// touchedIdx maps a node to its slot in touched, -1 between uses.
-	touchedIdx  []int
-	touched     []touchedNode
-	deltas      []delta
-	added, gone []int
-}
-
-type touchedNode struct {
-	node       cluster.NodeID
-	head, tail int // first and last of the node's deltas, -1 when none
-}
-
-type delta struct {
-	app   int
-	added bool // else removed
-	next  int  // next delta on the same node, -1 at the end
 }
 
 // arenas recycles arenas between cycles and calls.
@@ -81,10 +62,11 @@ func Evaluate(p *Problem, pl *Placement) (*Evaluation, error) {
 
 // evaluate runs the CPU-distribution solve for pl and derives the
 // per-application predictions. Shared by the full and incremental
-// evaluation paths, which differ only in how feasibility of the
-// placement's memory/anti-collocation constraints is established
-// (skipMemCheck: the caller already has). hints seed the level searches
-// (allocator.level); they change the work, never the result.
+// evaluation paths, which differ only in whether the placement's memory
+// and anti-collocation constraints are checked: skipMemCheck when pl is
+// one of Optimize's candidates, which are generated to fit. hints seed
+// the level searches (allocator.level); they change the work, never the
+// result.
 func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool, hints [][2]float64) (*Evaluation, error) {
 	p, al := t.p, &ar.al
 	al.aim(t, pl)
@@ -188,13 +170,15 @@ func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool, hints [][2
 // evalContext carries the state shared by the many candidate
 // evaluations of one optimization step: the constants table, the base
 // placement candidates were derived from and its per-node residents. A
-// candidate differs from the base on only a handful of nodes, so instead
-// of re-running the full O(nodes × apps) memory scan per candidate,
-// feasibility is re-established on the touched nodes alone. The
-// CPU-distribution solve itself is unchanged, which keeps incremental
-// scores bit-identical to Evaluate's; it only starts each level search
-// from the base's bracket for the same round, which skips most of the
-// probes when the candidate's level is the base's.
+// candidate differs from the base on only a handful of nodes, and the
+// generators build it to fit: every node it changes is checked with
+// table.fits as it is built, and every other node keeps the feasible
+// base's residents. So a candidate's evaluation skips the full
+// O(nodes × apps) memory scan. The CPU-distribution solve itself is
+// unchanged, which keeps incremental scores bit-identical to Evaluate's;
+// it only starts each level search from the base's bracket for the same
+// round, which skips most of the probes when the candidate's level is
+// the base's.
 //
 // Between rebase calls the context is read-only to evaluate, which is
 // what the evaluation workers call concurrently (each with its own
@@ -219,7 +203,7 @@ type evalContext struct {
 // rebase makes base the placement candidates are derived from. The base
 // must satisfy the memory and anti-collocation constraints (the
 // optimizer guarantees this: the initial placement is repaired and every
-// adopted candidate was evaluated feasible). hints are the brackets of
+// adopted candidate was generated to fit). hints are the brackets of
 // base's evaluation by this context (Evaluation.brackets), nil before
 // there is one.
 func (c *evalContext) rebase(base *Placement, hints [][2]float64) {
@@ -244,15 +228,13 @@ func (c *evalContext) rebase(base *Placement, hints [][2]float64) {
 	clear(c.classes)
 }
 
-// evaluate scores a candidate placement incrementally. When the problem
-// sets VerifyIncremental it additionally runs the full evaluation and
-// errors out on any divergence.
+// evaluate scores a candidate placement incrementally: cand must be the
+// base or a candidate the generators built from it, so it fits. When the
+// problem sets VerifyIncremental it additionally runs the full
+// evaluation, memory scan included, and errors out on any divergence.
 func (c *evalContext) evaluate(ar *arena, cand *Placement) (*Evaluation, error) {
 	if cand == nil || cand.Apps() != len(c.t.apps) {
 		return nil, fmt.Errorf("%w: placement/app mismatch", ErrBadProblem)
-	}
-	if !c.feasibleDelta(ar, cand) {
-		return &Evaluation{Feasible: false}, nil
 	}
 	ev, err := ar.evaluate(c.t, cand, true, c.hints)
 	if err == nil && ev.Feasible {
@@ -271,137 +253,14 @@ func (c *evalContext) evaluate(ar *arena, cand *Placement) (*Evaluation, error) 
 	return ev, nil
 }
 
-// note records that cand and the base differ in app's instance on nd.
-func (ar *arena) note(nd cluster.NodeID, app int, added bool) {
-	slot := ar.touchedIdx[nd]
-	if slot < 0 {
-		slot = len(ar.touched)
-		ar.touchedIdx[nd] = slot
-		ar.touched = append(ar.touched, touchedNode{node: nd, head: -1, tail: -1})
-	}
-	k := len(ar.deltas)
-	ar.deltas = append(ar.deltas, delta{app: app, added: added, next: -1})
-	if tn := &ar.touched[slot]; tn.tail < 0 {
-		tn.head, tn.tail = k, k
-	} else {
-		ar.deltas[tn.tail].next = k
-		tn.tail = k
-	}
-}
-
-// feasibleDelta checks memory and anti-collocation constraints on the
-// nodes where cand differs from the base placement. Untouched nodes
-// carry the base's residents unchanged and the base is feasible, so
-// they cannot fail; nodes that only lost instances cannot fail either.
-func (c *evalContext) feasibleDelta(ar *arena, cand *Placement) bool {
-	t := c.t
-	if n := len(t.nodeCaps); len(ar.touchedIdx) < n {
-		ar.touchedIdx = make([]int, n)
-		for i := range ar.touchedIdx {
-			ar.touchedIdx[i] = -1
-		}
-	}
-	ar.touched, ar.deltas = ar.touched[:0], ar.deltas[:0]
-	for app := range t.apps {
-		a, b := c.base.NodesOf(app), cand.NodesOf(app) // both sorted
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			switch {
-			case a[i] == b[j]:
-				i++
-				j++
-			case a[i] < b[j]:
-				ar.note(a[i], app, false)
-				i++
-			default:
-				ar.note(b[j], app, true)
-				j++
-			}
-		}
-		for ; i < len(a); i++ {
-			ar.note(a[i], app, false)
-		}
-		for ; j < len(b); j++ {
-			ar.note(b[j], app, true)
-		}
-	}
-	ok := true
-	for _, tn := range ar.touched {
-		ar.touchedIdx[tn.node] = -1
-		if ok && !c.nodeAccepts(ar, tn) {
-			ok = false
-		}
-	}
-	return ok
-}
-
-// nodeAccepts checks one touched node of a candidate.
-func (c *evalContext) nodeAccepts(ar *arena, tn touchedNode) bool {
-	t := c.t
-	// The node's deltas arrive in ascending application order.
-	added, gone := ar.added[:0], ar.gone[:0]
-	for k := tn.head; k >= 0; k = ar.deltas[k].next {
-		if d := ar.deltas[k]; d.added {
-			added = append(added, d.app)
-		} else {
-			gone = append(gone, d.app)
-		}
-	}
-	ar.added, ar.gone = added, gone
-	if len(added) == 0 {
-		return true
-	}
-	// Sum the candidate's residents in ascending app order — the exact
-	// order (and therefore rounding) memoryFits uses — by merging the
-	// base residents (minus removals) with the additions. A
-	// base-sum-plus-delta shortcut could land a last-ulp away from the
-	// fresh sum right at the capacity boundary and diverge from the full
-	// evaluation.
-	var mem float64
-	res := c.residents.on(tn.node)
-	ri, ai, di := 0, 0, 0
-	for ri < len(res) || ai < len(added) {
-		if ai >= len(added) || (ri < len(res) && res[ri] < added[ai]) {
-			app := res[ri]
-			ri++
-			if di < len(gone) && gone[di] == app {
-				di++
-				continue
-			}
-			mem += t.apps[app].mem
-		} else {
-			mem += t.apps[added[ai]].mem
-			ai++
-		}
-	}
-	if mem > t.nodeMem[tn.node]+capTolerance {
-		return false
-	}
-	if !t.conflicts {
-		return true
-	}
-	for ai, app := range added {
-		for _, other := range res {
-			if !slices.Contains(gone, other) && t.conflict(app, other) {
-				return false
-			}
-		}
-		for _, other := range added[:ai] {
-			if t.conflict(app, other) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // diffEvaluations describes the first difference between two
 // evaluations, or returns nil when they agree bit for bit on everything
 // an adoption decision or a caller reads. VerifyIncremental uses it
 // twice: an incremental evaluation must equal the full one, which runs
-// the same solve on the same inputs and differs only in how feasibility
-// was established; and a node Optimize skipped as interchangeable must
-// score exactly as the node it was skipped for (checkTwin).
+// the same solve on the same inputs and differs only in the memory scan
+// the incremental one skips; and a node Optimize skipped as
+// interchangeable must score exactly as the node it was skipped for
+// (checkTwin).
 func diffEvaluations(a, b *Evaluation) error {
 	if a.Feasible != b.Feasible {
 		return fmt.Errorf("feasible %v vs %v", a.Feasible, b.Feasible)

@@ -20,7 +20,7 @@ func passCandidates(t *testing.T, p *Problem) (*evalContext, []*Placement) {
 	tbl := new(table)
 	tbl.build(p)
 	base := p.Current.Clone()
-	if _, err := repair(p, base); err != nil {
+	if _, err := repair(tbl, base); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	ctx := &evalContext{t: tbl}

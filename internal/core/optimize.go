@@ -73,18 +73,18 @@ func Optimize(p *Problem) (*Result, error) {
 	} else {
 		current = current.Clone()
 	}
-	repaired, err := repair(p, current)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Repaired: repaired}
 	pool := newEvalPool(p.parallelism())
 	defer pool.close()
 	// The constants table is built once, into the calling goroutine's
 	// arena, and only read from here on — by every worker.
 	t := &pool.own.tbl
 	t.build(p)
+	repaired, err := repair(t, current)
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Result{Repaired: repaired}
 	ctx := &evalContext{t: t}
 	ctx.rebase(current, nil)
 	best, err := ctx.evaluate(pool.own, current)
@@ -253,6 +253,9 @@ type genScratch struct {
 	addable []int     // applications that could gain an instance there
 	need    []float64 // per addable app: its utility at the comparison resolution
 	picks   []int     // the greedy fill at the current removal depth
+	// kept is a node's residents as a candidate would leave them, and
+	// trial the same with one more application (both ascending).
+	kept, trial []int
 }
 
 // candidatesForNode appends to out the intermediate-loop configurations
@@ -387,15 +390,16 @@ const maxAddsPerNode = 4
 
 // greedyFill picks up to maxAddsPerNode applications from addable (in
 // order) that the node can take once the removed residents are gone:
-// each must fit the memory left by the residents and the earlier picks,
-// and conflict with none of them.
+// each must fit (table.fits) beside the remaining residents and the
+// earlier picks. The node is the only one a fill changes, apart from a
+// migrated job's old node, which only loses an instance, so every
+// prefix of the fill fits.
 func (c *evalContext) greedyFill(node cluster.NodeID, removed, addable []int) []int {
 	t, g := c.t, &c.gen
-	residents := c.residents.on(node)
-	var used float64
-	for _, app := range residents {
+	kept, trial := g.kept[:0], g.trial[:0]
+	for _, app := range c.residents.on(node) {
 		if !slices.Contains(removed, app) {
-			used += t.apps[app].mem
+			kept = append(kept, app)
 		}
 	}
 	picks := g.picks[:0]
@@ -403,26 +407,14 @@ func (c *evalContext) greedyFill(node cluster.NodeID, removed, addable []int) []
 		if len(picks) >= maxAddsPerNode {
 			break
 		}
-		mem := t.apps[idx].mem
-		if used+mem > t.nodeMem[node]+capTolerance {
-			continue
+		i, _ := slices.BinarySearch(kept, idx)
+		trial = slices.Insert(append(trial[:0], kept...), i, idx)
+		if t.fits(node, trial) {
+			kept, trial = trial, kept
+			picks = append(picks, idx)
 		}
-		if t.conflicts {
-			clash := false
-			for _, other := range residents {
-				clash = clash || (!slices.Contains(removed, other) && t.conflict(idx, other))
-			}
-			for _, other := range picks {
-				clash = clash || t.conflict(idx, other)
-			}
-			if clash {
-				continue
-			}
-		}
-		picks = append(picks, idx)
-		used += mem
 	}
-	g.picks = picks
+	g.kept, g.trial, g.picks = kept, trial, picks
 	return picks
 }
 
@@ -463,12 +455,10 @@ func (c *evalContext) webExpansionCandidates(best *Evaluation) []*Placement {
 			}
 			// The candidate differs from the base only in this app's
 			// instances, so a node it is not on has the base's residents.
-			mem, clash := 0.0, false
-			for _, other := range c.residents.on(node) {
-				mem += t.apps[other].mem
-				clash = clash || t.conflict(idx, other)
-			}
-			if clash || mem+ac.mem > t.nodeMem[n]+capTolerance {
+			res := c.residents.on(node)
+			i, _ := slices.BinarySearch(res, idx)
+			c.gen.trial = slices.Insert(append(c.gen.trial[:0], res...), i, idx)
+			if !t.fits(node, c.gen.trial) {
 				continue
 			}
 			if cand == nil {
@@ -542,11 +532,12 @@ func (c *evalContext) addableApps(best *Evaluation, node cluster.NodeID) []int {
 	return out
 }
 
-// repair evicts instances until the placement satisfies memory and
-// minimum-speed constraints on every node — the recovery path after a
-// node disappears or an application's footprint grows. It returns whether
-// anything was evicted.
-func repair(p *Problem, pl *Placement) (bool, error) {
+// repair evicts instances until the placement satisfies memory,
+// anti-collocation and minimum-speed constraints on every node — the
+// recovery path after a node disappears or an application's footprint
+// grows. It returns whether anything was evicted.
+func repair(t *table, pl *Placement) (bool, error) {
+	p := t.p
 	repaired := false
 	// Drop instances referencing nodes outside the cluster.
 	for app := 0; app < pl.Apps(); app++ {
@@ -560,21 +551,14 @@ func repair(p *Problem, pl *Placement) (bool, error) {
 	for n := 0; n < p.Cluster.Len(); n++ {
 		node, _ := p.Cluster.Node(cluster.NodeID(n))
 		for {
-			var mem, minCPU float64
+			var minCPU float64
 			apps := pl.OnNode(node.ID)
-			conflicted := false
-			for i, app := range apps {
-				mem += p.Apps[app].MemoryMB()
+			for _, app := range apps {
 				if p.Apps[app].Kind == KindBatch {
 					minCPU += p.Apps[app].Job.MinSpeedAt(p.Apps[app].Done)
 				}
-				for _, other := range apps[i+1:] {
-					if conflictsWith(p.Apps[app], p.Apps[other]) {
-						conflicted = true
-					}
-				}
 			}
-			if mem <= node.MemMB+capTolerance && minCPU <= node.CPUMHz+capTolerance && !conflicted {
+			if minCPU <= node.CPUMHz+capTolerance && t.fits(node.ID, apps) {
 				break
 			}
 			if len(apps) == 0 {

@@ -56,7 +56,7 @@ func randomProblem(t *testing.T, seed int64) *Problem {
 			spec.AntiCollocate = []string{fmt.Sprintf("job-%d", rng.Intn(j))}
 		}
 		idx := nWeb + j
-		app := &Application{Name: spec.Name, Kind: KindBatch, Job: spec}
+		app := &Application{Name: spec.Name, Kind: KindBatch, Job: spec, AntiCollocate: spec.AntiCollocate}
 		if rng.Intn(4) == 0 {
 			app.PinnedNodes = []cluster.NodeID{
 				cluster.NodeID(rng.Intn(nodes)), cluster.NodeID(rng.Intn(nodes)),
@@ -183,7 +183,8 @@ func TestDeterministicTieBreak(t *testing.T) {
 
 // TestVerifyIncrementalCrossCheck runs the optimizer in debug mode,
 // where every incremental evaluation is compared against a full
-// evaluation; any divergence in the touched-node feasibility logic
+// evaluation, memory scan included: a candidate the generators built
+// that does not fit, or any divergence of the reused evaluation state,
 // turns into an optimization error.
 func TestVerifyIncrementalCrossCheck(t *testing.T) {
 	for seed := int64(20); seed < 26; seed++ {

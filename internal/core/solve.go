@@ -329,23 +329,8 @@ func (al *allocator) memoryFits() bool {
 	t := al.t
 	al.residents.build(al.pl, len(t.nodeCaps))
 	for n := range t.nodeCaps {
-		onNode := al.residents.on(cluster.NodeID(n))
-		var mem float64
-		for _, app := range onNode {
-			mem += t.apps[app].mem
-		}
-		if mem > t.nodeMem[n]+capTolerance {
+		if nd := cluster.NodeID(n); !t.fits(nd, al.residents.on(nd)) {
 			return false
-		}
-		if !t.conflicts {
-			continue
-		}
-		for i := 0; i < len(onNode); i++ {
-			for j := i + 1; j < len(onNode); j++ {
-				if t.conflict(onNode[i], onNode[j]) {
-					return false
-				}
-			}
 		}
 	}
 	return true
@@ -740,9 +725,8 @@ func (al *allocator) level() float64 {
 
 // solve runs the lexicographic max-min level search and returns the
 // per-app allocations, or feasibleOK=false. skipMemCheck elides the full
-// per-node memory/anti-collocation scan: the incremental evaluation path
-// has already verified the nodes the candidate touches against a
-// known-feasible base placement. perApp and shares are freshly
+// per-node memory/anti-collocation scan, for Optimize's candidates: their
+// generators build them to fit (table.fits). perApp and shares are freshly
 // allocated; everything else the search needs is the allocator's own.
 func (al *allocator) solve(skipMemCheck bool) (perApp []float64, shares map[int][]float64, feasibleOK bool, err error) {
 	if !skipMemCheck && !al.memoryFits() {

@@ -149,6 +149,28 @@ func (t *table) conflict(a, b int) bool {
 	return t.conflicts && conflictsWith(t.p.Apps[a], t.p.Apps[b])
 }
 
+// fits reports whether node n can host apps (ascending) together: their
+// memory fits the node's and no two are anti-collocated. It is the one
+// fit rule — the full evaluation, repair and the candidate generators
+// all decide through it — and it sums the footprints in ascending
+// application order, so that every caller rounds the same way right at
+// the capacity boundary.
+func (t *table) fits(n cluster.NodeID, apps []int) bool {
+	var mem float64
+	for i, app := range apps {
+		mem += t.apps[app].mem
+		if !t.conflicts {
+			continue
+		}
+		for _, other := range apps[:i] {
+			if t.conflict(app, other) {
+				return false
+			}
+		}
+	}
+	return mem <= t.nodeMem[n]+capTolerance
+}
+
 // residentIndex answers "which applications have an instance on this
 // node" for one placement: a counting sort of its (app, node) incidences
 // by node, each node's residents in ascending application order — the

@@ -122,12 +122,12 @@ func TestClassSkipIsExact(t *testing.T) {
 // distinguished: without the exclusion they would have a twin.
 func initialTwins(t *testing.T, p *Problem) (skipped, excluded int) {
 	t.Helper()
-	base := p.Current.Clone()
-	if _, err := repair(p, base); err != nil {
-		t.Fatal(err)
-	}
 	tbl := new(table)
 	tbl.build(p)
+	base := p.Current.Clone()
+	if _, err := repair(tbl, base); err != nil {
+		t.Fatal(err)
+	}
 	ctx := &evalContext{t: tbl}
 	ctx.rebase(base, nil)
 	for n := range tbl.nodeCaps {

@@ -49,10 +49,11 @@ func requireSameResult(t *testing.T, seq, par *core.Result) {
 
 // TestScaleProblemVerifyIncremental runs the scale problem at 200 nodes
 // with every incremental candidate evaluation cross-checked against a
-// full Evaluate, sequentially and on the worker pool: the touched-node
-// feasibility shortcut and the reused evaluation state must agree with
-// a from-scratch evaluation on every candidate, and both worker counts
-// must reach the same result. The cross-check also covers the class
+// full Evaluate, sequentially and on the worker pool: every candidate
+// must fit as generated (its incremental evaluation skips the memory
+// scan), the reused evaluation state must agree with a from-scratch
+// evaluation on every candidate, and both worker counts must reach the
+// same result. The cross-check also covers the class
 // skip: the candidates of every node skipped as interchangeable (564 of
 // the 655 the solve would otherwise score) are generated and evaluated
 // in full, and must score exactly as their twins'.
