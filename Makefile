@@ -59,14 +59,18 @@ shuffle:
 # micro-benchmarks (the allocation solver with one web app, and with two
 # that share hosts, whose probes take the cut test). Each prints the solver's work counts (candidates,
 # probes, flow solves per op) beside time; the flat solve and the
-# micro-benchmarks also print bytes and objects per op. Last, one
+# micro-benchmarks also print bytes and objects per op. Then one
 # GET /v1/placement on a 2 000-node placement: bytes and objects per
 # read, which stay flat because a read serves the published encoding.
+# Last, one WAL append of a 10 000-node cycle record with a ~1 MB
+# placement, fsync included: bytes per append stay about one frame,
+# because the record is framed around the placement bytes.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkReplaySweep -benchtime=1x .
 	$(GO) test -run '^$$' -bench BenchmarkFlatSolve -benchmem -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizerCycle|BenchmarkAllocationSolver' -benchmem -benchtime=5x .
 	$(GO) test -run '^$$' -bench BenchmarkPlacementRead -benchmem ./internal/daemon
+	$(GO) test -run '^$$' -bench BenchmarkAppendCycleRecord -benchmem ./internal/store
 
 # The repository's benchmark (cmd/dynbench/README.md): the whole
 # untraced set, each workload in a process of its own, into
@@ -91,15 +95,19 @@ recovery-smoke:
 bundle-smoke:
 	./scripts/bundle_smoke.sh
 
-# The CI fuzz-smoke job: 20 s of coverage-guided fuzzing of the
-# replay-trace parser. Crashers become seed corpus entries under
-# internal/trace/testdata/fuzz.
+# The CI fuzz-smoke job: 20 s each of coverage-guided fuzzing of the
+# replay-trace parser and of the store's WAL and snapshot loader.
+# Crashers become seed corpus entries under the package's
+# testdata/fuzz. A FuzzLoad run fsyncs a fresh store, a few ms per
+# input, so minimizing an input is capped at 5 s instead of the
+# default 60 s that would take the whole run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 20s -fuzzminimizetime 5s ./internal/store
 
 # The CI coverage job: statement-coverage floor (85%) on
 # internal/core, flow, rpf, batch and txn (the paper's algorithm),
 # internal/forecast, internal/trace, internal/control, internal/daemon,
-# internal/scheduler, internal/sim and internal/shard.
+# internal/scheduler, internal/sim, internal/shard and internal/store.
 cover:
 	./scripts/coverage_floor.sh

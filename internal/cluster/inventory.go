@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -121,12 +123,17 @@ func (v *Inventory) Active() []Node {
 func (v *Inventory) Node(id NodeID) (InventoryNode, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, n := range v.nodes {
-		if n.ID == id {
-			return n, true
-		}
+	if i, ok := v.indexOf(id); ok {
+		return v.nodes[i], true
 	}
 	return InventoryNode{}, false
+}
+
+// indexOf binary-searches the ascending nodes for id. Callers hold mu.
+func (v *Inventory) indexOf(id NodeID) (int, bool) {
+	return slices.BinarySearchFunc(v.nodes, id, func(n InventoryNode, id NodeID) int {
+		return cmp.Compare(n.ID, id)
+	})
 }
 
 // ByName returns the registered node with the given name.
@@ -241,11 +248,8 @@ func (v *Inventory) Fail(name string) (NodeID, error) {
 func (v *Inventory) FailID(id NodeID) error {
 	v.mu.Lock()
 	name := ""
-	for _, n := range v.nodes {
-		if n.ID == id {
-			name = n.Name
-			break
-		}
+	if i, ok := v.indexOf(id); ok {
+		name = v.nodes[i].Name
 	}
 	v.mu.Unlock()
 	if name == "" {

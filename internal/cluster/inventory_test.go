@@ -3,6 +3,9 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -232,4 +235,91 @@ func TestRestoreAddSkipsBurnedIDs(t *testing.T) {
 	if err := inv.RestoreAdd(Node{Name: "clash", CPUMHz: 1, MemMB: 1}, 3); err == nil {
 		t.Fatal("RestoreAdd accepted an already-allocated ID")
 	}
+}
+
+// TestInventoryNodeAfterChurn: Node binary-searches the nodes by ID, so
+// it relies on them staying ascending through every mutation. After
+// each step of a seeded add/restore/remove/fail churn, and after an
+// export/import round trip, every live ID resolves to its node and
+// every retired or never-issued ID does not.
+func TestInventoryNodeAfterChurn(t *testing.T) {
+	inv := mustInventory(t, 8)
+	live := make(map[NodeID]string)
+	for _, n := range inv.Nodes() {
+		live[n.ID] = n.Name
+	}
+	retired := make(map[NodeID]bool)
+	check := func(inv *Inventory, step int) {
+		t.Helper()
+		for id, name := range live {
+			if n, ok := inv.Node(id); !ok || n.Name != name {
+				t.Fatalf("step %d: Node(%d) = %+v, %v; want %q", step, id, n, ok, name)
+			}
+		}
+		for id := range retired {
+			if n, ok := inv.Node(id); ok {
+				t.Fatalf("step %d: retired ID %d resolves to %+v", step, id, n)
+			}
+		}
+		for _, id := range []NodeID{-1, inv.nextID, inv.nextID + 7} {
+			if _, ok := inv.Node(id); ok {
+				t.Fatalf("step %d: never-issued ID %d resolves", step, id)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4 || len(live) == 0:
+			id, err := inv.Add(Node{CPUMHz: 1000, MemMB: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[id] = fmt.Sprintf("node-%d", id)
+		case op < 5:
+			// A journaled add past IDs the live inventory burned.
+			burned := inv.nextID
+			id := burned + NodeID(1+rng.Intn(3))
+			if err := inv.RestoreAdd(Node{CPUMHz: 1000, MemMB: 1024}, id); err != nil {
+				t.Fatal(err)
+			}
+			for b := burned; b < id; b++ {
+				retired[b] = true
+			}
+			live[id] = fmt.Sprintf("node-%d", id)
+		case op < 8:
+			id := pickID(rng, live)
+			if _, err := inv.Remove(live[id]); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, id)
+			retired[id] = true
+		default:
+			if err := inv.FailID(pickID(rng, live)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(inv, step)
+	}
+	for id := range retired {
+		if err := inv.FailID(id); !errors.Is(err, ErrUnknownInventoryNode) {
+			t.Fatalf("FailID(retired %d) = %v, want ErrUnknownInventoryNode", id, err)
+		}
+	}
+	imported, err := ImportInventory(inv.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(imported, -1)
+}
+
+// pickID returns a uniformly chosen key of live, independent of map
+// iteration order.
+func pickID(rng *rand.Rand, live map[NodeID]string) NodeID {
+	ids := make([]NodeID, 0, len(live))
+	for id := range live {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids[rng.Intn(len(ids))]
 }

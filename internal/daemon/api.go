@@ -321,12 +321,12 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handlePlacement serves the published snapshot's encoding verbatim:
 // the snapshot is encoded once, however often it is read.
 func (d *Daemon) handlePlacement(w http.ResponseWriter, _ *http.Request) {
-	body, err := d.placement.Load().encoded()
+	enc, err := d.placement.Load().encoded()
 	if err != nil {
 		d.encodeFailed(w, err)
 		return
 	}
-	writeBody(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, enc.Bytes())
 }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -104,8 +104,8 @@ func (d *Daemon) journalCycleLocked(cycle int64, now float64, live []*scheduler.
 			Name: j.Spec.Name, JobState: j.State(),
 		})
 	}
-	if raw, err := d.placement.Load().encoded(); err == nil {
-		rec.Cycle.Placement = raw
+	if enc, err := d.placement.Load().encoded(); err == nil {
+		rec.Cycle.Placement = enc
 	} else {
 		// Recovery falls back to the previous record's placement.
 		d.cfg.Warnf("cycle %d: placement not journaled (durability degraded): %v", cycle, err)
@@ -155,11 +155,11 @@ func (d *Daemon) snapshotStateLocked() (*store.State, error) {
 		})
 	}
 	st.JobNames = d.planner.JobNames()
-	raw, err := d.placement.Load().encoded()
+	enc, err := d.placement.Load().encoded()
 	if err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
-	st.Placement = raw
+	st.Placement = enc
 	return st, nil
 }
 
@@ -381,15 +381,15 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 // derived from it.
 //
 // dynplace:holds d.mu
-func (d *Daemon) restorePlacementLocked(raw json.RawMessage) error {
-	if len(raw) == 0 {
+func (d *Daemon) restorePlacementLocked(enc store.Placement) error {
+	if enc.Bytes() == nil {
 		return nil
 	}
 	var snap PlacementSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	if err := json.Unmarshal(enc.Bytes(), &snap); err != nil {
 		return fmt.Errorf("placement snapshot: %w", err)
 	}
-	d.placement.Store(restored(&snap, raw))
+	d.placement.Store(restored(&snap, enc))
 	d.infeasibleStreak = snap.InfeasibleStreak
 	return nil
 }

@@ -47,13 +47,13 @@ func journaledPlacement(t *testing.T, dir string) []byte {
 	}
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].Op == store.OpCycle {
-			return recs[i].Cycle.Placement
+			return recs[i].Cycle.Placement.Bytes()
 		}
 	}
-	if state == nil || len(state.Placement) == 0 {
+	if state == nil || state.Placement.Bytes() == nil {
 		t.Fatal("no cycle journaled")
 	}
-	return state.Placement
+	return state.Placement.Bytes()
 }
 
 // TestPlacementBodyIsTheJournaledBytes holds the one-encoding contract
@@ -221,5 +221,36 @@ func BenchmarkPlacementRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, req)
+	}
+}
+
+// TestUnencodablePlacementJournaledWithout: a cycle whose placement
+// encoding/json refuses (NaN) is still journaled, without a placement,
+// and logged once. Recovery then republishes the newest placement that
+// was journaled and still counts the cycle.
+func TestUnencodablePlacementJournaledWithout(t *testing.T) {
+	dir := t.TempDir()
+	d, _ := newDurableDaemon(t, dir)
+	var warned []string
+	d.cfg.Warnf = func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) }
+	d.mu.Lock()
+	d.placement.Store(&published{snap: &PlacementSnapshot{Cycle: 1, Web: []WebPlacementView{}, Jobs: []JobPlacementView{}}})
+	d.journalCycleLocked(1, 60, nil, nil, nil)
+	d.placement.Store(&published{snap: &PlacementSnapshot{Cycle: 2, OmegaGMHz: math.NaN()}})
+	d.journalCycleLocked(2, 120, nil, nil, nil)
+	d.mu.Unlock()
+	if len(warned) != 1 {
+		t.Fatalf("%d lines logged, want 1: %q", len(warned), warned)
+	}
+	if raw := journaledPlacement(t, dir); len(raw) != 0 {
+		t.Fatalf("cycle 2 journaled placement %.80q, want none", raw)
+	}
+
+	d2, _ := newDurableDaemon(t, dir)
+	if got := d2.Placement().Cycle; got != 1 {
+		t.Fatalf("recovered placement of cycle %d, want cycle 1's", got)
+	}
+	if got := d2.cycles.Load(); got != 2 {
+		t.Fatalf("recovered %d cycles, want 2", got)
 	}
 }

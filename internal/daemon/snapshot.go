@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"encoding/json"
 	"sync"
 
 	"dynplace"
@@ -92,30 +91,30 @@ type PlacementSnapshot struct {
 // published is one published placement: the snapshot and its compact
 // JSON encoding, made at most once however many consumers use it.
 // GET /v1/placement serves the bytes verbatim, and cycle records and
-// state snapshots embed them, so one encoding serves the cycle's reads,
-// its journal record and any state snapshot alike. Neither half
-// changes after publication.
+// state snapshots are framed around them, so one encoding serves the
+// cycle's reads, its journal record and any state snapshot alike.
+// Neither half changes after publication.
 type published struct {
 	snap *PlacementSnapshot
 	once sync.Once
-	raw  []byte
+	enc  store.Placement
 	err  error
 }
 
-// restored republishes a journaled snapshot with the bytes it was
-// decoded from, which are its compact encoding: replay encodes nothing,
-// and the first read after recovery serves the journaled bytes.
-func restored(snap *PlacementSnapshot, raw []byte) *published {
+// restored republishes a journaled snapshot with the encoding it was
+// decoded from: replay encodes nothing, and the first read after
+// recovery serves the journaled bytes.
+func restored(snap *PlacementSnapshot, enc store.Placement) *published {
 	p := &published{snap: snap}
-	p.once.Do(func() { p.raw = raw })
+	p.once.Do(func() { p.enc = enc })
 	return p
 }
 
 // encoded returns the snapshot's compact JSON encoding, without a
 // trailing newline, encoding it on first use.
-func (p *published) encoded() ([]byte, error) {
-	p.once.Do(func() { p.raw, p.err = json.Marshal(p.snap) })
-	return p.raw, p.err
+func (p *published) encoded() (store.Placement, error) {
+	p.once.Do(func() { p.enc, p.err = store.NewPlacement(p.snap) })
+	return p.enc, p.err
 }
 
 // CycleSnapshot is the compact per-cycle observation record retained in

@@ -74,7 +74,8 @@ type Record struct {
 	// the live inventory burned increments no record captured (an add
 	// rolled back on journal failure bumps the version twice).
 	InventoryVersion int64 `json:"inventoryVersion,omitempty"`
-	// Cycle is the OpCycle payload.
+	// Cycle is the OpCycle payload. It must stay the last field: Append
+	// splices the cycle's placement in before the record's closing brace.
 	Cycle *CycleRecord `json:"cycle,omitempty"`
 }
 
@@ -133,7 +134,8 @@ type CycleRecord struct {
 	// Placement is the published placement snapshot, opaque to the
 	// store (the daemon owns the type). Restoring it verbatim is what
 	// makes GET /v1/placement identical across a kill/replay round trip.
-	Placement json.RawMessage `json:"placement,omitempty"`
+	// It must stay the last field: Append splices its bytes in last.
+	Placement Placement `json:"placement"`
 }
 
 // State is a full daemon snapshot: the compaction point the WAL replays
@@ -162,6 +164,53 @@ type State struct {
 	Inventory cluster.InventorySnapshot `json:"inventory"`
 	Actions   map[string]int            `json:"actions,omitempty"`
 	// Placement is the last published placement snapshot, opaque to the
-	// store.
-	Placement json.RawMessage `json:"placement,omitempty"`
+	// store. It must stay the last field: WriteSnapshot splices its
+	// bytes in last.
+	Placement Placement `json:"placement"`
+}
+
+// Placement is a published placement's JSON encoding, opaque to the
+// store. Its bytes come from only two places: NewPlacement, which takes
+// them from json.Marshal, and the decode of a record or snapshot that
+// Open has read, which json.Unmarshal has already validated. So they
+// are always one valid JSON value, and Append and WriteSnapshot copy
+// them into the frame as they are instead of scanning them again, as
+// json.Marshal does with a json.RawMessage. The zero Placement is no
+// placement: the record carries no placement field.
+type Placement struct{ b []byte }
+
+// NewPlacement encodes v as a Placement.
+func NewPlacement(v any) (Placement, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return Placement{}, err
+	}
+	return Placement{b: b}, nil
+}
+
+// Bytes returns the encoding, nil for the zero Placement. The caller
+// must not modify it.
+func (p Placement) Bytes() []byte { return p.b }
+
+// MarshalJSON returns the encoding, or null for the zero Placement, so
+// json.Marshal encodes a record outside the store as it would with a
+// json.RawMessage. Append and WriteSnapshot do not call it: they frame
+// the bytes themselves.
+func (p Placement) MarshalJSON() ([]byte, error) {
+	if p.b == nil {
+		return []byte("null"), nil
+	}
+	return p.b, nil
+}
+
+// UnmarshalJSON keeps a copy of data; null is the zero Placement. It
+// is for encoding/json, which calls it only with data it has already
+// checked is one valid JSON value.
+func (p *Placement) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*p = Placement{}
+		return nil
+	}
+	p.b = append([]byte(nil), data...)
+	return nil
 }

@@ -311,13 +311,83 @@ func readFrame(data []byte, off int) (payload []byte, next int, err error) {
 	return payload, end, nil
 }
 
-// appendFrame encodes payload as a frame.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
+// recordHead is a Record without its cycle's placement, cycleHead a
+// CycleRecord without it and stateHead a State without it: a nil field
+// at depth zero hides the embedded field of the same JSON name, and
+// omitempty drops it. Each field keeps its place, so a head encodes as
+// json.Marshal encodes the record with no placement.
+type recordHead struct {
+	*Record
+	Cycle *cycleHead `json:"cycle,omitempty"`
+}
+
+type cycleHead struct {
+	*CycleRecord
+	Placement *struct{} `json:"placement,omitempty"`
+}
+
+type stateHead struct {
+	*State
+	Placement *struct{} `json:"placement,omitempty"`
+}
+
+// frameRecord returns prefix followed by rec's frame.
+func frameRecord(prefix string, rec *Record) ([]byte, error) {
+	head := recordHead{Record: rec}
+	var p Placement
+	if rec.Cycle != nil {
+		head.Cycle = &cycleHead{CycleRecord: rec.Cycle}
+		p = rec.Cycle.Placement
+	}
+	// The placement is the cycle's last field and the cycle the
+	// record's, so it goes in before two closing braces.
+	return frame(prefix, "record", &head, p, len("}}"))
+}
+
+// frameState returns prefix followed by st's frame.
+func frameState(prefix string, st *State) ([]byte, error) {
+	return frame(prefix, "snapshot", &stateHead{State: st}, st.Placement, len("}"))
+}
+
+// placementKey introduces the placement, which follows at least the
+// always-present first field of its object.
+const placementKey = `,"placement":`
+
+// frame returns prefix followed by one frame whose payload is head's
+// encoding with placementKey and p's bytes spliced in before its last
+// closers bytes. For a placement NewPlacement made, that payload is
+// byte for byte what json.Marshal gives for the record with the
+// placement as a json.RawMessage, but the placement bytes are copied
+// once instead of scanned and compacted again: a Placement is valid by
+// construction. Header and payload are built in one buffer, sized
+// exactly.
+func frame(prefix, kind string, head any, p Placement, closers int) ([]byte, error) {
+	enc, err := json.Marshal(head)
+	if err != nil {
+		return nil, fmt.Errorf("store: marshal %s: %w", kind, err)
+	}
+	n := len(enc)
+	if p.b != nil {
+		n += len(placementKey) + len(p.b)
+	}
+	if err := checkFrameSize(kind, n); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, len(prefix)+frameHeader, len(prefix)+frameHeader+n)
+	copy(buf, prefix)
+	if p.b == nil {
+		buf = append(buf, enc...)
+	} else {
+		cut := len(enc) - closers
+		buf = append(buf, enc[:cut]...)
+		buf = append(buf, placementKey...)
+		buf = append(buf, p.b...)
+		buf = append(buf, enc[cut:]...)
+	}
+	hdr, payload := buf[len(prefix):], buf[len(prefix)+frameHeader:]
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return buf, nil
 }
 
 // Load returns the state recovered by Open: the last snapshot (nil when
@@ -406,14 +476,10 @@ func (s *Store) Append(rec Record) (uint64, error) {
 	defer s.appendHist.ObserveSince(begin)
 	rec.V = SchemaVersion
 	rec.Seq = s.seq + 1
-	payload, err := json.Marshal(&rec)
+	frame, err := frameRecord("", &rec)
 	if err != nil {
-		return 0, fmt.Errorf("store: marshal record: %w", err)
-	}
-	if err := checkFrameSize("record", len(payload)); err != nil {
 		return 0, err
 	}
-	frame := appendFrame(nil, payload)
 	if _, err := s.wal.Write(frame); err != nil {
 		if terr := s.wal.Truncate(s.walBytes); terr != nil {
 			s.poison(fmt.Errorf("append failed (%w), truncate to offset %d failed (%w)", err, s.walBytes, terr))
@@ -454,14 +520,10 @@ func (s *Store) WriteSnapshot(st *State) error {
 	defer s.snapHist.ObserveSince(begin)
 	st.V = SchemaVersion
 	st.Seq = s.seq
-	payload, err := json.Marshal(st)
+	data, err := frameState(snapMagic, st)
 	if err != nil {
-		return fmt.Errorf("store: marshal snapshot: %w", err)
-	}
-	if err := checkFrameSize("snapshot", len(payload)); err != nil {
 		return err
 	}
-	data := appendFrame([]byte(snapMagic), payload)
 	if _, err := s.writeFileAtomic(s.snapPath(), data); err != nil {
 		// Either snapshot (old or new) recovers consistently with the
 		// un-rotated WAL, so a failed snapshot write never poisons.

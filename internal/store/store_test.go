@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -27,7 +26,7 @@ func testRecord(i int) Record {
 	}
 }
 
-func openStore(t *testing.T, dir string) *Store {
+func openStore(t testing.TB, dir string) *Store {
 	t.Helper()
 	s, err := Open(dir)
 	if err != nil {
@@ -127,11 +126,11 @@ func TestSnapshotWithoutRotationSkipsCoveredRecords(t *testing.T) {
 	st := &State{Time: 180}
 	st.V = SchemaVersion
 	st.Seq = s.seq
-	payload, err := jsonMarshal(st)
+	data, err := frameState(snapMagic, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.writeFileAtomic(s.snapPath(), appendFrame([]byte(snapMagic), payload)); err != nil {
+	if _, err := s.writeFileAtomic(s.snapPath(), data); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -271,11 +270,11 @@ func TestNewerSchemaRefused(t *testing.T) {
 	// Bypass Append's stamping to write a future version.
 	rec.V = SchemaVersion + 1
 	rec.Seq = 1
-	payload, err := jsonMarshal(&rec)
+	frame, err := frameRecord("", &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.wal.Write(appendFrame(nil, payload)); err != nil {
+	if _, err := s.wal.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -368,7 +367,3 @@ func TestFrameSizeEnforcedAtWriteTime(t *testing.T) {
 		t.Fatalf("oversize payload: err = %v, want frame-limit error", err)
 	}
 }
-
-// jsonMarshal mirrors the store's encoding for tests that write frames
-// by hand.
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
