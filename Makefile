@@ -62,15 +62,19 @@ shuffle:
 # micro-benchmarks also print bytes and objects per op. Then one
 # GET /v1/placement on a 2 000-node placement: bytes and objects per
 # read, which stay flat because a read serves the published encoding.
-# Last, one WAL append of a 10 000-node cycle record with a ~1 MB
+# Then one WAL append of a 10 000-node cycle record with a ~1 MB
 # placement, fsync included: bytes per append stay about one frame,
-# because the record is framed around the placement bytes.
+# because the record is framed around the placement bytes. Last, one
+# recovery of a 10 000-node snapshot plus 24 cycle records: objects per
+# recovery stay about one placement decode, because replay decodes
+# only the newest placement.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkReplaySweep -benchtime=1x .
 	$(GO) test -run '^$$' -bench BenchmarkFlatSolve -benchmem -benchtime=1x ./internal/experiments
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizerCycle|BenchmarkAllocationSolver' -benchmem -benchtime=5x .
 	$(GO) test -run '^$$' -bench BenchmarkPlacementRead -benchmem ./internal/daemon
 	$(GO) test -run '^$$' -bench BenchmarkAppendCycleRecord -benchmem ./internal/store
+	$(GO) test -run '^$$' -bench BenchmarkRecover -benchmem ./internal/daemon
 
 # The repository's benchmark (cmd/dynbench/README.md): the whole
 # untraced set, each workload in a process of its own, into
@@ -96,7 +100,8 @@ bundle-smoke:
 	./scripts/bundle_smoke.sh
 
 # The CI fuzz-smoke job: 20 s each of coverage-guided fuzzing of the
-# replay-trace parser and of the store's WAL and snapshot loader.
+# replay-trace parser, of the store's WAL and snapshot loader and of
+# the -cluster spec parser.
 # Crashers become seed corpus entries under the package's
 # testdata/fuzz. A FuzzLoad run fsyncs a fresh store, a few ms per
 # input, so minimizing an input is capped at 5 s instead of the
@@ -104,10 +109,12 @@ bundle-smoke:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 20s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 20s -fuzzminimizetime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzParseNodes -fuzztime 20s ./internal/cluster
 
 # The CI coverage job: statement-coverage floor (85%) on
 # internal/core, flow, rpf, batch and txn (the paper's algorithm),
 # internal/forecast, internal/trace, internal/control, internal/daemon,
-# internal/scheduler, internal/sim, internal/shard and internal/store.
+# internal/scheduler, internal/sim, internal/shard, internal/store and
+# internal/router.
 cover:
 	./scripts/coverage_floor.sh

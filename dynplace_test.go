@@ -2,6 +2,7 @@ package dynplace
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -48,6 +49,32 @@ func TestNewSystemValidation(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := NewSystem(tt.opts...); err == nil {
 				t.Fatal("NewSystem succeeded, want error")
+			}
+		})
+	}
+}
+
+// TestNonFiniteNodeOptionsRejected: the node options apply the
+// cluster's finite-and-positive capacity rule, so NaN and ±Inf in CPU
+// or memory fail with ErrBadOption as zero and negative values do.
+func TestNonFiniteNodeOptionsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name     string
+		cpu, mem float64
+	}{
+		{"NaN CPU", nan, 4096}, {"+Inf CPU", inf, 4096}, {"-Inf CPU", -inf, 4096},
+		{"NaN memory", 3000, nan}, {"+Inf memory", 3000, inf}, {"-Inf memory", 3000, -inf},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for opt, o := range map[string]Option{
+				"WithNode":           WithNode("x", c.cpu, c.mem),
+				"WithUniformCluster": WithUniformCluster(2, c.cpu, c.mem),
+				"WithClusterSpec":    WithClusterSpec(fmt.Sprintf("2x%v/%v", c.cpu, c.mem)),
+			} {
+				if _, err := NewSystem(o); !errors.Is(err, ErrBadOption) {
+					t.Errorf("%s: err = %v, want ErrBadOption", opt, err)
+				}
 			}
 		})
 	}

@@ -7,6 +7,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // NodeID identifies a node within a cluster.
@@ -29,12 +30,18 @@ type Cluster struct {
 // ErrBadNode reports an invalid node definition.
 var ErrBadNode = errors.New("cluster: invalid node")
 
+// finitePositive is the one capacity rule: every node's CPU and memory
+// must be greater than zero and finite. A `<= 0` test alone lets NaN
+// and +Inf through, and a placement holding either can never be
+// JSON-encoded.
+func finitePositive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
 // New builds a cluster from node definitions, assigning sequential IDs.
 func New(nodes ...Node) (*Cluster, error) {
 	c := &Cluster{nodes: make([]Node, len(nodes))}
 	for i, n := range nodes {
-		if n.CPUMHz <= 0 || n.MemMB <= 0 {
-			return nil, fmt.Errorf("%w: node %d needs positive CPU and memory (got %v MHz, %v MB)",
+		if !finitePositive(n.CPUMHz) || !finitePositive(n.MemMB) {
+			return nil, fmt.Errorf("%w: node %d needs finite, positive CPU and memory (got %v MHz, %v MB)",
 				ErrBadNode, i, n.CPUMHz, n.MemMB)
 		}
 		n.ID = NodeID(i)

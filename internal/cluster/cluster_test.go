@@ -96,3 +96,50 @@ func TestFreeCostModel(t *testing.T) {
 		t.Fatal("FreeCostModel should cost nothing")
 	}
 }
+
+// TestNonFiniteCapacityRejected: NaN, +Inf and −Inf in a node's CPU or
+// memory fail every entry point that accepts a node, as zero and
+// negative capacities do. Before one finite-and-positive rule, `<= 0`
+// let NaN and +Inf through.
+func TestNonFiniteCapacityRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name     string
+		cpu, mem float64
+		spec     string
+	}{
+		{"NaN CPU", nan, 4096, "1xNaN/4096"},
+		{"+Inf CPU", inf, 4096, "1x+Inf/4096"},
+		{"-Inf CPU", -inf, 4096, "1x-Inf/4096"},
+		{"NaN memory", 3000, nan, "2x3000/nan"},
+		{"+Inf memory", 3000, inf, "2x3000/Inf"},
+		{"-Inf memory", 3000, -inf, "3000/-infinity"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := Node{CPUMHz: c.cpu, MemMB: c.mem}
+			if _, err := New(n); !errors.Is(err, ErrBadNode) {
+				t.Errorf("New: err = %v, want ErrBadNode", err)
+			}
+			if _, err := Uniform(2, c.cpu, c.mem); !errors.Is(err, ErrBadNode) {
+				t.Errorf("Uniform: err = %v, want ErrBadNode", err)
+			}
+			if _, err := ParseNodes(c.spec); !errors.Is(err, ErrBadNode) {
+				t.Errorf("ParseNodes(%q): err = %v, want ErrBadNode", c.spec, err)
+			}
+			inv := mustInventory(t, 1)
+			if _, err := inv.Add(n); !errors.Is(err, ErrBadNode) {
+				t.Errorf("Inventory.Add: err = %v, want ErrBadNode", err)
+			}
+			if err := inv.RestoreAdd(n, 5); !errors.Is(err, ErrBadNode) {
+				t.Errorf("Inventory.RestoreAdd: err = %v, want ErrBadNode", err)
+			}
+			snap := InventorySnapshot{Version: 1, NextID: 1, Nodes: []InventoryNodeSnapshot{
+				{ID: 0, Name: "a", CPUMHz: c.cpu, MemMB: c.mem, State: "active"},
+			}}
+			if _, err := ImportInventory(snap); !errors.Is(err, ErrBadNode) {
+				t.Errorf("ImportInventory: err = %v, want ErrBadNode", err)
+			}
+		})
+	}
+}

@@ -162,8 +162,8 @@ func (v *Inventory) Counts() map[string]int {
 // An empty name defaults to "node-<id>"; names must be unique among the
 // currently registered nodes.
 func (v *Inventory) Add(n Node) (NodeID, error) {
-	if n.CPUMHz <= 0 || n.MemMB <= 0 {
-		return 0, fmt.Errorf("%w: node needs positive CPU and memory (got %v MHz, %v MB)",
+	if !finitePositive(n.CPUMHz) || !finitePositive(n.MemMB) {
+		return 0, fmt.Errorf("%w: node needs finite, positive CPU and memory (got %v MHz, %v MB)",
 			ErrBadNode, n.CPUMHz, n.MemMB)
 	}
 	v.mu.Lock()
@@ -190,8 +190,8 @@ func (v *Inventory) Add(n Node) (NodeID, error) {
 // when the live inventory burned IDs that no record captured (e.g. an
 // add rolled back because its journal append failed).
 func (v *Inventory) RestoreAdd(n Node, id NodeID) error {
-	if n.CPUMHz <= 0 || n.MemMB <= 0 {
-		return fmt.Errorf("%w: node needs positive CPU and memory (got %v MHz, %v MB)",
+	if !finitePositive(n.CPUMHz) || !finitePositive(n.MemMB) {
+		return fmt.Errorf("%w: node needs finite, positive CPU and memory (got %v MHz, %v MB)",
 			ErrBadNode, n.CPUMHz, n.MemMB)
 	}
 	v.mu.Lock()
@@ -365,8 +365,8 @@ func ImportInventory(s InventorySnapshot) (*Inventory, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n.CPUMHz <= 0 || n.MemMB <= 0 {
-			return nil, fmt.Errorf("%w: node %q needs positive CPU and memory", ErrBadNode, n.Name)
+		if !finitePositive(n.CPUMHz) || !finitePositive(n.MemMB) {
+			return nil, fmt.Errorf("%w: node %q needs finite, positive CPU and memory", ErrBadNode, n.Name)
 		}
 		if NodeID(n.ID) <= lastID {
 			return nil, fmt.Errorf("%w: node IDs not strictly ascending at %q", ErrBadNode, n.Name)

@@ -6,6 +6,11 @@ import (
 	"strings"
 )
 
+// maxNodes caps the nodes one spec may describe: ten times the largest
+// cluster the repository runs, so a mistyped count fails at once rather
+// than allocating until the process dies.
+const maxNodes = 100000
+
 // ParseNodes builds node definitions from a compact inventory string:
 // comma-separated groups of the form "COUNTxCPU/MEM" (CPU in MHz, memory
 // in MB), with a bare "CPU/MEM" meaning one node. For example
@@ -34,12 +39,15 @@ func ParseNodes(spec string) ([]Node, error) {
 			return nil, fmt.Errorf("%w: group %q needs CPU/MEM", ErrBadNode, group)
 		}
 		cpu, err := strconv.ParseFloat(strings.TrimSpace(cpuStr), 64)
-		if err != nil || cpu <= 0 {
+		if err != nil || !finitePositive(cpu) {
 			return nil, fmt.Errorf("%w: bad CPU MHz in group %q", ErrBadNode, group)
 		}
 		mem, err := strconv.ParseFloat(strings.TrimSpace(memStr), 64)
-		if err != nil || mem <= 0 {
+		if err != nil || !finitePositive(mem) {
 			return nil, fmt.Errorf("%w: bad memory MB in group %q", ErrBadNode, group)
+		}
+		if count > maxNodes-len(nodes) {
+			return nil, fmt.Errorf("%w: group %q takes the spec past maxNodes = %d", ErrBadNode, group, maxNodes)
 		}
 		for i := 0; i < count; i++ {
 			nodes = append(nodes, Node{CPUMHz: cpu, MemMB: mem})

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -32,6 +34,25 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(spec); !errors.Is(err, ErrBadNode) {
 			t.Errorf("Parse(%q) err = %v, want ErrBadNode", spec, err)
+		}
+	}
+}
+
+// TestParseNodeCap: a spec may describe at most maxNodes nodes in all,
+// so a mistyped count fails at once instead of exhausting memory.
+func TestParseNodeCap(t *testing.T) {
+	nodes, err := ParseNodes(fmt.Sprintf("%dx1/1", maxNodes))
+	if err != nil || len(nodes) != maxNodes {
+		t.Fatalf("ParseNodes at the cap: %d nodes, err %v", len(nodes), err)
+	}
+	for _, spec := range []string{
+		"999999999x1/1",
+		fmt.Sprintf("%dx1/1", maxNodes+1),
+		fmt.Sprintf("%dx1/1, 1/1", maxNodes),
+	} {
+		_, err := ParseNodes(spec)
+		if !errors.Is(err, ErrBadNode) || !strings.Contains(err.Error(), "maxNodes") {
+			t.Errorf("ParseNodes(%.20q): err = %v, want ErrBadNode naming maxNodes", spec, err)
 		}
 	}
 }

@@ -264,20 +264,36 @@ func (d *Daemon) Recover() error {
 	d.replaying = true
 	defer func() { d.replaying = false }()
 
+	// Only the newest journaled placement describes what is deployed, so
+	// replay remembers it and decodes it once, after the loop. A
+	// superseded placement is never served; the store has already
+	// checked it as one valid JSON value under its frame's CRC.
 	lastTime := 0.0
+	var newest store.Placement
+	var newestRec *store.Record // nil: the snapshot's placement
 	if st != nil {
 		if err := d.restoreSnapshotLocked(st); err != nil {
 			return fmt.Errorf("%w: snapshot: %w", ErrDaemon, err)
 		}
 		lastTime = st.Time
+		newest = st.Placement
 	}
-	for _, rec := range recs {
+	for i, rec := range recs {
 		if err := d.applyRecordLocked(rec); err != nil {
 			return fmt.Errorf("%w: replay seq %d (%s): %w", ErrDaemon, rec.Seq, rec.Op, err)
 		}
 		if rec.Time > lastTime {
 			lastTime = rec.Time
 		}
+		if rec.Op == store.OpCycle && rec.Cycle.Placement.Bytes() != nil {
+			newest, newestRec = rec.Cycle.Placement, &recs[i]
+		}
+	}
+	if err := d.restorePlacementLocked(newest); err != nil {
+		if newestRec == nil {
+			return fmt.Errorf("%w: snapshot: %w", ErrDaemon, err)
+		}
+		return fmt.Errorf("%w: replay seq %d (%s): %w", ErrDaemon, newestRec.Seq, newestRec.Op, err)
 	}
 
 	// Rescue jobs that were running (or parked) when the process died:
@@ -327,8 +343,8 @@ func (d *Daemon) Recover() error {
 
 // restoreSnapshotLocked rebuilds the daemon from a snapshot: the
 // planner around the imported inventory, apps with carried placements,
-// jobs with runtime state, results, counters, and the published
-// placement.
+// jobs with runtime state, results and counters. Recover republishes
+// the placement once replay has found the newest.
 //
 // dynplace:holds d.mu
 func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
@@ -373,12 +389,13 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 		d.planner.Actions().Set(name, v)
 	}
 	d.cycles.Store(st.Cycles)
-	return d.restorePlacementLocked(st.Placement)
+	return nil
 }
 
 // restorePlacementLocked republishes a journaled placement snapshot,
 // with the journaled bytes as its encoding, and the health state
-// derived from it.
+// derived from it. The zero Placement (nothing journaled) leaves the
+// published placement as it is.
 //
 // dynplace:holds d.mu
 func (d *Daemon) restorePlacementLocked(enc store.Placement) error {
@@ -486,8 +503,8 @@ func (d *Daemon) restoreInventoryVersion(rec store.Record) {
 }
 
 // applyCycleLocked re-applies one journaled control cycle: job runtime
-// states, retirements, rates, carried placements, counters, and the
-// published placement snapshot.
+// states, retirements, rates, carried placements and counters. The
+// cycle's placement is Recover's to republish, if it is the newest.
 //
 // dynplace:holds d.mu
 func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
@@ -533,7 +550,7 @@ func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
 		d.planner.RestoreInfeasibleCycles(d.planner.InfeasibleCycles() + 1)
 	}
 	d.cycles.Store(cr.Cycle)
-	return d.restorePlacementLocked(cr.Placement)
+	return nil
 }
 
 // Durability reports the daemon's durable-state status — the GET /v1/state

@@ -36,11 +36,15 @@ var ErrBadOption = errors.New("dynplace: invalid option")
 // CPU capacity (MHz) and memory (MB).
 func WithUniformCluster(count int, cpuMHz, memMB float64) Option {
 	return func(s *settings) error {
-		if count <= 0 || cpuMHz <= 0 || memMB <= 0 {
-			return fmt.Errorf("%w: cluster dimensions must be positive", ErrBadOption)
+		if count <= 0 {
+			return fmt.Errorf("%w: cluster node count must be positive, got %d", ErrBadOption, count)
+		}
+		n := cluster.Node{CPUMHz: cpuMHz, MemMB: memMB}
+		if err := checkNode(n); err != nil {
+			return err
 		}
 		for i := 0; i < count; i++ {
-			s.nodes = append(s.nodes, cluster.Node{CPUMHz: cpuMHz, MemMB: memMB})
+			s.nodes = append(s.nodes, n)
 		}
 		return nil
 	}
@@ -50,12 +54,23 @@ func WithUniformCluster(count int, cpuMHz, memMB float64) Option {
 // the order added, starting at 0.
 func WithNode(name string, cpuMHz, memMB float64) Option {
 	return func(s *settings) error {
-		if cpuMHz <= 0 || memMB <= 0 {
-			return fmt.Errorf("%w: node capacities must be positive", ErrBadOption)
+		n := cluster.Node{Name: name, CPUMHz: cpuMHz, MemMB: memMB}
+		if err := checkNode(n); err != nil {
+			return err
 		}
-		s.nodes = append(s.nodes, cluster.Node{Name: name, CPUMHz: cpuMHz, MemMB: memMB})
+		s.nodes = append(s.nodes, n)
 		return nil
 	}
+}
+
+// checkNode applies the cluster's capacity rule (finite and positive
+// CPU and memory) to one node as an option is applied, so a bad node
+// fails at its option rather than when the cluster is built.
+func checkNode(n cluster.Node) error {
+	if _, err := cluster.New(n); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadOption, err)
+	}
+	return nil
 }
 
 // WithClusterSpec adds nodes from a compact inventory description:

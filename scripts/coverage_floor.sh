@@ -11,15 +11,15 @@
 # solves the sharded cycle. Untested branches in any of them turn
 # directly into misplacements. internal/store journals every mutation
 # and cycle, so an untested branch there loses or corrupts acknowledged
-# state. internal/router (85.0 %, no margin) is not yet held to the
-# floor. The floor is per package, read from the standard
-# `go test -cover` summary.
+# state. internal/router dispatches every request, so an untested branch
+# there misroutes traffic or miscounts it. The floor is per package,
+# read from the standard `go test -cover` summary.
 set -euo pipefail
 
 FLOOR=85
 PACKAGES=(./internal/core ./internal/flow ./internal/rpf ./internal/batch ./internal/txn
     ./internal/forecast ./internal/trace ./internal/control ./internal/daemon
-    ./internal/scheduler ./internal/sim ./internal/shard ./internal/store)
+    ./internal/scheduler ./internal/sim ./internal/shard ./internal/store ./internal/router)
 
 fail=0
 for pkg in "${PACKAGES[@]}"; do
