@@ -109,7 +109,6 @@ func main() {
 		par       = flag.Int("parallelism", 0, "optimizer candidate-evaluation workers (1 = sequential, 0 = all CPUs)")
 		shards    = flag.Int("shards", 0, "placement zones solved concurrently (0 = one flat problem; 1 = coordinator with a single zone)")
 		shardSeed = flag.Int64("shard-seed", 0, "deterministic shard-rebalancing seed")
-		exact     = flag.Bool("exact", false, "use exact bisection for the batch performance predictor")
 		freeCosts = flag.Bool("free-costs", false, "disable placement-action costs (default: the paper's measured constants)")
 		quiet     = flag.Bool("quiet", false, "suppress per-cycle log lines")
 		stateDir  = flag.String("state-dir", "", "durable state directory (WAL + snapshots); empty runs memory-only")
@@ -182,13 +181,12 @@ func main() {
 		CycleSeconds: *cycle,
 		Costs:        costs,
 		Dynamic: control.DynamicConfig{
-			Epsilon:           *epsilon,
-			MaxPasses:         *passes,
-			ExactHypothetical: *exact,
-			Parallelism:       *par,
-			Shards:            *shards,
-			ShardSeed:         *shardSeed,
-			Forecast:          fcCfg,
+			Epsilon:     *epsilon,
+			MaxPasses:   *passes,
+			Parallelism: *par,
+			Shards:      *shards,
+			ShardSeed:   *shardSeed,
+			Forecast:    fcCfg,
 		},
 		QueueCap: qc,
 		History:  *history,

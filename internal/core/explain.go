@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"dynplace/internal/cluster"
 	"dynplace/internal/rpf"
@@ -105,36 +104,79 @@ type Explanation struct {
 // res.Placement, classifies every application's outcome, and for each
 // denial, eviction or move diagnoses the binding constraint by probing
 // the final placement: would the lost (or any) node still accept the
-// application? If memory or anti-collocation forbid it, that constraint
-// bound; if a probe instance evaluates infeasible, CPU (or multi-web
-// flow) capacity bound; if the probe is feasible, the decision was
-// utility-driven and the foregone utility is reported.
+// application? If memory or anti-collocation forbid it — decided by
+// table.fits, the solver's own fit rule — that constraint bound; if a
+// probe instance evaluates infeasible, CPU (or multi-web flow) capacity
+// bound; if the probe is feasible, the decision was utility-driven and
+// the foregone utility is reported. res.Placement must satisfy the
+// memory and anti-collocation constraints, as Optimize's output does.
 //
 // before, when non-nil, supplies the previous cycle's utility per
 // application (NaN or missing entries are ignored) and feeds
-// UtilityDelta. The call costs O(apps × nodes) plus, per denied
-// application with a memory- and collocation-clean node, one probe of
-// that node: at most 62 feasibility tests (the floor, level 1 and the
-// solver's 60 halvings) — once per cycle, not per candidate, so
-// explanations stay out of the optimizer's hot path.
+// UtilityDelta. The call builds one constants table, the first time a
+// diagnosis needs it. A denial then costs one fits per node the
+// application may use plus, with a node that fits, one probe of it: at
+// most 62 feasibility tests (the floor, level 1 and the solver's 60
+// halvings); a move, shrink or eviction costs one fits per lost node.
+// That is once per cycle, not per candidate, so explanations stay out
+// of the optimizer's hot path.
 func Explain(p *Problem, res *Result, before []float64) *Explanation {
 	ex := &Explanation{
 		Decisions: make([]AppDecision, len(p.Apps)),
 		Repaired:  res.Repaired,
 	}
-	// One pass over the final placement builds the node → residents
-	// index the diagnoses scan; per-node OnNode lookups would make each
-	// denial O(nodes × apps) and dominate the whole call.
-	var residents residentIndex
-	residents.build(res.Placement, p.Cluster.Len())
+	x := explainer{p: p, res: res, ar: arenas.Get().(*arena)}
+	defer arenas.Put(x.ar)
+	x.residents.build(res.Placement, p.Cluster.Len())
 	for i := range p.Apps {
-		ex.Decisions[i] = explainApp(p, res, before, i, &residents)
+		ex.Decisions[i] = x.explainApp(before, i)
 	}
 	return ex
 }
 
-func explainApp(p *Problem, res *Result, before []float64, app int,
-	residents *residentIndex) AppDecision {
+// explainer is one Explain call's state.
+type explainer struct {
+	p   *Problem
+	res *Result
+	// residents indexes the final placement by node; per-node OnNode
+	// lookups would make each denial O(nodes × apps).
+	residents residentIndex
+	// ar is the call's one arena: its table, built on first use
+	// (built), decides every fit and backs every probe.
+	ar    *arena
+	built bool
+	trial []int // a node's residents with the diagnosed app inserted
+}
+
+// table returns the call's constants table, building it once.
+func (x *explainer) table() *table {
+	if !x.built {
+		x.ar.tbl.build(x.p)
+		x.built = true
+	}
+	return &x.ar.tbl
+}
+
+// fit asks table.fits whether app fits on node n beside the final
+// placement's residents. When it does not, short > 0 is the memory
+// shortfall, from the sum fits refused, if memory bound; otherwise
+// conflictor is the resident app must not share n with.
+func (x *explainer) fit(n cluster.NodeID, app int) (ok bool, short float64, conflictor int) {
+	t := x.table()
+	residents := x.residents.on(n)
+	if x.trial, ok = t.fitsBeside(n, residents, app, x.trial); ok {
+		return true, 0, -1
+	}
+	if mem, over := t.memory(n, x.trial); over {
+		return false, mem - t.nodeMem[n], -1
+	}
+	// The residents fit together, so the refused pair includes app.
+	i := slices.IndexFunc(residents, func(r int) bool { return t.conflict(app, r) })
+	return false, 0, residents[i]
+}
+
+func (x *explainer) explainApp(before []float64, app int) AppDecision {
+	p, res := x.p, x.res
 	d := AppDecision{App: app}
 	if res.Eval != nil && app < len(res.Eval.Utilities) {
 		d.Utility = res.Eval.Utilities[app]
@@ -158,7 +200,7 @@ func explainApp(p *Problem, res *Result, before []float64, app int,
 			return d
 		}
 		d.Outcome = OutcomeDenied
-		diagnoseDenied(p, res, &d, residents)
+		x.diagnoseDenied(&d)
 		return d
 	case len(was) == 0:
 		d.Outcome = OutcomePlaced
@@ -166,7 +208,7 @@ func explainApp(p *Problem, res *Result, before []float64, app int,
 		return d
 	case len(now) == 0:
 		d.Outcome = OutcomeEvicted
-		diagnoseLostNodes(p, &d, was, residents)
+		x.diagnoseLostNodes(&d, was)
 		return d
 	case slices.Equal(was, now):
 		d.Outcome = OutcomeKept
@@ -187,7 +229,7 @@ func explainApp(p *Problem, res *Result, before []float64, app int,
 		d.Reasons = []string{fmt.Sprintf("moved %s -> %s",
 			nodeNames(p, lost), nodeNames(p, gained))}
 	}
-	diagnoseLostNodes(p, &d, lost, residents)
+	x.diagnoseLostNodes(&d, lost)
 	return d
 }
 
@@ -200,11 +242,10 @@ func demands(a *Application) bool {
 }
 
 // diagnoseDenied finds the binding constraint for an application left
-// unplaced: scan every node it may use under the final placement, and
-// if one passes memory and collocation, probe it with a real candidate
-// evaluation.
-func diagnoseDenied(p *Problem, res *Result, d *AppDecision,
-	index *residentIndex) {
+// unplaced: ask fit of every node it may use under the final placement,
+// and probe the fastest node that fits with a real candidate evaluation.
+func (x *explainer) diagnoseDenied(d *AppDecision) {
+	p, t := x.p, x.table()
 	a := p.Apps[d.App]
 	var (
 		anyAllowed   bool
@@ -212,37 +253,25 @@ func diagnoseDenied(p *Problem, res *Result, d *AppDecision,
 		memShortNode cluster.NodeID
 		conflictor   = -1 // a conflicting resident on a memory-feasible node
 		conflictNode cluster.NodeID
-		probe        = cluster.NodeID(-1) // best memory+collocation-clean node
-		probeCPU     float64
+		probe        = cluster.NodeID(-1) // the fastest node that fits
 	)
-	for _, nd := range p.Cluster.Nodes() {
-		if !a.allows(nd.ID) {
+	for n := range t.nodeCaps {
+		nd := cluster.NodeID(n)
+		if !a.allows(nd) {
 			continue
 		}
 		anyAllowed = true
-		residents := index.on(nd.ID)
-		mem := a.MemoryMB()
-		for _, r := range residents {
-			mem += p.Apps[r].MemoryMB()
-		}
-		if mem > nd.MemMB+capTolerance {
-			if short := mem - nd.MemMB; bestMemShort < 0 || short < bestMemShort {
-				bestMemShort, memShortNode = short, nd.ID
+		switch ok, short, r := x.fit(nd, d.App); {
+		case ok:
+			if probe < 0 || t.nodeCaps[n] > t.nodeCaps[probe] {
+				probe = nd
 			}
-			continue
-		}
-		clean := true
-		for _, r := range residents {
-			if conflictsWith(a, p.Apps[r]) {
-				clean = false
-				if conflictor < 0 {
-					conflictor, conflictNode = r, nd.ID
-				}
-				break
+		case short > 0:
+			if bestMemShort < 0 || short < bestMemShort {
+				bestMemShort, memShortNode = short, nd
 			}
-		}
-		if clean && (probe < 0 || nd.CPUMHz > probeCPU) {
-			probe, probeCPU = nd.ID, nd.CPUMHz
+		case conflictor < 0:
+			conflictor, conflictNode = r, nd
 		}
 	}
 
@@ -261,7 +290,7 @@ func diagnoseDenied(p *Problem, res *Result, d *AppDecision,
 			fmt.Sprintf("every memory-feasible node hosts a conflictor: %s holds %q",
 				nodeName(p, conflictNode), p.Apps[conflictor].Name))
 	default:
-		probeBinding(p, res, d, probe)
+		x.probeBinding(d, probe)
 	}
 	d.Reasons = append(d.Reasons, "binding constraint: "+d.Binding)
 }
@@ -270,23 +299,20 @@ func diagnoseDenied(p *Problem, res *Result, d *AppDecision,
 // denied application on node probe. An infeasible probe means CPU (or,
 // for one of several web apps, flow routing) bound; a feasible one
 // means the optimizer preferred the adopted utility vector.
-func probeBinding(p *Problem, res *Result, d *AppDecision, probe cluster.NodeID) {
-	cand := res.Placement.Clone()
+func (x *explainer) probeBinding(d *AppDecision, probe cluster.NodeID) {
+	p := x.p
+	cand := x.res.Placement.Clone()
 	cand.Add(d.App, probe)
-	feasible, util := probeUtility(p, res, cand, d.App)
+	feasible, util := x.probeUtility(cand, d.App)
 	if !feasible {
-		a := p.Apps[d.App]
-		if a.Kind == KindWeb && placedWebs(p, cand) > 1 {
-			d.Binding = BindFlowCapacity
-			d.Reasons = append(d.Reasons,
-				fmt.Sprintf("an instance on %s fits memory, but its λ·c stability demand cannot be routed through the web flow network",
-					nodeName(p, probe)))
-		} else {
-			d.Binding = BindCPUCapacity
-			d.Reasons = append(d.Reasons,
-				fmt.Sprintf("an instance on %s fits memory, but its CPU floor does not fit the remaining capacity",
-					nodeName(p, probe)))
+		binding, why := BindCPUCapacity, "its CPU floor does not fit the remaining capacity"
+		// The probe aimed the allocator at cand, so al.webs are its placed
+		// web apps; two or more share the max-flow routing.
+		if p.Apps[d.App].Kind == KindWeb && len(x.ar.al.webs) > 1 {
+			binding, why = BindFlowCapacity, "its λ·c stability demand cannot be routed through the web flow network"
 		}
+		d.Binding = binding
+		d.Reasons = append(d.Reasons, fmt.Sprintf("an instance on %s fits memory, but %s", nodeName(p, probe), why))
 		return
 	}
 	d.Binding = BindUtility
@@ -304,12 +330,9 @@ func probeBinding(p *Problem, res *Result, d *AppDecision, probe cluster.NodeID)
 // cost an order of magnitude more per denial. Without adopted
 // allocations to freeze against (res.Eval nil), all apps share the
 // searched level, which still separates feasible from infeasible.
-func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, float64) {
-	ar := arenas.Get().(*arena)
-	defer arenas.Put(ar)
-	ar.tbl.build(p)
-	al := &ar.al
-	al.aim(&ar.tbl, cand)
+func (x *explainer) probeUtility(cand *Placement, app int) (bool, float64) {
+	t, al, res := x.table(), &x.ar.al, x.res
+	al.aim(t, cand)
 	if res.Eval != nil {
 		for _, placed := range [][]int{al.jobs, al.webs} {
 			for _, other := range placed {
@@ -319,61 +342,47 @@ func probeUtility(p *Problem, res *Result, cand *Placement, app int) (bool, floa
 			}
 		}
 	}
-	// No memoryFits here: the base placement is the optimizer's feasible
-	// output and diagnoseDenied only selects a probe node with verified
-	// memory headroom and no conflictor, so the O(nodes × apps) memory
-	// re-scan would be pure overhead.
+	// Memory and collocation are not re-checked: the candidate is the
+	// final placement plus one instance on a node where fits accepted it,
+	// and no other node changed.
 	if !al.feasible(rpf.MinUtility, -1) {
 		return false, 0
 	}
-	return true, min(al.level(), ar.tbl.utilityCap(app))
+	return true, min(al.level(), t.utilityCap(app))
 }
 
 // diagnoseLostNodes explains a move, shrink or eviction: for each node
-// the application lost, check whether it could have stayed there under
-// the final placement. A memory or collocation violation on every lost
-// node pins the binding constraint; otherwise the optimizer traded the
-// old spot away for utility.
-func diagnoseLostNodes(p *Problem, d *AppDecision, lost []cluster.NodeID,
-	index *residentIndex) {
+// the application lost, ask fit whether it could have stayed there
+// under the final placement. A memory or collocation refusal on every
+// lost node pins the binding constraint; otherwise the optimizer traded
+// the old spot away for utility.
+func (x *explainer) diagnoseLostNodes(d *AppDecision, lost []cluster.NodeID) {
+	p := x.p
 	a := p.Apps[d.App]
 	stayable := false
 	for _, id := range lost {
-		nd, ok := p.Cluster.Node(id)
-		if !ok {
-			d.Reasons = append(d.Reasons,
-				fmt.Sprintf("node %d left the inventory", int(id)))
-			if d.Binding == "" {
-				d.Binding = BindMemory // node loss: its capacity is gone
+		// A node that left the inventory binds on memory too: its
+		// capacity is gone.
+		binding, reason := BindMemory, ""
+		if nd, ok := p.Cluster.Node(id); !ok {
+			reason = fmt.Sprintf("node %d left the inventory", int(id))
+		} else {
+			switch ok, short, conflict := x.fit(id, d.App); {
+			case ok:
+				stayable = true
+				continue
+			case short > 0:
+				reason = fmt.Sprintf("staying on %s now overflows memory by %.0f MB", nd.Name, short)
+			default:
+				binding = BindAntiCollocation
+				reason = fmt.Sprintf("staying on %s would collocate with %q, which %q must not share a node with",
+					nd.Name, p.Apps[conflict].Name, a.Name)
 			}
-			continue
 		}
-		residents := index.on(id)
-		mem := a.MemoryMB()
-		conflict := -1
-		for _, r := range residents {
-			mem += p.Apps[r].MemoryMB()
-			if conflict < 0 && conflictsWith(a, p.Apps[r]) {
-				conflict = r
-			}
+		if d.Binding == "" {
+			d.Binding = binding
 		}
-		switch {
-		case mem > nd.MemMB+capTolerance:
-			if d.Binding == "" || d.Binding == BindUtility {
-				d.Binding = BindMemory
-			}
-			d.Reasons = append(d.Reasons,
-				fmt.Sprintf("staying on %s now overflows memory by %.0f MB", nd.Name, mem-nd.MemMB))
-		case conflict >= 0:
-			if d.Binding == "" || d.Binding == BindUtility {
-				d.Binding = BindAntiCollocation
-			}
-			d.Reasons = append(d.Reasons,
-				fmt.Sprintf("staying on %s would collocate with %q, which %q must not share a node with",
-					nd.Name, p.Apps[conflict].Name, a.Name))
-		default:
-			stayable = true
-		}
+		d.Reasons = append(d.Reasons, reason)
 	}
 	if d.Binding == "" {
 		d.Binding = BindUtility
@@ -384,34 +393,10 @@ func diagnoseLostNodes(p *Problem, d *AppDecision, lost []cluster.NodeID,
 	d.Reasons = append(d.Reasons, "binding constraint: "+d.Binding)
 }
 
-// placedWebs counts web applications with at least one instance.
-func placedWebs(p *Problem, pl *Placement) int {
-	n := 0
-	for i, a := range p.Apps {
-		if a.Kind == KindWeb && pl.Placed(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// diffNodes returns the sorted elements of a not present in b.
+// diffNodes returns the nodes of a not in b. Placement keeps each
+// application's nodes ascending, so the result is ascending too.
 func diffNodes(a, b []cluster.NodeID) []cluster.NodeID {
-	var out []cluster.NodeID
-	for _, x := range a {
-		found := false
-		for _, y := range b {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, x)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.DeleteFunc(slices.Clone(a), func(x cluster.NodeID) bool { return slices.Contains(b, x) })
 }
 
 func nodeName(p *Problem, id cluster.NodeID) string {

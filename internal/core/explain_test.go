@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,7 +185,8 @@ func TestProbeUtilityReachesAdoptedLevel(t *testing.T) {
 	}
 	for _, r := range []*Result{res, {Placement: res.Placement}} {
 		for app := range p.Apps {
-			ok, u := probeUtility(p, r, res.Placement, app)
+			x := explainer{p: p, res: r, ar: new(arena)}
+			ok, u := x.probeUtility(res.Placement, app)
 			if !ok || math.Abs(u-adopted) > 1e-3 {
 				t.Errorf("probeUtility(app %d, frozen %t) = %t, %v; want true, %v",
 					app, r.Eval != nil, ok, u, adopted)
@@ -305,6 +307,98 @@ func TestExplainEvictedByRepair(t *testing.T) {
 		t.Error("Explanation.Repaired = false after a repairing solve")
 	}
 	wantDecision(t, ex.Decisions[0], OutcomeEvicted, BindMemory)
+}
+
+// The footprints of TestGeneratedCandidatesFit's straddling node: summed
+// in ascending order (straddleMem[0] first) they overflow straddleNodeMB
+// by about 2e-9 MB, above capTolerance; summed with the last one first,
+// they fit.
+const straddleNodeMB = 11692.776999999
+
+var straddleMem = [3]float64{4213.603, 3316.766, 4162.408}
+
+func checkStraddle(t *testing.T) {
+	t.Helper()
+	m := straddleMem
+	if asc, lastFirst := m[0]+m[1]+m[2], m[2]+m[0]+m[1]; asc <= straddleNodeMB+capTolerance ||
+		lastFirst > straddleNodeMB+capTolerance {
+		t.Fatalf("footprints no longer straddle %v MB: ascending %v, last first %v",
+			straddleNodeMB, asc, lastFirst)
+	}
+}
+
+// TestExplainDeniedStraddlingNode: jobs 0 and 1 run on the only node and
+// job 2 is queued. The solver sums the three in ascending order, finds
+// them over the node's memory and denies job 2, so Explain must report
+// memory — not a feasible probe the solver would reject.
+func TestExplainDeniedStraddlingNode(t *testing.T) {
+	checkStraddle(t)
+	cl, err := cluster.Uniform(1, 100000, straddleNodeMB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([]*Application, len(straddleMem))
+	cur := NewPlacement(len(apps))
+	for i, mem := range straddleMem {
+		apps[i] = batchApp(fmt.Sprintf("j%d", i), 1e6, 3000, mem, 0, 5000)
+		if i < 2 {
+			apps[i].Started = true
+			cur.Add(i, 0)
+		}
+	}
+	p := &Problem{Cluster: cl, Now: 100, Cycle: 600, Apps: apps, Current: cur,
+		Costs: cluster.DefaultCostModel()}
+	res := mustOptimize(t, p)
+	if res.Placement.Placed(2) || !res.Placement.Has(0, 0) || !res.Placement.Has(1, 0) {
+		t.Fatalf("want jobs 0 and 1 kept and job 2 denied, got %v %v %v",
+			res.Placement.NodesOf(0), res.Placement.NodesOf(1), res.Placement.NodesOf(2))
+	}
+	d := Explain(p, res, nil).Decisions[2]
+	wantDecision(t, d, OutcomeDenied, BindMemory)
+	if want := "closest is node-0, short by 0 MB"; !strings.Contains(d.Reasons[0], want) {
+		t.Errorf("reason %q lacks %q", d.Reasons[0], want)
+	}
+}
+
+// TestExplainMovedStraddlingNode: web apps 0 and 1, pinned to node-1,
+// and job 2 all sit there, over its memory in the solver's ascending
+// sum. Repair evicts the job (batch before web) and the optimizer moves
+// it to node-0. Staying on node-1 is the straddling sum again, so the
+// move binds on memory. The empty node comes first on purpose: visited
+// first, the straddling node's candidate that swaps w0 out for the job
+// wins, and no single-node candidate then undoes that eviction.
+func TestExplainMovedStraddlingNode(t *testing.T) {
+	checkStraddle(t)
+	cl, err := cluster.New(
+		cluster.Node{CPUMHz: 100000, MemMB: 5000},
+		cluster.Node{CPUMHz: 100000, MemMB: straddleNodeMB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([]*Application, len(straddleMem))
+	cur := NewPlacement(len(apps))
+	for i, mem := range straddleMem {
+		if i < 2 {
+			apps[i] = webApp(fmt.Sprintf("w%d", i))
+			apps[i].Web.MemoryMB = mem
+			apps[i].PinnedNodes = []cluster.NodeID{1}
+		} else {
+			apps[i] = batchApp("j", 1e6, 3000, mem, 0, 5000)
+			apps[i].Started = true
+		}
+		cur.Add(i, 1)
+	}
+	p := &Problem{Cluster: cl, Now: 100, Cycle: 600, Apps: apps, Current: cur,
+		Costs: cluster.DefaultCostModel()}
+	res := mustOptimize(t, p)
+	if !res.Repaired {
+		t.Fatal("the straddling node was not repaired")
+	}
+	d := Explain(p, res, nil).Decisions[2]
+	wantDecision(t, d, OutcomeMoved, BindMemory)
+	if want := "staying on node-1 now overflows memory by 0 MB"; !slices.Contains(d.Reasons, want) {
+		t.Errorf("reasons %v lack %q", d.Reasons, want)
+	}
 }
 
 func TestOutcomeAndBindingSetsAreClosed(t *testing.T) {

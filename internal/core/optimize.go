@@ -407,9 +407,8 @@ func (c *evalContext) greedyFill(node cluster.NodeID, removed, addable []int) []
 		if len(picks) >= maxAddsPerNode {
 			break
 		}
-		i, _ := slices.BinarySearch(kept, idx)
-		trial = slices.Insert(append(trial[:0], kept...), i, idx)
-		if t.fits(node, trial) {
+		var ok bool
+		if trial, ok = t.fitsBeside(node, kept, idx, trial); ok {
 			kept, trial = trial, kept
 			picks = append(picks, idx)
 		}
@@ -455,10 +454,8 @@ func (c *evalContext) webExpansionCandidates(best *Evaluation) []*Placement {
 			}
 			// The candidate differs from the base only in this app's
 			// instances, so a node it is not on has the base's residents.
-			res := c.residents.on(node)
-			i, _ := slices.BinarySearch(res, idx)
-			c.gen.trial = slices.Insert(append(c.gen.trial[:0], res...), i, idx)
-			if !t.fits(node, c.gen.trial) {
+			var ok bool
+			if c.gen.trial, ok = t.fitsBeside(node, c.residents.on(node), idx, c.gen.trial); !ok {
 				continue
 			}
 			if cand == nil {

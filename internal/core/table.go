@@ -28,7 +28,7 @@ type appConsts struct {
 
 // table is the per-Problem constants table: per application the
 // quantities above, per node its capacities. It is built once per
-// Optimize, Evaluate or Explain probe and then only read, so the
+// Optimize, Evaluate or Explain call and then only read, so the
 // evaluation workers share it.
 type table struct {
 	p        *Problem
@@ -146,29 +146,52 @@ func (t *table) demandAt(app int, u float64) float64 {
 // conflict reports whether applications a and b declare an
 // anti-collocation relation (either direction).
 func (t *table) conflict(a, b int) bool {
-	return t.conflicts && conflictsWith(t.p.Apps[a], t.p.Apps[b])
+	if !t.conflicts {
+		return false
+	}
+	x, y := t.p.Apps[a], t.p.Apps[b]
+	return slices.Contains(x.AntiCollocate, y.Name) || slices.Contains(y.AntiCollocate, x.Name)
 }
 
 // fits reports whether node n can host apps (ascending) together: their
 // memory fits the node's and no two are anti-collocated. It is the one
-// fit rule — the full evaluation, repair and the candidate generators
-// all decide through it — and it sums the footprints in ascending
-// application order, so that every caller rounds the same way right at
-// the capacity boundary.
+// fit rule — the full evaluation, repair, the candidate generators and
+// Explain all decide through it — and it sums the footprints in
+// ascending application order, so that every caller rounds the same way
+// right at the capacity boundary.
 func (t *table) fits(n cluster.NodeID, apps []int) bool {
-	var mem float64
-	for i, app := range apps {
-		mem += t.apps[app].mem
-		if !t.conflicts {
-			continue
-		}
-		for _, other := range apps[:i] {
-			if t.conflict(app, other) {
-				return false
+	if _, over := t.memory(n, apps); over {
+		return false
+	}
+	if t.conflicts {
+		for i, app := range apps {
+			for _, other := range apps[:i] {
+				if t.conflict(app, other) {
+					return false
+				}
 			}
 		}
 	}
-	return mem <= t.nodeMem[n]+capTolerance
+	return true
+}
+
+// memory is fits' memory half: the footprints of apps (ascending) summed
+// in that order, and whether the sum is over node n's memory.
+func (t *table) memory(n cluster.NodeID, apps []int) (sum float64, over bool) {
+	for _, app := range apps {
+		sum += t.apps[app].mem
+	}
+	return sum, sum > t.nodeMem[n]+capTolerance
+}
+
+// fitsBeside is fits for app joining residents (ascending, app not among
+// them) on node n. It inserts app in order into buf's storage and
+// returns that set with the verdict, so a caller can keep it or ask
+// memory about it.
+func (t *table) fitsBeside(n cluster.NodeID, residents []int, app int, buf []int) ([]int, bool) {
+	i, _ := slices.BinarySearch(residents, app)
+	buf = append(append(append(buf[:0], residents[:i]...), app), residents[i:]...)
+	return buf, t.fits(n, buf)
 }
 
 // residentIndex answers "which applications have an instance on this

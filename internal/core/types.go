@@ -62,22 +62,6 @@ type Application struct {
 	AntiCollocate []string
 }
 
-// conflictsWith reports whether a and b declare an anti-collocation
-// relation (either direction).
-func conflictsWith(a, b *Application) bool {
-	for _, n := range a.AntiCollocate {
-		if n == b.Name {
-			return true
-		}
-	}
-	for _, n := range b.AntiCollocate {
-		if n == a.Name {
-			return true
-		}
-	}
-	return false
-}
-
 // ErrBadApplication reports an inconsistent Application.
 var ErrBadApplication = errors.New("core: invalid application")
 

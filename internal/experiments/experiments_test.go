@@ -283,8 +283,11 @@ func TestRenderers(t *testing.T) {
 func TestWorkedExampleTextDecisions(t *testing.T) {
 	out := WorkedExampleText()
 	// Scenario 1, cycle 2: J1 keeps the full node (paper's P2 choice).
-	if !strings.Contains(out, "J1@1000MHz") {
-		t.Fatalf("S1 cycle 2 decision missing:\n%s", out)
+	// The whole line is pinned: cycle 1 prints J1@1000MHz whatever the
+	// solver decides at cycle 2.
+	s1 := out[strings.Index(out, "Scenario 1"):strings.Index(out, "Scenario 2")]
+	if !strings.Contains(s1, "\n  cycle 2 (t=1): J1@1000MHz\n") {
+		t.Fatalf("S1 cycle 2 decision missing:\n%s", s1)
 	}
 	// Scenario 2, cycle 3: J1 suspended, J2 and J3 run.
 	s2 := out[strings.Index(out, "Scenario 2"):]

@@ -237,15 +237,6 @@ func WithComparisonResolution(eps float64) Option {
 	}
 }
 
-// WithExactHypothetical switches the batch performance predictor from
-// the paper's sampled-grid interpolation to exact bisection.
-func WithExactHypothetical() Option {
-	return func(s *settings) error {
-		s.dyn.ExactHypothetical = true
-		return nil
-	}
-}
-
 // WithOptimizerPasses bounds the placement optimizer's improvement
 // sweeps per cycle (default 3).
 func WithOptimizerPasses(n int) Option {
