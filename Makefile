@@ -36,11 +36,15 @@ staticcheck:
 # Documentation integrity: every relative markdown link in README/docs/
 # resolves and every package carries a package-level doc comment. Like
 # the CI docs job, it also checks that internal/scheduler depends on
-# neither internal/core nor internal/shard.
+# neither internal/core nor internal/shard, and that internal/router
+# depends on no other dynplace package.
 docs:
 	$(GO) run ./cmd/doccheck
 	@if $(GO) list -deps ./internal/scheduler | grep -Ex 'dynplace/internal/(core|shard)'; then \
 		echo "internal/scheduler must not depend on the optimizer; build placement problems in internal/control" >&2; exit 1; \
+	fi
+	@if $(GO) list -deps ./internal/router | grep -E '^dynplace(/|$$)' | grep -vx 'dynplace/internal/router'; then \
+		echo "internal/router must stay dependency-free; export counts through router.Stats, not from the dispatch path" >&2; exit 1; \
 	fi
 
 build:

@@ -37,7 +37,7 @@ func TestAPCPolicySchedules(t *testing.T) {
 	nodes := twoBatchNodes(1000, 2000)
 	a := pendingJob("a", 4000, 1000, 750, 0, 20)
 	b := pendingJob("b", 4000, 1000, 750, 0, 20)
-	apc := mustAPC(t, DynamicConfig{ExactHypothetical: true})
+	apc := mustAPC(t, DynamicConfig{})
 	asg, err := apc.Schedule(0, 1, []*scheduler.Job{a, b}, nodes, cluster.FreeCostModel())
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)

@@ -45,8 +45,6 @@ type DynamicConfig struct {
 	Epsilon float64
 	// MaxPasses bounds optimizer sweeps.
 	MaxPasses int
-	// ExactHypothetical selects bisection over the sampled grid.
-	ExactHypothetical bool
 	// Parallelism bounds the optimizer's candidate-evaluation workers
 	// (1 = sequential, 0 = GOMAXPROCS). Placement decisions are
 	// identical at every setting; only solve latency changes.

@@ -105,7 +105,7 @@ func TestFigure1EndToEnd(t *testing.T) {
 			cl := mustCluster(t, 1, 1000, 2000)
 			r := mustRunner(t, Config{
 				Cluster: cl, CycleSeconds: 1,
-				Policy: mustAPC(t, DynamicConfig{ExactHypothetical: true}),
+				Policy: mustAPC(t, DynamicConfig{}),
 				Costs:  cluster.FreeCostModel(),
 			})
 			specs := []*batch.Spec{

@@ -75,17 +75,16 @@ func (s *solver) solve(ct *obs.CycleTrace, now, cycle float64, costs cluster.Cos
 	}
 	n := len(web) + len(jobs)
 	p := &core.Problem{
-		Cluster:           cl,
-		Now:               now,
-		Cycle:             cycle,
-		Apps:              make([]*core.Application, 0, n),
-		Current:           core.NewPlacement(n),
-		LastNode:          make([]cluster.NodeID, n),
-		Costs:             costs,
-		ExactHypothetical: s.dyn.ExactHypothetical,
-		Epsilon:           s.dyn.Epsilon,
-		MaxPasses:         s.dyn.MaxPasses,
-		Parallelism:       s.dyn.Parallelism,
+		Cluster:     cl,
+		Now:         now,
+		Cycle:       cycle,
+		Apps:        make([]*core.Application, 0, n),
+		Current:     core.NewPlacement(n),
+		LastNode:    make([]cluster.NodeID, n),
+		Costs:       costs,
+		Epsilon:     s.dyn.Epsilon,
+		MaxPasses:   s.dyn.MaxPasses,
+		Parallelism: s.dyn.Parallelism,
 	}
 	// place carries app idx's instance on inventory node nd into the
 	// current placement, unless nd is not offered (or NoNode).

@@ -108,8 +108,6 @@ type Daemon struct {
 	clockP atomic.Pointer[Clock]
 
 	store *store.Store
-	// replaying suppresses journaling while Recover re-applies history.
-	replaying bool
 	// snapshotEvery is the periodic compaction cadence (0 = disabled).
 	snapshotEvery int
 	// walErrors counts journal appends that failed; mutations are

@@ -89,8 +89,6 @@ var (
 	ioBuckets = obs.ExpBuckets(0.00002, 3, 12)
 	// httpBuckets spans 100µs–1.6s for API handler latencies.
 	httpBuckets = obs.ExpBuckets(0.0001, 2, 15)
-	// dispatchBuckets spans 100ns–1.7ms for the router hot path.
-	dispatchBuckets = obs.ExpBuckets(1e-7, 4, 8)
 )
 
 // newObsState builds the registry, registers every metric family and
@@ -251,19 +249,6 @@ func (d *Daemon) newObsState(shards int, traceCycles int) *obsState {
 		forecastSamples(func(s forecast.Stats) float64 { return s.PendingPredicted }))
 
 	// --- request router ---
-	routerIns := &router.Instruments{
-		Dispatched: reg.Counter("dynplace_router_requests_total",
-			"Router dispatch calls by outcome.", "result", "dispatched"),
-		Queued: reg.Counter("dynplace_router_requests_total",
-			"Router dispatch calls by outcome.", "result", "queued"),
-		Rejected: reg.Counter("dynplace_router_requests_total",
-			"Router dispatch calls by outcome.", "result", "rejected"),
-		Unknown: reg.Counter("dynplace_router_requests_total",
-			"Router dispatch calls by outcome.", "result", "unknown"),
-		Latency: reg.Histogram("dynplace_router_dispatch_duration_seconds",
-			"Latency of one router dispatch decision.", dispatchBuckets),
-	}
-	d.router.SetInstruments(routerIns)
 	// Per-app dispatch series. routerSamples snapshots once per scrape
 	// per family and renders one stably ordered sample per application.
 	routerSamples := func(value func(router.Stats) float64) func() []obs.Sample {

@@ -90,8 +90,8 @@ func newShardedDurableDaemon(t *testing.T) (*Daemon, *SimClock) {
 // TestDaemonPromExposition is the acceptance test for the Prometheus
 // surface: a durable sharded daemon runs cycles and serves traffic, and
 // GET /metrics/prom must emit parseable text covering cycle latency,
-// per-span durations, per-zone solve times, router counts/latency, WAL
-// append/fsync latency, and the infeasible/rescue/poison signals — with
+// per-span durations, per-zone solve times, per-app dispatch counts,
+// HTTP response classes, WAL append/fsync latency, and the infeasible/rescue/poison signals — with
 // every counter monotonically non-decreasing across scrapes.
 func TestDaemonPromExposition(t *testing.T) {
 	d, clock := newShardedDurableDaemon(t)
@@ -125,11 +125,11 @@ func TestDaemonPromExposition(t *testing.T) {
 			t.Errorf("zone %s solve count = %v, want %v", zone, got, cycles)
 		}
 	}
-	if got := mustValue(t, exp, "dynplace_router_requests_total", "result", "dispatched"); got != 5 {
-		t.Errorf("router dispatched = %v, want 5", got)
+	if got := mustValue(t, exp, "dynplace_dispatch_requests_total", "app", "shop"); got != 5 {
+		t.Errorf("shop dispatched = %v, want 5", got)
 	}
-	if got := mustValue(t, exp, "dynplace_router_dispatch_duration_seconds_count"); got < 5 {
-		t.Errorf("router dispatch latency count = %v, want >= 5", got)
+	if got := mustValue(t, exp, "dynplace_http_responses_total", "class", "4xx"); got < 1 {
+		t.Errorf("4xx responses = %v, want >= 1 (the nosuchapp route)", got)
 	}
 	if got := mustValue(t, exp, "dynplace_wal_append_duration_seconds_count"); got == 0 {
 		t.Error("no WAL append latency observations despite durable mutations")
@@ -356,7 +356,7 @@ func TestDaemonMetricsScrapeRace(t *testing.T) {
 // benchmark runs, replay_diurnal's 3 ms. The count is per cycle, not
 // per node or per candidate: an Observe added inside such a loop moves
 // the pin here and blows the budget at 10 000 nodes. Dispatch-path cost
-// is dynbench's router.dispatch_ns, measured on the instrumented router,
+// is dynbench's router.dispatch_ns, measured on the daemon's router,
 // and TestDispatchZeroAllocs holds a pick at zero allocations.
 func TestCycleInstrumentCost(t *testing.T) {
 	d, clock := newShardedDurableDaemon(t)

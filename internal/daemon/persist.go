@@ -49,13 +49,13 @@ func (d *Daemon) gateLocked() error {
 }
 
 // journalLocked appends one record to the WAL and fsyncs. It is a no-op
-// without a store or while Recover is re-applying history. A non-nil
-// error means the mutation must not be applied (or must
-// be rolled back), because acknowledged state has to survive kill -9.
+// without a store. A non-nil error means the mutation must not be
+// applied (or must be rolled back), because acknowledged state has to
+// survive kill -9.
 //
 // dynplace:holds d.mu
 func (d *Daemon) journalLocked(rec store.Record) error {
-	if d.store == nil || d.replaying {
+	if d.store == nil {
 		return nil
 	}
 	if _, err := d.store.Append(rec); err != nil {
@@ -74,7 +74,7 @@ func (d *Daemon) journalLocked(rec store.Record) error {
 //
 // dynplace:holds d.mu
 func (d *Daemon) journalCycleLocked(cycle int64, now float64, live []*scheduler.Job, retired []dynplace.JobResult, cycleErr error) {
-	if d.store == nil || d.replaying {
+	if d.store == nil {
 		return
 	}
 	rec := store.Record{
@@ -261,9 +261,6 @@ func (d *Daemon) Recover() error {
 	if d.running {
 		return fmt.Errorf("%w: Recover must precede Start", ErrDaemon)
 	}
-	d.replaying = true
-	defer func() { d.replaying = false }()
-
 	// Only the newest journaled placement describes what is deployed, so
 	// replay remembers it and decodes it once, after the loop. A
 	// superseded placement is never served; the store has already
@@ -330,8 +327,7 @@ func (d *Daemon) Recover() error {
 		lastTime, len(recs), d.replayDuration.Round(time.Millisecond), d.restarts.Load(), rescued)
 
 	// Boot compaction: fold what we just replayed into a fresh snapshot
-	// so the next crash replays from here. replaying is still true, but
-	// snapshots bypass the journal. Failure is survivable — the old
+	// so the next crash replays from here. Failure is survivable — the old
 	// snapshot+WAL remain valid — so it degrades rather than aborts.
 	if err := d.writeSnapshotLocked(); err != nil {
 		d.walErrors++

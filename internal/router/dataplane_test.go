@@ -20,7 +20,6 @@ func TestDispatchZeroAllocs(t *testing.T) {
 		{Node: "n1", PowerMHz: 1000},
 		{Node: "n2", PowerMHz: 2000},
 	})
-	r.SetInstruments(nil)
 
 	picks := [...]float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999}
 	i := 0
@@ -355,6 +354,32 @@ func TestDispatchBatch(t *testing.T) {
 	res, err = r.DispatchBatch("app", 0)
 	if err != nil || res.Dispatched != 0 {
 		t.Errorf("DispatchBatch(n=0) = %+v, %v; want empty result", res, err)
+	}
+}
+
+// TestDispatchBatchAllocs pins DispatchBatch's allocations per call as
+// independent of the batch size: the result map is allocated once, and
+// no request — dispatched, queued or rejected — allocates on its own.
+func TestDispatchBatchAllocs(t *testing.T) {
+	r := New(2)
+	r.Update("app", []Instance{{Node: "n0", PowerMHz: 3000}, {Node: "n1", PowerMHz: 1000}})
+	r.Update("starved", nil)
+	allocs := func(app string, n int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			res, err := r.DispatchBatch(app, n)
+			if err != nil {
+				t.Fatalf("DispatchBatch(%s, %d): %v", app, n, err)
+			}
+			if app == "starved" && (res.Queued != 2 || res.Rejected != n-2) {
+				t.Fatalf("DispatchBatch(starved, %d) = %+v, want 2 queued, %d rejected", n, res, n-2)
+			}
+			r.Drain(app, 2)
+		})
+	}
+	for _, app := range []string{"app", "starved"} {
+		if small, big := allocs(app, 10), allocs(app, 1000); big > small {
+			t.Errorf("DispatchBatch(%s): %.1f allocs at n=1000, %.1f at n=10; want no growth with n", app, big, small)
+		}
 	}
 }
 

@@ -27,9 +27,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"dynplace/internal/obs"
 )
 
 // Instance is one placement target for an application.
@@ -68,20 +65,6 @@ type BatchResult struct {
 	Rejected   int `json:"rejected"`
 	// PerNode counts this batch's dispatches per node.
 	PerNode map[string]int `json:"perNode"`
-}
-
-// Instruments is the set of observability hooks on the dispatch path.
-// Any field may be nil; obs instruments are nil-safe, so dispatch
-// records unconditionally into whatever is present.
-type Instruments struct {
-	// Dispatched, Queued, Rejected and Unknown count Dispatch calls by
-	// outcome.
-	Dispatched *obs.Counter
-	Queued     *obs.Counter
-	Rejected   *obs.Counter
-	Unknown    *obs.Counter
-	// Latency observes each Dispatch call's duration in seconds.
-	Latency *obs.Histogram
 }
 
 // ErrUnknownApp reports dispatch to an application the router has no
@@ -226,9 +209,6 @@ type Router struct {
 	// mu serializes control-plane writers (Update, Publish, Remove) and
 	// stat readers that walk the persistent node-counter maps.
 	mu sync.Mutex
-	// ins holds the optional dispatch-path instruments; an atomic
-	// pointer so they can be installed after the router is serving.
-	ins atomic.Pointer[Instruments]
 }
 
 // New creates a router whose per-application protection queue holds up to
@@ -321,10 +301,6 @@ func (r *Router) Remove(app string) {
 	r.apps.Store(&next)
 }
 
-// SetInstruments installs (or, with nil, removes) the dispatch-path
-// observability hooks. Safe to call while the router is serving.
-func (r *Router) SetInstruments(ins *Instruments) { r.ins.Store(ins) }
-
 // pickIndex maps pick ∈ [0,1) onto an instance index through the
 // cumulative weight table — the exact-weight pick. The mapping is
 // bit-identical to the original mutex router: clamp, scale by the
@@ -381,21 +357,7 @@ func (r *Router) admit(st *appState) bool {
 // if the queue is full. The success paths are lock-free and perform no
 // allocations.
 func (r *Router) Dispatch(app string, pick float64) (node string, err error) {
-	ins := r.ins.Load()
-	if ins == nil {
-		return r.dispatch(app, pick, false)
-	}
-	var begin time.Time
-	if ins.Latency != nil {
-		//dynplace:ignore clockhygiene dispatch latency histogram; measurement only, routing outcome is unaffected
-		begin = time.Now()
-	}
-	node, err = r.dispatch(app, pick, false)
-	recordOutcome(ins, node, err)
-	if ins.Latency != nil {
-		ins.Latency.ObserveSince(begin)
-	}
-	return node, err
+	return r.dispatch(app, pick, false)
 }
 
 // DispatchBalanced routes one request with power-of-two-choices among
@@ -405,50 +367,46 @@ func (r *Router) Dispatch(app string, pick float64) (node string, err error) {
 // allocated-power proportions, with far less short-term imbalance than
 // independent weighted sampling. Lock- and allocation-free.
 func (r *Router) DispatchBalanced(app string) (node string, err error) {
-	ins := r.ins.Load()
-	if ins == nil {
-		return r.dispatch(app, rand.Float64(), true)
-	}
-	var begin time.Time
-	if ins.Latency != nil {
-		//dynplace:ignore clockhygiene dispatch latency histogram; measurement only, routing outcome is unaffected
-		begin = time.Now()
-	}
-	node, err = r.dispatch(app, rand.Float64(), true)
-	recordOutcome(ins, node, err)
-	if ins.Latency != nil {
-		ins.Latency.ObserveSince(begin)
-	}
-	return node, err
+	return r.dispatch(app, rand.Float64(), true)
 }
 
-func recordOutcome(ins *Instruments, node string, err error) {
-	switch {
-	case err == nil && node != "":
-		ins.Dispatched.Inc()
-	case err == nil:
-		ins.Queued.Inc()
-	case errors.Is(err, ErrRejected):
-		ins.Rejected.Inc()
-	default:
-		ins.Unknown.Inc()
-	}
-}
-
-// dispatch is the shared hot path. balanced selects power-of-two-choices
-// refinement of the weighted pick.
+// dispatch resolves the application and routes one request, building
+// the single-request entry points' errors.
 func (r *Router) dispatch(app string, pick float64, balanced bool) (string, error) {
 	st, ok := r.lookup(app)
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownApp, app)
 	}
+	node, out := r.route(st, pick, balanced)
+	if out == rejected {
+		return "", fmt.Errorf("%w: %q", ErrRejected, app)
+	}
+	return node, nil
+}
+
+// outcome is what route did with one request.
+type outcome uint8
+
+const (
+	dispatched outcome = iota
+	queued
+	rejected
+)
+
+// route routes one request on the application's current table — the
+// one routing path behind Dispatch, DispatchBalanced and DispatchBatch.
+// It returns the chosen node, or queues the request (rejecting it when
+// the queue is full) if the application has no capacity. balanced
+// refines the weighted pick with power-of-two-choices. It takes no lock
+// and allocates nothing.
+func (r *Router) route(st *appState, pick float64, balanced bool) (string, outcome) {
 	t := st.table.Load()
 	if t.total <= 0 {
 		if !r.admit(st) {
 			st.rejected.inc()
-			return "", fmt.Errorf("%w: %q", ErrRejected, app)
+			return "", rejected
 		}
-		return "", nil
+		return "", queued
 	}
 	i := t.pickIndex(pick)
 	if balanced && len(t.instances) > 1 {
@@ -464,14 +422,14 @@ func (r *Router) dispatch(app string, pick float64, balanced bool) (string, erro
 		t.load[i].v.Add(1)
 	}
 	t.perNode[i].inc()
-	return t.instances[i].Node, nil
+	return t.instances[i].Node, dispatched
 }
 
 // DispatchBatch routes n requests in one call using power-of-two-choices
-// picks, resolving the application and its routing table once. It
-// returns per-node dispatch counts and queued/rejected tallies — the
-// bulk form behind POST /v1/route/{name}, so load tests measure the
-// dataplane instead of HTTP round-trips.
+// picks, resolving the application once. It returns per-node dispatch
+// counts and queued/rejected tallies — the bulk form behind
+// POST /v1/route/{name}, so load tests measure the dataplane instead of
+// HTTP round-trips.
 func (r *Router) DispatchBatch(app string, n int) (BatchResult, error) {
 	res := BatchResult{PerNode: map[string]int{}}
 	if n <= 0 {
@@ -481,43 +439,18 @@ func (r *Router) DispatchBatch(app string, n int) (BatchResult, error) {
 	if !ok {
 		return res, fmt.Errorf("%w: %q", ErrUnknownApp, app)
 	}
-	ins := r.ins.Load()
 	for k := 0; k < n; k++ {
-		// Reload the table each iteration so a concurrent republish
-		// takes effect mid-batch, exactly as it would across n
-		// single-request dispatches.
-		t := st.table.Load()
-		if t.total <= 0 {
-			if r.admit(st) {
-				res.Queued++
-				if ins != nil {
-					ins.Queued.Inc()
-				}
-			} else {
-				st.rejected.inc()
-				res.Rejected++
-				if ins != nil {
-					ins.Rejected.Inc()
-				}
-			}
-			continue
-		}
-		i := t.pickIndex(rand.Float64())
-		if len(t.instances) > 1 {
-			if j := t.pickIndex(rand.Float64()); j != i {
-				li := float64(t.load[i].v.Load()) * t.instances[j].PowerMHz
-				lj := float64(t.load[j].v.Load()) * t.instances[i].PowerMHz
-				if lj < li {
-					i = j
-				}
-			}
-		}
-		t.load[i].v.Add(1)
-		t.perNode[i].inc()
-		res.PerNode[t.instances[i].Node]++
-		res.Dispatched++
-		if ins != nil {
-			ins.Dispatched.Inc()
+		// route reloads the table per request, so a concurrent
+		// republish takes effect mid-batch, exactly as it would across
+		// n single-request dispatches.
+		switch node, out := r.route(st, rand.Float64(), true); out {
+		case dispatched:
+			res.PerNode[node]++
+			res.Dispatched++
+		case queued:
+			res.Queued++
+		case rejected:
+			res.Rejected++
 		}
 	}
 	return res, nil
