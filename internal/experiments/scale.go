@@ -17,8 +17,10 @@ import (
 // three quarters of them placed with random progress and the rest
 // queued, T = 600 s and one optimizer pass — what a latency budget per
 // control cycle buys at this scale. The seed is 7 + nodes, so each size
-// is one fixed problem.
-func buildScaleProblem(nodes int) (*core.Problem, error) {
+// is one fixed problem. With distinct set, each node's CPU is drawn from
+// the same seed within ±20 % of 15 600 MHz instead, after every other
+// draw, so the rest of the problem is the uniform one.
+func buildScaleProblem(nodes int, distinct bool) (*core.Problem, error) {
 	const (
 		webApps             = 2
 		jobsPerHundredNodes = 10
@@ -65,6 +67,15 @@ func buildScaleProblem(nodes int) (*core.Problem, error) {
 			current.Add(idx, cluster.NodeID((j/3+webApps*3)%nodes))
 		}
 		apps = append(apps, app)
+	}
+	if distinct {
+		specs := cl.Nodes()
+		for i := range specs {
+			specs[i].CPUMHz = 15600 * (0.8 + 0.4*rng.Float64())
+		}
+		if cl, err = cluster.New(specs...); err != nil {
+			return nil, err
+		}
 	}
 
 	return &core.Problem{
