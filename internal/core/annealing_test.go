@@ -147,8 +147,8 @@ func randomMove(p *Problem, current *Placement, rng *rand.Rand) *Placement {
 	}
 	switch rng.Intn(3) {
 	case 0: // place / add instance
-		if p.Apps[app].Kind == KindBatch {
-			cand.Clear(app)
+		for p.Apps[app].Kind == KindBatch && cand.Placed(app) {
+			cand.Remove(app, cand.NodesOf(app)[0])
 		}
 		cand.Add(app, node)
 	case 1: // move an instance to the drawn node

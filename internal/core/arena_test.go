@@ -152,7 +152,8 @@ func TestMultiWebProbePaths(t *testing.T) {
 
 // TestWarmEvaluateAllocatesOnlyItsResult: a warm incremental evaluation
 // allocates no more than copying out the Evaluation it returns, web
-// shares included.
+// shares included. Making the candidate's edits on the arena's copy of
+// the base and taking them back allocates nothing once warm.
 func TestWarmEvaluateAllocatesOnlyItsResult(t *testing.T) {
 	for webs := 0; webs <= 3; webs++ {
 		p, pl := allocProblem(t, webs)
@@ -160,9 +161,8 @@ func TestWarmEvaluateAllocatesOnlyItsResult(t *testing.T) {
 		tbl.build(p)
 		ctx := &evalContext{t: tbl}
 		ctx.rebase(pl, nil)
-		cand := pl.Clone()
-		cand.Remove(webs+2, 2)
-		cand.Add(webs+25, 2) // a queued job takes the freed slot
+		// A queued job takes the slot a placed one frees.
+		cand := []edit{{app: webs + 2, node: 2}, {app: webs + 25, node: 2, add: true}}
 		ar := new(arena)
 		ev, err := ctx.evaluate(ar, cand)
 		if err != nil || !ev.Feasible {

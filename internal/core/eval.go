@@ -31,6 +31,11 @@ type arena struct {
 	// evaluate against a Problem without an Optimize around them.
 	tbl table
 
+	// work is this arena's copy of base, the last evaluation context base
+	// it served: evalContext.evaluate makes each candidate's edits on it,
+	// scores it and takes them back. The evaluation pool clears both.
+	base, work *Placement
+
 	// evaluate scratch: hypothetical inputs and outputs, and the jobs
 	// that complete inside the cycle with their completion times.
 	states      []batch.State
@@ -170,15 +175,14 @@ func (ar *arena) evaluate(t *table, pl *Placement, skipMemCheck bool, hints [][2
 // evalContext carries the state shared by the many candidate
 // evaluations of one optimization step: the constants table, the base
 // placement candidates were derived from and its per-node residents. A
-// candidate differs from the base on only a handful of nodes, and the
-// generators build it to fit: every node it changes is checked with
-// table.fits as it is built, and every other node keeps the feasible
-// base's residents. So a candidate's evaluation skips the full
-// O(nodes × apps) memory scan. The CPU-distribution solve itself is
-// unchanged, which keeps incremental scores bit-identical to Evaluate's;
-// it only starts each level search from the base's bracket for the same
-// round, which skips most of the probes when the candidate's level is
-// the base's.
+// candidate is a handful of edits to the base, and the generators build
+// it to fit: every node it changes is checked with table.fits as it is
+// built, and every other node keeps the feasible base's residents. So a
+// candidate's evaluation skips the full O(nodes × apps) memory scan. The
+// CPU-distribution solve itself is unchanged, which keeps incremental
+// scores bit-identical to Evaluate's; it only starts each level search
+// from the base's bracket for the same round, which skips most of the
+// probes when the candidate's level is the base's.
 //
 // Between rebase calls the context is read-only to evaluate, which is
 // what the evaluation workers call concurrently (each with its own
@@ -228,22 +232,35 @@ func (c *evalContext) rebase(base *Placement, hints [][2]float64) {
 	clear(c.classes)
 }
 
-// evaluate scores a candidate placement incrementally: cand must be the
-// base or a candidate the generators built from it, so it fits. When the
-// problem sets VerifyIncremental it additionally runs the full
-// evaluation, memory scan included, and errors out on any divergence.
-func (c *evalContext) evaluate(ar *arena, cand *Placement) (*Evaluation, error) {
-	if cand == nil || cand.Apps() != len(c.t.apps) {
-		return nil, fmt.Errorf("%w: placement/app mismatch", ErrBadProblem)
+// evaluate scores incrementally the candidate that edits, built to fit
+// by the generators, make of the base (no edits: the base itself), on
+// the arena's copy of the base. Under VerifyIncremental it also checks
+// what the optimizer reads off the edits (each makes one change; the
+// candidate loses a base instance iff one is a removal) and runs the
+// full evaluation, memory scan included, erroring out on any divergence.
+func (c *evalContext) evaluate(ar *arena, edits []edit) (*Evaluation, error) {
+	if ar.base != c.base {
+		ar.base, ar.work = c.base, c.base.Clone()
 	}
-	ev, err := ar.evaluate(c.t, cand, true, c.hints)
+	work := ar.work
+	work.apply(edits, false)
+	defer work.apply(edits, true)
+	ev, err := ar.evaluate(c.t, work, true, c.hints)
 	if err == nil && ev.Feasible {
 		ev.brackets = slices.Clone(ar.al.brackets)
 	}
 	if err != nil || !c.t.p.VerifyIncremental {
 		return ev, err
 	}
-	full, err := Evaluate(c.t.p, cand)
+	lost := false
+	for app, ns := range c.base.nodes {
+		lost = lost || slices.ContainsFunc(ns, func(nd cluster.NodeID) bool { return !work.Has(app, nd) })
+	}
+	if n := work.Changes(c.base); n != len(edits) || lost != removes(edits) {
+		return nil, fmt.Errorf("core: a candidate of %d edits (a removal: %v) makes %d changes (loses an instance: %v)",
+			len(edits), removes(edits), n, lost)
+	}
+	full, err := Evaluate(c.t.p, work)
 	if err != nil {
 		return nil, err
 	}
@@ -251,6 +268,14 @@ func (c *evalContext) evaluate(ar *arena, cand *Placement) (*Evaluation, error) 
 		return nil, fmt.Errorf("core: incremental evaluation diverged from the full one: %w", err)
 	}
 	return ev, nil
+}
+
+// placement is the candidate that edits make of the base, as a placement
+// of its own: what the optimizer adopts.
+func (c *evalContext) placement(edits []edit) *Placement {
+	pl := c.base.Clone()
+	pl.apply(edits, false)
+	return pl
 }
 
 // diffEvaluations describes the first difference between two

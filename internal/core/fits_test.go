@@ -83,7 +83,7 @@ func TestGeneratedCandidatesFit(t *testing.T) {
 			t.Fatalf("straddling node: candidate %d of %d does not fit", i, len(generated))
 		}
 	}
-	best, err := ctx.evaluate(new(arena), ctx.base)
+	best, err := ctx.evaluate(new(arena), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestGeneratedCandidatesFit(t *testing.T) {
 func fillRefusals(t *testing.T, ctx *evalContext) (memory, conflict int) {
 	t.Helper()
 	tbl := ctx.t
-	best, err := ctx.evaluate(new(arena), ctx.base)
+	best, err := ctx.evaluate(new(arena), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 
 // passCandidates repairs p's input placement, rebases a fresh
 // evaluation context on it and returns the context with every candidate
-// an optimization pass generates against that incumbent: the
-// web-expansion set and each node's configurations.
+// an optimization pass generates against that incumbent, each made into
+// a placement: the web-expansion set and each node's configurations.
 func passCandidates(t *testing.T, p *Problem) (*evalContext, []*Placement) {
 	t.Helper()
 	tbl := new(table)
@@ -26,14 +26,18 @@ func passCandidates(t *testing.T, p *Problem) (*evalContext, []*Placement) {
 	ctx := &evalContext{t: tbl}
 	ar := new(arena)
 	ctx.rebase(base, nil)
-	best, err := ctx.evaluate(ar, base)
+	best, err := ctx.evaluate(ar, nil)
 	if err != nil || !best.Feasible {
 		t.Fatalf("incumbent: feasible=%v err=%v", best != nil && best.Feasible, err)
 	}
 	ctx.rebase(base, best.brackets)
-	cands := ctx.webExpansionCandidates(best)
+	edits := ctx.webExpansionCandidates(best)
 	for n := range tbl.nodeCaps {
-		cands = ctx.candidatesForNode(best, cluster.NodeID(n), cands)
+		edits = ctx.candidatesForNode(best, cluster.NodeID(n), edits)
+	}
+	cands := make([]*Placement, len(edits))
+	for i, e := range edits {
+		cands[i] = ctx.placement(e)
 	}
 	return ctx, cands
 }

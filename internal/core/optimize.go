@@ -87,7 +87,7 @@ func Optimize(p *Problem) (*Result, error) {
 	res := &Result{Repaired: repaired}
 	ctx := &evalContext{t: t}
 	ctx.rebase(current, nil)
-	best, err := ctx.evaluate(pool.own, current)
+	best, err := ctx.evaluate(pool.own, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func Optimize(p *Problem) (*Result, error) {
 	eps := p.epsilon()
 	bestQ := best.Vector.Quantize(eps)
 	var counts []int
-	var flat []*Placement
+	var flat [][]edit
 	for pass := 0; pass < p.maxPasses(); pass++ {
 		improved := false
 		// Web cluster sizing: a transactional application below its λ·c
@@ -112,7 +112,7 @@ func Optimize(p *Problem) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		adopted := false
+		var webBest []edit
 		for i, cand := range webCands {
 			ev := evs[i]
 			res.count(ev)
@@ -120,11 +120,12 @@ func Optimize(p *Problem) (*Result, error) {
 				continue
 			}
 			if q := ev.Vector.Quantize(eps); bestQ.Less(q) {
-				current, best, bestQ = cand, ev, q
-				improved, adopted = true, true
+				webBest, best, bestQ = cand, ev, q
+				improved = true
 			}
 		}
-		if adopted {
+		if webBest != nil {
+			current = ctx.placement(webBest)
 			ctx.rebase(current, best.brackets)
 		}
 		// The per-node loop is sequential by construction — each node's
@@ -177,7 +178,7 @@ func Optimize(p *Problem) (*Result, error) {
 					res.count(ev)
 				}
 				n++
-				var bestCand *Placement
+				var bestCand []edit
 				var bestEval *Evaluation
 				var bestCandQ rpf.Vector
 				for i, cand := range cands {
@@ -195,7 +196,7 @@ func Optimize(p *Problem) (*Result, error) {
 					if !bestQ.Less(q) {
 						continue
 					}
-					if disturbs(current, cand) && !ev.Vector.ImprovesOn(best.Vector, eps) {
+					if removes(cand) && !ev.Vector.ImprovesOn(best.Vector, eps) {
 						continue
 					}
 					switch {
@@ -203,15 +204,14 @@ func Optimize(p *Problem) (*Result, error) {
 						bestCand, bestEval, bestCandQ = cand, ev, q
 					case bestCandQ.Less(q):
 						bestCand, bestEval, bestCandQ = cand, ev, q
-					case q.Compare(bestCandQ) == 0 &&
-						cand.Changes(current) < bestCand.Changes(current):
+					case q.Compare(bestCandQ) == 0 && len(cand) < len(bestCand):
 						// Resolution-level tie: prefer the less disruptive
 						// configuration.
 						bestCand, bestEval, bestCandQ = cand, ev, q
 					}
 				}
-				if bestCand != nil {
-					current, best, bestQ = bestCand, bestEval, bestCandQ
+				if bestEval != nil {
+					current, best, bestQ = ctx.placement(bestCand), bestEval, bestCandQ
 					improved = true
 					adopted = true
 					ctx.rebase(current, best.brackets)
@@ -259,10 +259,10 @@ type genScratch struct {
 }
 
 // candidatesForNode appends to out the intermediate-loop configurations
-// for one node: for k = 0..(instances on node), remove the k
-// most-satisfied instances, then greedily add the neediest unplaced
-// applications that fit the freed memory.
-func (c *evalContext) candidatesForNode(best *Evaluation, node cluster.NodeID, out []*Placement) []*Placement {
+// for one node, as edits to the base: for k = 0..(instances on node),
+// remove the k most-satisfied instances, then greedily add the neediest
+// unplaced applications that fit the freed memory.
+func (c *evalContext) candidatesForNode(best *Evaluation, node cluster.NodeID, out [][]edit) [][]edit {
 	t, g := c.t, &c.gen
 	if node < 0 || int(node) >= len(t.nodeCaps) {
 		return out
@@ -277,36 +277,35 @@ func (c *evalContext) candidatesForNode(best *Evaluation, node cluster.NodeID, o
 	})
 	addable := c.addableApps(best, node)
 
-	base := c.base
 	for k := 0; k <= len(g.onNode); k++ {
-		if k > 0 {
-			if k == 1 {
-				base = base.Clone()
-			}
-			base.Remove(g.onNode[k-1], node)
-			// Pure removal (suspension) frees CPU for the remaining
-			// residents even when nothing is added back.
-			out = append(out, base.Clone())
-		}
 		// Inner loop: place the neediest unplaced (or migratable)
 		// applications. A full greedy fill can overshoot (e.g. moving
 		// every job onto this node), so generate one candidate per
 		// additive prefix: add 1, then 2, ... of the applications the
 		// fill would take. The fill decides each application from the
 		// ones before it alone, so its prefixes are the fills of smaller
-		// budgets and it is computed once per removal depth.
+		// budgets and it is computed once per removal depth. Every
+		// candidate at this depth is a prefix of one list of edits.
 		picks := c.greedyFill(node, g.onNode[:k], addable)
-		for adds := 1; adds <= len(picks); adds++ {
-			cand := base.Clone()
-			for _, idx := range picks[:adds] {
-				if t.p.Apps[idx].Kind == KindBatch && cand.Placed(idx) {
-					// Single-instance job placed elsewhere: adding it here
-					// is a migration.
-					cand.Clear(idx)
+		edits := make([]edit, 0, k+2*len(picks))
+		for _, app := range g.onNode[:k] {
+			edits = append(edits, edit{app: app, node: node})
+		}
+		if k > 0 {
+			// Pure removal (suspension) frees CPU for the remaining
+			// residents even when nothing is added back.
+			out = append(out, edits[:k:k])
+		}
+		for _, idx := range picks {
+			if t.p.Apps[idx].Kind == KindBatch {
+				// Single-instance job placed elsewhere: adding it here
+				// is a migration.
+				for _, from := range c.base.NodesOf(idx) {
+					edits = append(edits, edit{app: idx, node: from})
 				}
-				cand.Add(idx, node)
 			}
-			out = append(out, cand)
+			edits = append(edits, edit{app: idx, node: node, add: true})
+			out = append(out, edits[:len(edits):len(edits)])
 		}
 	}
 	return out
@@ -363,11 +362,11 @@ func (c *evalContext) checkTwin(best *Evaluation, node, twin cluster.NodeID) err
 			node, len(got), twin, len(want))
 	}
 	for i := range got {
-		wantEv, err := Evaluate(c.t.p, want[i])
+		wantEv, err := Evaluate(c.t.p, c.placement(want[i]))
 		if err != nil {
 			return err
 		}
-		gotEv, err := Evaluate(c.t.p, got[i])
+		gotEv, err := Evaluate(c.t.p, c.placement(got[i]))
 		if err != nil {
 			return err
 		}
@@ -375,7 +374,7 @@ func (c *evalContext) checkTwin(best *Evaluation, node, twin cluster.NodeID) err
 			return fmt.Errorf("core: skipped node %d's candidate %d scores unlike twin node %d's: %w",
 				node, i, twin, err)
 		}
-		if g, w := got[i].Changes(c.base), want[i].Changes(c.base); g != w {
+		if g, w := len(got[i]), len(want[i]); g != w {
 			return fmt.Errorf("core: skipped node %d's candidate %d makes %d changes, twin node %d's %d",
 				node, i, g, twin, w)
 		}
@@ -417,26 +416,19 @@ func (c *evalContext) greedyFill(node cluster.NodeID, removed, addable []int) []
 	return picks
 }
 
-// disturbs reports whether the candidate removes or moves any instance
-// present in the incumbent placement (pure additions return false).
-func disturbs(current, cand *Placement) bool {
-	for app := 0; app < current.Apps(); app++ {
-		for _, nd := range current.NodesOf(app) {
-			if !cand.Has(app, nd) {
-				return true
-			}
-		}
-	}
-	return false
+// removes reports whether a candidate removes or moves any instance of
+// the incumbent placement: whether one of its edits is a removal.
+func removes(cand []edit) bool {
+	return slices.ContainsFunc(cand, func(e edit) bool { return !e.add })
 }
 
 // webExpansionCandidates builds, for every web application short of its
 // utility cap, a candidate that replicates it across nodes with free
 // memory until the hosting nodes' combined CPU covers its maximum useful
-// demand.
-func (c *evalContext) webExpansionCandidates(best *Evaluation) []*Placement {
+// demand: one add edit per node.
+func (c *evalContext) webExpansionCandidates(best *Evaluation) [][]edit {
 	t := c.t
-	var out []*Placement
+	var out [][]edit
 	for idx := range t.apps {
 		ac := &t.apps[idx]
 		if ac.web == nil || best.Utilities[idx] >= ac.webCap-capTolerance {
@@ -446,7 +438,7 @@ func (c *evalContext) webExpansionCandidates(best *Evaluation) []*Placement {
 		for _, nd := range c.base.NodesOf(idx) {
 			hostCPU += t.nodeCaps[nd]
 		}
-		var cand *Placement
+		var cand []edit
 		for n := 0; n < len(t.nodeCaps) && hostCPU < ac.webMax; n++ {
 			node := cluster.NodeID(n)
 			if c.residents.has(node, idx) || !t.p.Apps[idx].allows(node) {
@@ -458,10 +450,7 @@ func (c *evalContext) webExpansionCandidates(best *Evaluation) []*Placement {
 			if c.gen.trial, ok = t.fitsBeside(node, c.residents.on(node), idx, c.gen.trial); !ok {
 				continue
 			}
-			if cand == nil {
-				cand = c.base.Clone()
-			}
-			cand.Add(idx, node)
+			cand = append(cand, edit{app: idx, node: node, add: true})
 			hostCPU += t.nodeCaps[n]
 		}
 		if cand != nil {

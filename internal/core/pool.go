@@ -25,7 +25,7 @@ type evalPool struct {
 
 type evalBatch struct {
 	ctx   *evalContext
-	cands []*Placement
+	cands [][]edit
 	evs   []*Evaluation
 	errs  []error
 	next  atomic.Int64
@@ -72,25 +72,25 @@ func (p *evalPool) run(ar *arena) {
 }
 
 // close stops the workers, waits until the last one has returned, and
-// hands every arena back from the calling goroutine — so when Optimize
-// returns no goroutine of its is left running, and where the next
-// cycle finds the arenas does not depend on how the workers happened to
-// be scheduled.
+// hands every arena back, without its copy of the incumbent, from the
+// calling goroutine — so when Optimize returns no goroutine of its is
+// left running, and where the next cycle finds the arenas does not
+// depend on how the workers happened to be scheduled.
 func (p *evalPool) close() {
 	if p.batches != nil {
 		close(p.batches)
 		p.exited.Wait()
 	}
-	for _, ar := range p.arenas {
+	for _, ar := range append(p.arenas, p.own) {
+		ar.base, ar.work = nil, nil
 		arenas.Put(ar)
 	}
-	arenas.Put(p.own)
 }
 
-// evalAll evaluates every candidate against ctx and returns the
-// evaluations in candidate order. A sequential pool, or a batch too
-// small to split, evaluates on the calling goroutine.
-func (p *evalPool) evalAll(ctx *evalContext, cands []*Placement) ([]*Evaluation, error) {
+// evalAll evaluates every candidate (its edits to ctx's base) and
+// returns the evaluations in candidate order. A sequential pool, or a
+// batch too small to split, evaluates on the calling goroutine.
+func (p *evalPool) evalAll(ctx *evalContext, cands [][]edit) ([]*Evaluation, error) {
 	evs := make([]*Evaluation, len(cands))
 	if p.workers <= 1 || len(cands) <= 1 {
 		for i, cand := range cands {

@@ -241,10 +241,5 @@ func (r *residentIndex) on(n cluster.NodeID) []int {
 
 // has reports whether app has an instance on node n.
 func (r *residentIndex) has(n cluster.NodeID, app int) bool {
-	for _, x := range r.on(n) {
-		if x == app {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.on(n), app)
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dynplace/internal/batch"
 	"dynplace/internal/cluster"
@@ -96,15 +97,7 @@ func (a *Application) MemoryMB() float64 {
 
 // allows reports whether the application may be placed on the node.
 func (a *Application) allows(n cluster.NodeID) bool {
-	if len(a.PinnedNodes) == 0 {
-		return true
-	}
-	for _, p := range a.PinnedNodes {
-		if p == n {
-			return true
-		}
-	}
-	return false
+	return len(a.PinnedNodes) == 0 || slices.Contains(a.PinnedNodes, n)
 }
 
 // Placement is the matrix P: which nodes host an instance of each
@@ -122,7 +115,7 @@ func NewPlacement(numApps int) *Placement {
 // Clone returns a deep copy. The copy's node lists share one backing
 // array (each capped at its own length, so a later Add reallocates that
 // list alone): cloning costs three allocations whatever the number of
-// applications, which matters because every candidate starts as a clone.
+// applications.
 func (p *Placement) Clone() *Placement {
 	total := 0
 	for _, ns := range p.nodes {
@@ -156,12 +149,7 @@ func (p *Placement) Placed(app int) bool { return len(p.NodesOf(app)) > 0 }
 
 // Has reports whether the application has an instance on the node.
 func (p *Placement) Has(app int, n cluster.NodeID) bool {
-	for _, x := range p.NodesOf(app) {
-		if x == n {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(p.NodesOf(app), n)
 }
 
 // Add places an instance of app on node n (idempotent), keeping the
@@ -170,36 +158,38 @@ func (p *Placement) Add(app int, n cluster.NodeID) {
 	if app < 0 || app >= len(p.nodes) {
 		return
 	}
-	ns := p.nodes[app]
-	pos := len(ns)
-	for pos > 0 && ns[pos-1] >= n {
-		pos--
+	if pos, ok := slices.BinarySearch(p.nodes[app], n); !ok {
+		p.nodes[app] = slices.Insert(p.nodes[app], pos, n)
 	}
-	if pos < len(ns) && ns[pos] == n {
-		return
-	}
-	ns = append(ns, n)
-	copy(ns[pos+1:], ns[pos:])
-	ns[pos] = n
-	p.nodes[app] = ns
 }
 
 // Remove deletes the instance of app on node n if present.
 func (p *Placement) Remove(app int, n cluster.NodeID) {
-	ns := p.nodes[app]
-	for i, x := range ns {
-		if x == n {
-			copy(ns[i:], ns[i+1:])
-			p.nodes[app] = ns[:len(ns)-1]
-			return
-		}
+	if i := slices.Index(p.nodes[app], n); i >= 0 {
+		p.nodes[app] = slices.Delete(p.nodes[app], i, i+1)
 	}
 }
 
-// Clear removes all instances of app.
-func (p *Placement) Clear(app int) {
-	if app >= 0 && app < len(p.nodes) {
-		p.nodes[app] = nil
+// edit is one instance an optimizer candidate changes in the incumbent:
+// it adds app's instance on node, or with add false removes it. A
+// candidate is a list of edits touching distinct (app, node) incidences,
+// and a migration is two of them.
+type edit struct {
+	app  int
+	node cluster.NodeID
+	add  bool
+}
+
+// apply makes the edits, or with undo set takes them back. The edits of
+// one candidate touch distinct incidences, so they commute, and undoing
+// them is making each with add and remove swapped.
+func (p *Placement) apply(edits []edit, undo bool) {
+	for _, e := range edits {
+		if e.add != undo {
+			p.Add(e.app, e.node)
+		} else {
+			p.Remove(e.app, e.node)
+		}
 	}
 }
 
@@ -207,11 +197,8 @@ func (p *Placement) Clear(app int) {
 func (p *Placement) OnNode(n cluster.NodeID) []int {
 	var out []int
 	for app, ns := range p.nodes {
-		for _, x := range ns {
-			if x == n {
-				out = append(out, app)
-				break
-			}
+		if slices.Contains(ns, n) {
+			out = append(out, app)
 		}
 	}
 	return out
@@ -220,19 +207,9 @@ func (p *Placement) OnNode(n cluster.NodeID) []int {
 // Changes counts instance-level differences from another placement:
 // every (app, node) incidence present in exactly one of the two.
 func (p *Placement) Changes(other *Placement) int {
-	n := len(p.nodes)
-	if len(other.nodes) > n {
-		n = len(other.nodes)
-	}
 	count := 0
-	for app := 0; app < n; app++ {
-		var a, b []cluster.NodeID
-		if app < len(p.nodes) {
-			a = p.nodes[app]
-		}
-		if app < len(other.nodes) {
-			b = other.nodes[app]
-		}
+	for app := range max(len(p.nodes), len(other.nodes)) {
+		a, b := p.NodesOf(app), other.NodesOf(app)
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
 			switch {

@@ -92,10 +92,6 @@ func TestPlacementBasics(t *testing.T) {
 		t.Fatal("Remove mismatch")
 	}
 	p.Remove(0, 99) // no-op
-	p.Clear(0)
-	if p.Placed(0) {
-		t.Fatal("Clear left instances")
-	}
 	// Out-of-range is safe.
 	p.Add(-1, 0)
 	p.Add(5, 0)
