@@ -1,18 +1,18 @@
 package metrics
 
 // Ring is a fixed-capacity ring buffer holding the most recent values
-// pushed into it. The live daemon uses it as its per-cycle snapshot
-// store: observations accumulate forever, memory stays bounded, and the
-// HTTP API serves the retained window. The zero value is not usable;
-// construct with NewRing.
+// pushed into it: observations accumulate forever, memory stays bounded,
+// and readers get the retained window. The live daemon keeps its
+// per-cycle snapshots, finished jobs and decision records in Rings, and
+// obs.Tracer its cycle traces. The zero value is not usable; construct
+// with NewRing.
 //
 // Ring is not safe for concurrent use; the caller serializes Push
-// against Snapshot/Last (the daemon does both under its control-loop
-// mutex — GET /v1/metrics copies the window inside that lock, and the
-// daemon's Ring fields carry // dynplace:guardedby mu annotations
-// checked by the lockguard analyzer). Callers
-// that need lock-free observation on a hot path want internal/obs
-// instead.
+// against Snapshot/Last under its own mutex (GET /v1/metrics copies the
+// daemon's window inside the control-loop lock, and every Ring field
+// carries a // dynplace:guardedby mu annotation checked by the
+// lockguard analyzer). Callers that need lock-free observation on a hot
+// path want internal/obs's instruments instead.
 type Ring[T any] struct {
 	buf   []T
 	start int

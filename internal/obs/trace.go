@@ -3,6 +3,8 @@ package obs
 import (
 	"sync"
 	"time"
+
+	"dynplace/internal/metrics"
 )
 
 // SpanView is one named, timed segment of a control cycle. Offsets
@@ -90,19 +92,15 @@ func (ct *CycleTrace) Elapsed() time.Duration {
 //
 // dynplace:nilsafe
 type Tracer struct {
-	mu    sync.Mutex
-	buf   []TraceView
-	start int
-	n     int
+	mu sync.Mutex
+	// dynplace:guardedby mu
+	ring *metrics.Ring[TraceView]
 }
 
 // NewTracer returns a tracer retaining up to capacity cycles
 // (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{buf: make([]TraceView, capacity)}
+	return &Tracer{ring: metrics.NewRing[TraceView](capacity)}
 }
 
 // Begin opens the trace for one cycle. cycle is the cycle ordinal and
@@ -132,13 +130,7 @@ func (t *Tracer) Finish(ct *CycleTrace, err string) TraceView {
 	ct.spans = nil // the view owns the slice now
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.n < len(t.buf) {
-		t.buf[(t.start+t.n)%len(t.buf)] = view
-		t.n++
-	} else {
-		t.buf[t.start] = view
-		t.start = (t.start + 1) % len(t.buf)
-	}
+	t.ring.Push(view)
 	return view
 }
 
@@ -147,12 +139,10 @@ func (t *Tracer) Cycle(cycle int64) (TraceView, bool) {
 	if t == nil {
 		return TraceView{}, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := t.n - 1; i >= 0; i-- {
-		v := t.buf[(t.start+i)%len(t.buf)]
-		if v.Cycle == cycle {
-			return v, true
+	views := t.Recent()
+	for i := len(views) - 1; i >= 0; i-- {
+		if views[i].Cycle == cycle {
+			return views[i], true
 		}
 	}
 	return TraceView{}, false
@@ -165,9 +155,5 @@ func (t *Tracer) Recent() []TraceView {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]TraceView, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(t.start+i)%len(t.buf)])
-	}
-	return out
+	return t.ring.Snapshot()
 }
