@@ -59,7 +59,10 @@ shuffle:
 
 # The CI bench-smoke job: one run of the reactive-vs-forecast replay
 # sweep, which gates forecast-driven control against reactive, and of
-# the flat solve at 500-5 000 nodes; then the two solver
+# the flat solve at 500-5 000 nodes in three shapes (one pass on
+# identical nodes, the default passes the daemon runs, one pass on
+# nodes of distinct CPU; TestFlatSolveWorkCounts pins all three at
+# 1 000 nodes in tier-1); then the two solver
 # micro-benchmarks (the allocation solver with one web app, and with two
 # that share hosts, whose probes take the cut test). Each prints the solver's work counts (candidates,
 # probes, flow solves per op) beside time; the flat solve and the
