@@ -125,8 +125,7 @@ func Optimize(p *Problem) (*Result, error) {
 			}
 		}
 		if webBest != nil {
-			current = ctx.placement(webBest)
-			ctx.rebase(current, best.brackets)
+			ctx.rebase(ctx.placement(webBest), best.brackets)
 		}
 		// The per-node loop is sequential by construction — each node's
 		// candidates are generated against the incumbent chosen so far —
@@ -211,10 +210,10 @@ func Optimize(p *Problem) (*Result, error) {
 					}
 				}
 				if bestEval != nil {
-					current, best, bestQ = ctx.placement(bestCand), bestEval, bestCandQ
+					best, bestQ = bestEval, bestCandQ
 					improved = true
 					adopted = true
-					ctx.rebase(current, best.brackets)
+					ctx.rebase(ctx.placement(bestCand), best.brackets)
 					break // rest of the window is stale
 				}
 			}
@@ -229,12 +228,12 @@ func Optimize(p *Problem) (*Result, error) {
 		}
 	}
 
-	res.Placement = current
+	res.Placement = ctx.base
 	res.Eval = best
 	if p.Current != nil {
-		res.Changes = current.Changes(p.Current)
+		res.Changes = ctx.base.Changes(p.Current)
 	} else {
-		res.Changes = current.Changes(NewPlacement(len(p.Apps)))
+		res.Changes = ctx.base.Changes(NewPlacement(len(p.Apps)))
 	}
 	return res, nil
 }

@@ -241,5 +241,10 @@ func (r *residentIndex) on(n cluster.NodeID) []int {
 
 // has reports whether app has an instance on node n.
 func (r *residentIndex) has(n cluster.NodeID, app int) bool {
-	return slices.Contains(r.on(n), app)
+	for _, x := range r.on(n) {
+		if x == app {
+			return true
+		}
+	}
+	return false
 }

@@ -97,7 +97,15 @@ func (a *Application) MemoryMB() float64 {
 
 // allows reports whether the application may be placed on the node.
 func (a *Application) allows(n cluster.NodeID) bool {
-	return len(a.PinnedNodes) == 0 || slices.Contains(a.PinnedNodes, n)
+	if len(a.PinnedNodes) == 0 {
+		return true
+	}
+	for _, p := range a.PinnedNodes {
+		if p == n {
+			return true
+		}
+	}
+	return false
 }
 
 // Placement is the matrix P: which nodes host an instance of each
@@ -171,18 +179,16 @@ func (p *Placement) Remove(app int, n cluster.NodeID) {
 }
 
 // edit is one instance an optimizer candidate changes in the incumbent:
-// it adds app's instance on node, or with add false removes it. A
-// candidate is a list of edits touching distinct (app, node) incidences,
-// and a migration is two of them.
+// it adds app's instance on node, or with add false removes it.
 type edit struct {
 	app  int
 	node cluster.NodeID
 	add  bool
 }
 
-// apply makes the edits, or with undo set takes them back. The edits of
-// one candidate touch distinct incidences, so they commute, and undoing
-// them is making each with add and remove swapped.
+// apply makes a candidate's edits, or with undo set takes them back. A
+// candidate's edits touch distinct (app, node) incidences, so they
+// commute, and undoing them is making each with add and remove swapped.
 func (p *Placement) apply(edits []edit, undo bool) {
 	for _, e := range edits {
 		if e.add != undo {
@@ -197,8 +203,11 @@ func (p *Placement) apply(edits []edit, undo bool) {
 func (p *Placement) OnNode(n cluster.NodeID) []int {
 	var out []int
 	for app, ns := range p.nodes {
-		if slices.Contains(ns, n) {
-			out = append(out, app)
+		for _, x := range ns {
+			if x == n {
+				out = append(out, app)
+				break
+			}
 		}
 	}
 	return out
