@@ -1,6 +1,7 @@
 package control
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -443,10 +444,8 @@ func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.
 	endInv := ct.Span("inventory_snapshot")
 	version := p.inv.Version()
 	invNodes := p.inv.Nodes()
-	states := make(map[cluster.NodeID]cluster.NodeState, len(invNodes))
-	var offered []cluster.Node
+	offered := make([]cluster.Node, 0, len(invNodes))
 	for _, n := range invNodes {
-		states[n.ID] = n.State
 		if n.State == cluster.NodeActive {
 			offered = append(offered, n.Node)
 		}
@@ -463,7 +462,10 @@ func (p *Planner) PlanTraced(now, cycle float64, live []*scheduler.Job, ct *obs.
 		if j.Node == scheduler.NoNode {
 			continue
 		}
-		if st, known := states[j.Node]; !known || st == cluster.NodeFailed {
+		i, known := slices.BinarySearchFunc(invNodes, j.Node, func(n cluster.InventoryNode, id cluster.NodeID) int {
+			return cmp.Compare(n.ID, id)
+		})
+		if !known || invNodes[i].State == cluster.NodeFailed {
 			j.Evict()
 		}
 	}

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dynplace/internal/cluster"
@@ -55,11 +56,11 @@ type solution struct {
 }
 
 // solve places one cycle at time now. nodes are the offered nodes, each
-// carrying its inventory ID. web and webPlacement are parallel: each web
-// app as the optimizer should see it and its carried placement in
-// inventory IDs (IDs not offered are dropped). jobs are the live batch
-// jobs. It records the build_problem span and then the solve span, or
-// the shard spans when sharding is on.
+// carrying its inventory ID, in ascending ID order. web and
+// webPlacement are parallel: each web app as the optimizer should see
+// it and its carried placement in inventory IDs (IDs not offered are
+// dropped). jobs are the live batch jobs. It records the build_problem
+// span and then the solve span, or the shard spans when sharding is on.
 func (s *solver) solve(ct *obs.CycleTrace, now, cycle float64, costs cluster.CostModel,
 	nodes []cluster.Node, web []*txn.App, webPlacement [][]cluster.NodeID, jobs []*scheduler.Job) (*solution, error) {
 	cl, err := cluster.New(nodes...)
@@ -68,10 +69,14 @@ func (s *solver) solve(ct *obs.CycleTrace, now, cycle float64, costs cluster.Cos
 	}
 	endBuild := ct.Span("build_problem")
 	sol := &solution{ids: make([]cluster.NodeID, len(nodes)), jobs: jobs}
-	toDense := make(map[cluster.NodeID]cluster.NodeID, len(nodes))
 	for i, n := range nodes {
 		sol.ids[i] = n.ID
-		toDense[n.ID] = cluster.NodeID(i)
+	}
+	// toDense finds an inventory ID's dense index; ids ascend because
+	// nodes come in inventory order.
+	toDense := func(id cluster.NodeID) (cluster.NodeID, bool) {
+		i, ok := slices.BinarySearch(sol.ids, id)
+		return cluster.NodeID(i), ok
 	}
 	n := len(web) + len(jobs)
 	p := &core.Problem{
@@ -89,7 +94,7 @@ func (s *solver) solve(ct *obs.CycleTrace, now, cycle float64, costs cluster.Cos
 	// place carries app idx's instance on inventory node nd into the
 	// current placement, unless nd is not offered (or NoNode).
 	place := func(idx int, nd cluster.NodeID) {
-		if dense, ok := toDense[nd]; ok {
+		if dense, ok := toDense(nd); ok {
 			p.Current.Add(idx, dense)
 		}
 	}
@@ -109,7 +114,7 @@ func (s *solver) solve(ct *obs.CycleTrace, now, cycle float64, costs cluster.Cos
 			Job: j.Spec, Done: j.Done, Started: j.Started,
 			AntiCollocate: j.Spec.AntiCollocate,
 		})
-		last, ok := toDense[j.LastNode]
+		last, ok := toDense(j.LastNode)
 		if !ok {
 			last = -1
 		}

@@ -13,9 +13,11 @@
 package daemon
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -779,7 +781,7 @@ func (d *Daemon) NodeViews() []NodeView {
 	snap := d.Placement()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.nodeViews(snap.Web, snap.Jobs)
+	return d.nodeViews(d.placedNodeIDs(snap.Web, snap.Jobs))
 }
 
 // countActive returns how many of the views' nodes offer capacity.
@@ -793,36 +795,60 @@ func countActive(nodes []NodeView) int {
 	return active
 }
 
-// nodeViews builds the per-node views from the current inventory and the
-// given placement occupancy.
+// nodeViews builds the per-node views from the current inventory. Each
+// entry of webNodes is the node of one placed web instance and each
+// entry of jobNodes the node of one placed job; a node the inventory
+// no longer holds counts for nothing.
 //
 // dynplace:holds d.mu
-func (d *Daemon) nodeViews(web []WebPlacementView, jobs []JobPlacementView) []NodeView {
-	webOn := make(map[string]int)
-	for _, w := range web {
-		for _, in := range w.Instances {
-			webOn[in.Node]++
-		}
-	}
-	jobsOn := make(map[string]int)
-	for _, j := range jobs {
-		if j.Node != "" && j.Status != scheduler.Completed.String() {
-			jobsOn[j.Node]++
-		}
-	}
+func (d *Daemon) nodeViews(webNodes, jobNodes []cluster.NodeID) []NodeView {
 	nodes := d.planner.Inventory().Nodes()
-	out := make([]NodeView, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, NodeView{
-			Name:         n.Name,
-			State:        n.State.String(),
-			CPUMHz:       n.CPUMHz,
-			MemMB:        n.MemMB,
-			WebInstances: webOn[n.Name],
-			Jobs:         jobsOn[n.Name],
+	out := make([]NodeView, len(nodes))
+	for i, n := range nodes {
+		out[i] = NodeView{Name: n.Name, State: n.State.String(), CPUMHz: n.CPUMHz, MemMB: n.MemMB}
+	}
+	// The inventory lists its nodes in ascending ID order.
+	find := func(id cluster.NodeID) (int, bool) {
+		return slices.BinarySearchFunc(nodes, id, func(n cluster.InventoryNode, id cluster.NodeID) int {
+			return cmp.Compare(n.ID, id)
 		})
 	}
+	for _, id := range webNodes {
+		if i, ok := find(id); ok {
+			out[i].WebInstances++
+		}
+	}
+	for _, id := range jobNodes {
+		if i, ok := find(id); ok {
+			out[i].Jobs++
+		}
+	}
 	return out
+}
+
+// placedNodeIDs resolves a published placement's web instances and its
+// placed, uncompleted jobs to the inventory IDs of their nodes, by
+// name. A name the inventory no longer holds is left out.
+//
+// dynplace:holds d.mu
+func (d *Daemon) placedNodeIDs(web []WebPlacementView, jobs []JobPlacementView) (webNodes, jobNodes []cluster.NodeID) {
+	inv := d.planner.Inventory()
+	for _, w := range web {
+		for _, in := range w.Instances {
+			if n, ok := inv.ByName(in.Node); ok {
+				webNodes = append(webNodes, n.ID)
+			}
+		}
+	}
+	for _, j := range jobs {
+		if j.Node == "" || j.Status == scheduler.Completed.String() {
+			continue
+		}
+		if n, ok := inv.ByName(j.Node); ok {
+			jobNodes = append(jobNodes, n.ID)
+		}
+	}
+	return webNodes, jobNodes
 }
 
 // Metrics assembles the observability view for the metrics endpoint.
@@ -930,10 +956,11 @@ func (d *Daemon) runCycle(now float64) {
 		} else {
 			d.infeasibleStreak = 0
 		}
-		prev := d.Placement()
-		nodes := d.nodeViews(prev.Web, prev.Jobs)
+		last := d.placement.Load()
+		prev := last.snap
+		nodes := d.nodeViews(d.placedNodeIDs(prev.Web, prev.Jobs))
 		active := countActive(nodes)
-		d.placement.Store(&published{snap: &PlacementSnapshot{
+		d.placement.Store(last.next(&PlacementSnapshot{
 			Cycle:            cycle,
 			Time:             now,
 			Web:              prev.Web,
@@ -945,7 +972,7 @@ func (d *Daemon) runCycle(now float64) {
 			Err:              err.Error(),
 			Infeasible:       infeasible,
 			InfeasibleStreak: d.infeasibleStreak,
-		}})
+		}))
 		d.cfg.Logf("cycle %d t=%.1f: plan failed: %v", cycle, now, err)
 		d.history.Push(CycleSnapshot{
 			Cycle: cycle, Time: now, LiveJobs: len(live), Err: err.Error(),
@@ -986,10 +1013,12 @@ func (d *Daemon) runCycle(now float64) {
 	}
 	webUtil := make(map[string]float64, len(webApps))
 	tables := make(map[string][]router.Instance, len(webApps))
+	var webNodes, jobNodes []cluster.NodeID
 	for i, w := range webApps {
 		instances := make([]router.Instance, 0, len(plan.Web[i]))
 		views := make([]InstanceView, 0, len(plan.Web[i]))
 		for _, in := range plan.Web[i] {
+			webNodes = append(webNodes, in.Node)
 			name := d.nodeName(in.Node)
 			instances = append(instances, router.Instance{Node: name, PowerMHz: in.PowerMHz})
 			views = append(views, InstanceView{Node: name, PowerMHz: in.PowerMHz})
@@ -1027,12 +1056,15 @@ func (d *Daemon) runCycle(now float64) {
 		}
 		if j.Node != scheduler.NoNode {
 			view.Node = d.nodeName(j.Node)
+			if j.Status != scheduler.Completed {
+				jobNodes = append(jobNodes, j.Node)
+			}
 		}
 		snap.Jobs = append(snap.Jobs, view)
 	}
-	snap.Nodes = d.nodeViews(snap.Web, snap.Jobs)
+	snap.Nodes = d.nodeViews(webNodes, jobNodes)
 	active := countActive(snap.Nodes)
-	d.placement.Store(&published{snap: snap})
+	d.placement.Store(d.placement.Load().next(snap))
 
 	batchUtil, _ := plan.BatchUtilityMean()
 	maxUtil, imbalance := shardSpread(plan.Shards)

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -49,11 +50,11 @@ func uniformInventory(tb testing.TB, n int) cluster.InventorySnapshot {
 
 func mustPlacement(tb testing.TB, v any) store.Placement {
 	tb.Helper()
-	p, err := store.NewPlacement(v)
+	b, err := json.Marshal(v)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return p
+	return store.PlacementOf(b)
 }
 
 // TestRecoverDecodesOnlyNewestPlacement: Recover decodes and republishes

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dynplace"
 	"dynplace/internal/router"
@@ -96,24 +97,60 @@ type PlacementSnapshot struct {
 // Neither half changes after publication.
 type published struct {
 	snap *PlacementSnapshot
+	// prev is the placement published before this one, kept only if it
+	// was already encoded then; the encode copies its unchanged nodes
+	// and drops it, so no placement holds more than one predecessor.
+	prev *published
 	once sync.Once
 	enc  store.Placement
-	err  error
+	// nodes locates the snapshot's nodes in enc; nil when the snapshot
+	// has no node list, the encode failed or the placement was restored.
+	nodes *nodeList
+	err   error
+	// reencoded counts the nodes the encode did not copy from prev.
+	reencoded int
+	// done is set once enc, nodes and err are final.
+	done atomic.Bool
 }
 
 // restored republishes a journaled snapshot with the encoding it was
 // decoded from: replay encodes nothing, and the first read after
-// recovery serves the journaled bytes.
+// recovery serves the journaled bytes. It locates no nodes, so the next
+// placement's encode is a full one.
 func restored(snap *PlacementSnapshot, enc store.Placement) *published {
 	p := &published{snap: snap}
 	p.once.Do(func() { p.enc = enc })
+	p.done.Store(true)
 	return p
 }
 
+// next returns snap as the placement published after p. It keeps p as
+// its predecessor only when p is already encoded with its nodes
+// located, so placements that nobody encodes never form a chain.
+func (p *published) next(snap *PlacementSnapshot) *published {
+	q := &published{snap: snap}
+	if p.done.Load() && p.nodes != nil {
+		q.prev = p
+	}
+	return q
+}
+
 // encoded returns the snapshot's compact JSON encoding, without a
-// trailing newline, encoding it on first use.
+// trailing newline, encoding it on first use from its predecessor's.
 func (p *published) encoded() (store.Placement, error) {
-	p.once.Do(func() { p.enc, p.err = store.NewPlacement(p.snap) })
+	p.once.Do(func() {
+		var prev *nodeList
+		if p.prev != nil {
+			prev = p.prev.nodes
+			p.prev = nil
+		}
+		b, nodes, reencoded, err := encodePlacement(p.snap, prev)
+		if err == nil {
+			p.enc, p.nodes = store.PlacementOf(b), nodes
+		}
+		p.err, p.reencoded = err, reencoded
+		p.done.Store(true)
+	})
 	return p.enc, p.err
 }
 

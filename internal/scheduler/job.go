@@ -183,8 +183,9 @@ type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Schedule is called once per control cycle with the incomplete jobs,
-	// the per-node capacities available to batch work and the cost model
-	// the resulting placement actions are charged under.
+	// the per-node capacities available to batch work in ascending ID
+	// order, and the cost model the resulting placement actions are
+	// charged under.
 	Schedule(now, cycle float64, jobs []*Job, nodes []NodeCapacity, costs cluster.CostModel) ([]Assignment, error)
 }
 

@@ -182,18 +182,23 @@ func (c *Coordinator) Timings() Timings { return c.lastTimings }
 // membership from a stable one (inventory names are unique and never
 // reused, so they identify membership exactly).
 func clusterFingerprint(c *cluster.Cluster) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(c.Len()))
-	h.Write(b[:])
-	for _, n := range c.Nodes() {
-		h.Write([]byte(n.Name))
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(n.CPUMHz))
-		h.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(n.MemMB))
-		h.Write(b[:])
+	n := c.Len()
+	size := 8
+	for i := 0; i < n; i++ {
+		nd, _ := c.Node(cluster.NodeID(i))
+		size += len(nd.Name) + 17
 	}
+	b := make([]byte, 0, size)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for i := 0; i < n; i++ {
+		nd, _ := c.Node(cluster.NodeID(i))
+		b = append(b, nd.Name...)
+		b = append(b, 0)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(nd.CPUMHz))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(nd.MemMB))
+	}
+	h := fnv.New64a()
+	h.Write(b)
 	return h.Sum64()
 }
 

@@ -539,3 +539,22 @@ func TestSingleShardIdenticalAfterChurn(t *testing.T) {
 			res.Probes, res.FlowSolves, flatRes.Probes, flatRes.FlowSolves)
 	}
 }
+
+// TestClusterFingerprintPinned pins the fingerprint of a fixed 3-node
+// cluster: FNV-64a over the node count, then each node's name, a zero
+// byte and its CPU and memory bits, all little-endian. Any change to
+// that byte stream changes the value.
+func TestClusterFingerprintPinned(t *testing.T) {
+	cl, err := cluster.New(
+		cluster.Node{Name: "a", CPUMHz: 3000, MemMB: 4096},
+		cluster.Node{Name: "zone-b/n1", CPUMHz: 2400.5, MemMB: 8192},
+		cluster.Node{CPUMHz: 1e6, MemMB: 0.25},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x37ec5af7d9439665
+	if got := clusterFingerprint(cl); got != want {
+		t.Fatalf("fingerprint %#x, want %#x", got, want)
+	}
+}

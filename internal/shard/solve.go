@@ -194,7 +194,8 @@ func (c *Coordinator) rebalance(p *core.Problem, lay layout) *cycleState {
 		pressure:     make([]float64, lay.count),
 		movesIn:      make([]int, lay.count),
 	}
-	for _, nd := range p.Cluster.Nodes() {
+	for i := 0; i < p.Cluster.Len(); i++ {
+		nd, _ := p.Cluster.Node(cluster.NodeID(i))
 		s := lay.zoneOf(nd.ID)
 		st.cpuCap[s] += nd.CPUMHz
 		st.memCap[s] += nd.MemMB
@@ -415,12 +416,12 @@ type subproblem struct {
 // applications assigned to it (in global order), the carried placement
 // restricted to the zone, and every optimizer knob copied through.
 func buildSubproblems(p *core.Problem, lay layout, st *cycleState) []*subproblem {
-	nodes := p.Cluster.Nodes()
 	subs := make([]*subproblem, lay.count)
 	for s := 0; s < lay.count; s++ {
 		start, end := lay.starts[s], lay.starts[s+1]
 		defs := make([]cluster.Node, 0, end-start)
-		for _, nd := range nodes[start:end] {
+		for i := start; i < end; i++ {
+			nd, _ := p.Cluster.Node(cluster.NodeID(i))
 			defs = append(defs, cluster.Node{Name: nd.Name, CPUMHz: nd.CPUMHz, MemMB: nd.MemMB})
 		}
 		cl, err := cluster.New(defs...)

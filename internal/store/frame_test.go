@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -67,11 +66,11 @@ const awkward = "a<b>&c\u2028d\u2029-zoë-東京-\"q\"\\"
 
 func mustPlacement(tb testing.TB, v any) Placement {
 	tb.Helper()
-	p, err := NewPlacement(v)
+	b, err := json.Marshal(v)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return p
+	return PlacementOf(b)
 }
 
 // frameCorpus returns a record for every Op, cycle records with and
@@ -259,17 +258,14 @@ func TestPlacementRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewPlacementRejectsUnencodable: a value json.Marshal refuses
-// makes no Placement, so it can never reach the WAL; the cycle record
-// that would have carried it is journaled without a placement field.
-func TestNewPlacementRejectsUnencodable(t *testing.T) {
-	p, err := NewPlacement(map[string]float64{"omega": math.NaN()})
-	if err == nil || p.Bytes() != nil {
-		t.Fatalf("NewPlacement(NaN) = %q, %v; want no bytes and an error", p.Bytes(), err)
-	}
+// TestZeroPlacementJournaledWithout: a caller whose placement
+// json.Marshal refuses has only the zero Placement to journal, and the
+// cycle record that would have carried it is journaled without a
+// placement field.
+func TestZeroPlacementJournaledWithout(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	if _, err := s.Append(Record{Op: OpCycle, Cycle: &CycleRecord{Cycle: 1, Placement: p}}); err != nil {
+	if _, err := s.Append(Record{Op: OpCycle, Cycle: &CycleRecord{Cycle: 1, Placement: Placement{}}}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, walName))

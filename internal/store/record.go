@@ -1,8 +1,6 @@
 package store
 
 import (
-	"encoding/json"
-
 	"dynplace"
 	"dynplace/internal/cluster"
 	"dynplace/internal/scheduler"
@@ -170,23 +168,21 @@ type State struct {
 }
 
 // Placement is a published placement's JSON encoding, opaque to the
-// store. Its bytes come from only two places: NewPlacement, which takes
-// them from json.Marshal, and the decode of a record or snapshot that
-// Open has read, which json.Unmarshal has already validated. So they
-// are always one valid JSON value, and Append and WriteSnapshot copy
-// them into the frame as they are instead of scanning them again, as
-// json.Marshal does with a json.RawMessage. The zero Placement is no
-// placement: the record carries no placement field.
+// store. Its bytes come from only two places: PlacementOf, whose caller
+// guarantees they are byte for byte what json.Marshal makes of the
+// placement, and the decode of a record or snapshot that Open has read,
+// which json.Unmarshal has already validated. So they are always one
+// valid JSON value, and Append and WriteSnapshot copy them into the
+// frame as they are instead of scanning them again, as json.Marshal
+// does with a json.RawMessage. The zero Placement is no placement: the
+// record carries no placement field.
 type Placement struct{ b []byte }
 
-// NewPlacement encodes v as a Placement.
-func NewPlacement(v any) (Placement, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return Placement{}, err
-	}
-	return Placement{b: b}, nil
-}
+// PlacementOf wraps a placement's encoding without checking it: the
+// caller guarantees b is exactly what json.Marshal makes of the
+// placement, and does not modify it afterwards. A scan of b here would
+// cost as much as the encode it stands in for.
+func PlacementOf(b []byte) Placement { return Placement{b: b} }
 
 // Bytes returns the encoding, nil for the zero Placement. The caller
 // must not modify it.

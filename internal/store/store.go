@@ -355,7 +355,7 @@ const placementKey = `,"placement":`
 
 // frame returns prefix followed by one frame whose payload is head's
 // encoding with placementKey and p's bytes spliced in before its last
-// closers bytes. For a placement NewPlacement made, that payload is
+// closers bytes. For a placement PlacementOf wrapped, that payload is
 // byte for byte what json.Marshal gives for the record with the
 // placement as a json.RawMessage, but the placement bytes are copied
 // once instead of scanned and compacted again: a Placement is valid by
