@@ -34,7 +34,8 @@ import (
 //	GET    /v1/apps/{name}/forecast  the demand estimator's state and
 //	                              scorecard (409 when forecasting is off)
 //	POST   /v1/route/{name}       dispatch through the router; body
-//	                              {"n": N} batches N requests in one call
+//	                              {"n": N} splits N requests over the
+//	                              instances in proportion in one call
 //	GET    /v1/jobs               job outcomes so far
 //	POST   /v1/jobs               submit a batch job
 //	GET    /v1/nodes              inventory nodes with lifecycle states
@@ -483,9 +484,9 @@ func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleRoute(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	// The body is optional: absent (or n ≤ 1) routes one request, the
-	// batch form routes n in a single call so load tests measure the
-	// dataplane rather than HTTP round-trips.
+	// The body is optional: absent (or n ≤ 1) routes one request; the
+	// batch form apportions n requests over one routing table in a
+	// single call, at a cost that does not grow with n.
 	var req RouteRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()

@@ -14,35 +14,47 @@ package metrics
 // lockguard analyzer). Callers that need lock-free observation on a hot
 // path want internal/obs's instruments instead.
 type Ring[T any] struct {
-	buf   []T
-	start int
-	n     int
+	// buf grows on Push up to capacity, so an empty ring of a large
+	// capacity holds no slots; it wraps once it is full.
+	buf      []T
+	capacity int
+	start    int
+	n        int
 }
 
 // NewRing returns a ring retaining up to capacity values (minimum 1).
+// The slots are allocated as values arrive, never beyond capacity.
 func NewRing[T any](capacity int) *Ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring[T]{buf: make([]T, capacity)}
+	return &Ring[T]{capacity: max(capacity, 1)}
 }
 
 // Push appends v, evicting the oldest value when full.
 func (r *Ring[T]) Push(v T) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = v
+	if r.n < r.capacity {
+		if r.n == len(r.buf) {
+			r.grow()
+		}
+		r.buf[r.n] = v // start stays 0 until the ring is full
 		r.n++
 		return
 	}
 	r.buf[r.start] = v
-	r.start = (r.start + 1) % len(r.buf)
+	r.start = (r.start + 1) % r.capacity
+}
+
+// grow doubles the backing array, capped at the ring's capacity, so a
+// full ring's array holds exactly capacity slots.
+func (r *Ring[T]) grow() {
+	next := make([]T, min(max(2*len(r.buf), 8), r.capacity))
+	copy(next, r.buf)
+	r.buf = next
 }
 
 // Len returns the number of retained values.
 func (r *Ring[T]) Len() int { return r.n }
 
 // Cap returns the retention capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
+func (r *Ring[T]) Cap() int { return r.capacity }
 
 // Last returns the most recently pushed value.
 func (r *Ring[T]) Last() (T, bool) {

@@ -1,6 +1,10 @@
 package metrics
 
-import "testing"
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
 
 func TestRingBelowCapacity(t *testing.T) {
 	r := NewRing[int](4)
@@ -60,5 +64,39 @@ func TestRingMinimumCapacity(t *testing.T) {
 	}
 	if got := r.Snapshot(); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("Snapshot = %v, want [b]", got)
+	}
+}
+
+// TestRingMatchesSliceModel pushes random sequences, most of them long
+// enough to wrap, into rings of random capacity and checks Len, Cap,
+// Last and Snapshot after every push against a slice that keeps the
+// last capacity values. The backing array must never outgrow the
+// capacity.
+func TestRingMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.IntN(40)
+		r := NewRing[int](capacity)
+		var model []int
+		for i, pushes := 0, rng.IntN(4*capacity); i < pushes; i++ {
+			v := rng.Int()
+			r.Push(v)
+			model = append(model, v)
+			if len(model) > capacity {
+				model = model[1:]
+			}
+			if r.Len() != len(model) || r.Cap() != capacity {
+				t.Fatalf("cap %d after %d pushes: Len %d, Cap %d; want %d, %d", capacity, i+1, r.Len(), r.Cap(), len(model), capacity)
+			}
+			if last, ok := r.Last(); !ok || last != model[len(model)-1] {
+				t.Fatalf("cap %d after %d pushes: Last = %d, %v; want %d", capacity, i+1, last, ok, model[len(model)-1])
+			}
+			if got := r.Snapshot(); !slices.Equal(got, model) {
+				t.Fatalf("cap %d after %d pushes: Snapshot = %v, want %v", capacity, i+1, got, model)
+			}
+			if cap(r.buf) > capacity {
+				t.Fatalf("cap %d after %d pushes: backing array holds %d slots", capacity, i+1, cap(r.buf))
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -137,6 +138,139 @@ func TestConcurrentMultiApp(t *testing.T) {
 	for _, name := range r.Apps() {
 		if _, ok := r.Instances(name); !ok {
 			t.Errorf("app %q listed but has no instances entry", name)
+		}
+	}
+}
+
+// TestConcurrentDispatchBatchDuringSwaps races batches, single
+// dispatches and Drains against Publish swaps that move the application
+// between placements, one of them without capacity. Run with -race. The
+// lifetime Stats must equal the sum of the tallies the calls returned,
+// the queue must never hold more than its cap, and every per-node count
+// must name a node of some published table.
+func TestConcurrentDispatchBatchDuringSwaps(t *testing.T) {
+	const (
+		app      = "storefront"
+		queueCap = 32
+		workers  = 6
+		calls    = 400
+		swaps    = 120
+	)
+	r := New(queueCap)
+	placements := [][]Instance{
+		{{Node: "node-0", PowerMHz: 1000}},
+		{{Node: "node-0", PowerMHz: 600}, {Node: "node-1", PowerMHz: 1400}},
+		nil, // no capacity: batches fill the queue and reject the rest
+		{{Node: "node-1", PowerMHz: 500}, {Node: "node-2", PowerMHz: 500}, {Node: "node-3", PowerMHz: 2000}},
+	}
+	published := map[string]bool{}
+	for _, p := range placements {
+		for _, in := range p {
+			published[in.Node] = true
+		}
+	}
+	r.Publish(map[string][]Instance{app: placements[0]})
+
+	type tally struct{ dispatched, queued, rejected, drained int }
+	tallies := make([]tally, workers+1) // the last is the swapper's
+	// The swapper starts once every worker runs and sends one batch of
+	// its own to each table it publishes; workers keep calling until it
+	// is through, so every placement serves calls and every swap lands
+	// among them.
+	var swapped atomic.Bool
+	var running, wg sync.WaitGroup
+	running.Add(workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			running.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			tl := &tallies[w]
+			for i := 0; i < calls || !swapped.Load(); i++ {
+				switch i % 4 {
+				case 0, 1: // batch
+					res, err := r.DispatchBatch(app, 2+rng.Intn(200))
+					if err != nil {
+						t.Errorf("worker %d: DispatchBatch: %v", w, err)
+						return
+					}
+					sum := 0
+					for node, c := range res.PerNode {
+						sum += c
+						if !published[node] {
+							t.Errorf("worker %d: batch counted %q, which no published table holds", w, node)
+						}
+					}
+					if sum != res.Dispatched {
+						t.Errorf("worker %d: sum(PerNode) = %d, Dispatched = %d", w, sum, res.Dispatched)
+					}
+					tl.dispatched += res.Dispatched
+					tl.queued += res.Queued
+					tl.rejected += res.Rejected
+				case 2: // single
+					node, err := r.DispatchBalanced(app)
+					switch {
+					case err == nil && node != "":
+						tl.dispatched++
+					case err == nil:
+						tl.queued++
+					case errors.Is(err, ErrRejected):
+						tl.rejected++
+					default:
+						t.Errorf("worker %d: DispatchBalanced: %v", w, err)
+						return
+					}
+				case 3:
+					tl.drained += r.Drain(app, 1+rng.Intn(8))
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer swapped.Store(true)
+		running.Wait()
+		for i := 1; i <= swaps; i++ {
+			r.Publish(map[string][]Instance{app: placements[i%len(placements)]})
+			res, err := r.DispatchBatch(app, 100)
+			if err != nil {
+				t.Errorf("swapper: DispatchBatch: %v", err)
+				return
+			}
+			tl := &tallies[workers]
+			tl.dispatched += res.Dispatched
+			tl.queued += res.Queued
+			tl.rejected += res.Rejected
+			if st, _ := r.StatsFor(app); st.QueueDepth > queueCap {
+				t.Errorf("QueueDepth = %d mid-run, above the cap %d", st.QueueDepth, queueCap)
+			}
+		}
+	}()
+	wg.Wait()
+
+	var want tally
+	for _, tl := range tallies {
+		want.dispatched += tl.dispatched
+		want.queued += tl.queued
+		want.rejected += tl.rejected
+		want.drained += tl.drained
+	}
+	st, _ := r.StatsFor(app)
+	if st.Dispatched != want.dispatched || st.QueuedTotal != want.queued || st.Rejected != want.rejected {
+		t.Errorf("Stats dispatched/queued/rejected = %d/%d/%d, calls returned %d/%d/%d",
+			st.Dispatched, st.QueuedTotal, st.Rejected, want.dispatched, want.queued, want.rejected)
+	}
+	if st.QueueDepth != want.queued-want.drained || st.QueueDepth > queueCap {
+		t.Errorf("QueueDepth = %d, want queued %d − drained %d, at most %d", st.QueueDepth, want.queued, want.drained, queueCap)
+	}
+	if want.queued == 0 || want.rejected == 0 {
+		t.Errorf("queued %d, rejected %d: the no-capacity placement was never exercised", want.queued, want.rejected)
+	}
+	for node := range st.PerNode {
+		if !published[node] {
+			t.Errorf("PerNode counts %q, which no published table holds", node)
 		}
 	}
 }

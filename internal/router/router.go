@@ -14,6 +14,10 @@
 // operations (Update, Publish, Remove, Snapshot) serialize on a writer
 // lock and swap copy-on-write state, so they never stall a dispatcher.
 //
+// A batch (DispatchBatch) makes no per-request pick at all: it
+// apportions its n requests over one table in a single pass, so its
+// cost grows with the number of instances, not with n.
+//
 // The router also keeps per-application arrival statistics, which feed
 // the work profiler and the performance model.
 package router
@@ -21,9 +25,11 @@ package router
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,8 +120,10 @@ func newStriped() *striped {
 	return &striped{cells: make([]cacheLine, stripeCount)}
 }
 
-func (s *striped) inc() {
-	s.cells[rand.Uint64()&stripeMask].v.Add(1)
+// add counts n on one stripe: 1 per single dispatch, a batch's whole
+// per-node count in one atomic add.
+func (s *striped) add(n uint64) {
+	s.cells[rand.Uint64()&stripeMask].v.Add(n)
 }
 
 func (s *striped) value() uint64 {
@@ -142,9 +150,10 @@ type table struct {
 	// node, shared with the owning app across table generations.
 	perNode []*striped
 	// load[i] approximates instances[i]'s dispatches this table
-	// generation — the signal power-of-two-choices balances on. Reset
-	// each publish so the comparison tracks the current cycle, and
-	// padded so concurrent dispatchers do not false-share.
+	// generation — the signal power-of-two-choices balances on, and the
+	// history a batch's apportionment evens out. Reset each publish so
+	// both track the current cycle, and padded so concurrent
+	// dispatchers do not false-share.
 	load []cacheLine
 }
 
@@ -334,18 +343,19 @@ func (t *table) pickIndex(pick float64) int {
 	return i
 }
 
-// admit tries to park one request in the protection queue, returning
-// false when the queue is full. CAS admission so concurrent dispatchers
-// never overshoot the cap.
-func (r *Router) admit(st *appState) bool {
+// admit tries to park up to n requests in the protection queue and
+// returns how many it parked; the queue's free room bounds it. CAS
+// admission so concurrent dispatchers never overshoot the cap.
+func (r *Router) admit(st *appState, n int64) int64 {
 	for {
 		d := st.depth.Load()
-		if d >= r.queueCap {
-			return false
+		take := min(n, r.queueCap-d)
+		if take <= 0 {
+			return 0
 		}
-		if st.depth.CompareAndSwap(d, d+1) {
-			st.queuedTotal.inc()
-			return true
+		if st.depth.CompareAndSwap(d, d+take) {
+			st.queuedTotal.add(uint64(take))
+			return take
 		}
 	}
 }
@@ -394,16 +404,16 @@ const (
 )
 
 // route routes one request on the application's current table — the
-// one routing path behind Dispatch, DispatchBalanced and DispatchBatch.
-// It returns the chosen node, or queues the request (rejecting it when
-// the queue is full) if the application has no capacity. balanced
-// refines the weighted pick with power-of-two-choices. It takes no lock
-// and allocates nothing.
+// one routing path behind Dispatch and DispatchBalanced. It returns
+// the chosen node, or queues the request (rejecting it when the queue
+// is full) if the application has no capacity. balanced refines the
+// weighted pick with power-of-two-choices. It takes no lock and
+// allocates nothing.
 func (r *Router) route(st *appState, pick float64, balanced bool) (string, outcome) {
 	t := st.table.Load()
 	if t.total <= 0 {
-		if !r.admit(st) {
-			st.rejected.inc()
+		if r.admit(st, 1) == 0 {
+			st.rejected.add(1)
 			return "", rejected
 		}
 		return "", queued
@@ -421,39 +431,134 @@ func (r *Router) route(st *appState, pick float64, balanced bool) (string, outco
 		}
 		t.load[i].v.Add(1)
 	}
-	t.perNode[i].inc()
+	t.perNode[i].add(1)
 	return t.instances[i].Node, dispatched
 }
 
-// DispatchBatch routes n requests in one call using power-of-two-choices
-// picks, resolving the application once. It returns per-node dispatch
-// counts and queued/rejected tallies — the bulk form behind
-// POST /v1/route/{name}, so load tests measure the dataplane instead of
-// HTTP round-trips.
+// DispatchBatch routes n requests in one call and returns per-node
+// dispatch counts and queued/rejected tallies — the bulk form behind
+// POST /v1/route/{name}. It loads the application's table once, so a
+// republish racing the call takes effect at the next batch, never
+// partway through one.
+//
+// A batch makes no per-request pick: the n requests are apportioned
+// over the table's instances in one pass. Each instance gets the floor
+// or the ceiling of its exact share n·PowerMHz/total, so every count is
+// within one request of its share; the ceilings go to the instances
+// furthest below their share of the table generation's dispatches so
+// far, so repeated small batches spread over all instances instead of
+// landing on the same ones. The split depends only on the call sequence
+// (no randomness), and the work is O(k log k) for k instances,
+// independent of n. Each nonzero count lands in the instance's counters
+// with one atomic add. With no capacity the batch fills the protection
+// queue's free room with one CAS and rejects the rest.
 func (r *Router) DispatchBatch(app string, n int) (BatchResult, error) {
-	res := BatchResult{PerNode: map[string]int{}}
 	if n <= 0 {
-		return res, nil
+		return BatchResult{PerNode: map[string]int{}}, nil
 	}
 	st, ok := r.lookup(app)
 	if !ok {
-		return res, fmt.Errorf("%w: %q", ErrUnknownApp, app)
+		return BatchResult{PerNode: map[string]int{}}, fmt.Errorf("%w: %q", ErrUnknownApp, app)
 	}
-	for k := 0; k < n; k++ {
-		// route reloads the table per request, so a concurrent
-		// republish takes effect mid-batch, exactly as it would across
-		// n single-request dispatches.
-		switch node, out := r.route(st, rand.Float64(), true); out {
-		case dispatched:
-			res.PerNode[node]++
-			res.Dispatched++
-		case queued:
-			res.Queued++
-		case rejected:
-			res.Rejected++
+	t := st.table.Load()
+	k := len(t.instances)
+	res := BatchResult{PerNode: make(map[string]int, min(k, n))} // at most n nonzero counts
+	if t.total <= 0 {
+		res.Queued = int(r.admit(st, int64(n)))
+		res.Rejected = n - res.Queued
+		if res.Rejected > 0 {
+			st.rejected.add(uint64(res.Rejected))
+		}
+		return res, nil
+	}
+	// The split's two working rows live on the stack for the table
+	// sizes a placement produces; a wider table pays one allocation,
+	// whatever n.
+	var buf [128]float64
+	rows := buf[:]
+	if 2*k > len(buf) {
+		rows = make([]float64, 2*k)
+	}
+	gap := rows[:k]
+	t.apportion(n, gap, rows[k:2*k])
+	left := n
+	for i, in := range t.instances {
+		c := left
+		if i < k-1 {
+			c = int(math.Floor(float64(n) * in.PowerMHz / t.total))
+			if gap[i] == extraSeat {
+				c++
+			}
+		}
+		left -= c
+		if c == 0 {
+			continue
+		}
+		t.load[i].v.Add(uint64(c))
+		t.perNode[i].add(uint64(c))
+		res.PerNode[in.Node] += c
+	}
+	res.Dispatched = n
+	return res, nil
+}
+
+// extraSeat marks, in apportion's working row, an instance that gets the
+// ceiling of its share rather than the floor; noSeat one whose share is
+// whole, which takes no extra request.
+var extraSeat, noSeat = math.Inf(1), math.Inf(-1)
+
+// apportion decides which instances get the ceiling of their share of
+// an n-request batch. gap and scratch are working rows of one entry
+// per instance; on return gap holds extraSeat exactly for those
+// instances. The floors leave seats = n − Σ⌊n·pᵢ⌋ requests over; they
+// go, one per instance, to the instances with a fractional share that
+// are furthest below their exact share of the generation once this
+// batch is counted (ties to the lower index). Every load is read once,
+// so racing dispatchers cannot make the seat count disagree with the
+// floors.
+func (t *table) apportion(n int, gap, scratch []float64) {
+	var before float64
+	for i := range gap {
+		gap[i] = float64(t.load[i].v.Load())
+		before += gap[i]
+	}
+	seats := n
+	candidates := scratch[:0]
+	for i, in := range t.instances {
+		share := float64(n) * in.PowerMHz / t.total
+		floor := math.Floor(share)
+		seats -= int(floor)
+		if share == floor {
+			gap[i] = noSeat
+			continue
+		}
+		// The instance's exact share of the generation after this
+		// batch, less what it had and what the floor gives it.
+		gap[i] = (before+float64(n))*in.PowerMHz/t.total - gap[i] - floor
+		candidates = append(candidates, gap[i])
+	}
+	// Float rounding can leave a seat more than there are candidates;
+	// DispatchBatch gives the last instance whatever is left over.
+	seats = min(seats, len(candidates))
+	if seats <= 0 {
+		return
+	}
+	// Seat every gap above the seats-th largest, then those equal to
+	// it in index order.
+	slices.Sort(candidates)
+	cut := candidates[len(candidates)-seats]
+	for i, g := range gap {
+		if g > cut {
+			gap[i] = extraSeat
+			seats--
 		}
 	}
-	return res, nil
+	for i, g := range gap {
+		if seats > 0 && g == cut {
+			gap[i] = extraSeat
+			seats--
+		}
+	}
 }
 
 // Drain releases up to n queued requests for the application (capacity
