@@ -116,8 +116,9 @@ bundle-smoke:
 
 # The CI fuzz-smoke job: 20 s each of coverage-guided fuzzing of the
 # replay-trace parser, of the store's WAL and snapshot loader, of the
-# -cluster spec parser and of the incremental placement encoder against
-# json.Marshal.
+# -cluster spec parser, of the incremental placement encoder against
+# json.Marshal and of the job and web-app spec decoders' compile /
+# decompile round trip.
 # Crashers become seed corpus entries under the package's
 # testdata/fuzz. A FuzzLoad run fsyncs a fresh store, a few ms per
 # input, so minimizing an input is capped at 5 s instead of the
@@ -127,6 +128,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 20s -fuzzminimizetime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzParseNodes -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzPlacementEncoding -fuzztime 20s ./internal/daemon
+	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 20s .
 
 # The CI coverage job: statement-coverage floor (85%) on
 # internal/core, flow, rpf, batch and txn (the paper's algorithm),

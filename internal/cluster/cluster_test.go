@@ -128,11 +128,12 @@ func TestNonFiniteCapacityRejected(t *testing.T) {
 				t.Errorf("ParseNodes(%q): err = %v, want ErrBadNode", c.spec, err)
 			}
 			inv := mustInventory(t, 1)
-			if _, err := inv.Add(n); !errors.Is(err, ErrBadNode) {
-				t.Errorf("Inventory.Add: err = %v, want ErrBadNode", err)
+			if _, err := inv.NextNode(n); !errors.Is(err, ErrBadNode) {
+				t.Errorf("Inventory.NextNode: err = %v, want ErrBadNode", err)
 			}
-			if err := inv.RestoreAdd(n, 5); !errors.Is(err, ErrBadNode) {
-				t.Errorf("Inventory.RestoreAdd: err = %v, want ErrBadNode", err)
+			n.ID = 5
+			if err := inv.Add(n); !errors.Is(err, ErrBadNode) {
+				t.Errorf("Inventory.Add: err = %v, want ErrBadNode", err)
 			}
 			snap := InventorySnapshot{Version: 1, NextID: 1, Nodes: []InventoryNodeSnapshot{
 				{ID: 0, Name: "a", CPUMHz: c.cpu, MemMB: c.mem, State: "active"},

@@ -48,12 +48,13 @@ var ErrUnknownInventoryNode = errors.New("cluster: unknown inventory node")
 
 // Inventory is a versioned, mutable node registry: the runtime source of
 // truth the placement controller replans against every cycle. Nodes can
-// join (Add), leave gracefully (Drain then Remove) or abruptly (Fail)
-// while the control loop runs; every mutation bumps the version so
-// consumers can tell which inventory a decision was made against.
+// join (NextNode then Add), leave gracefully (Drain then Remove) or
+// abruptly (Fail) while the control loop runs; every mutation bumps the
+// version so consumers can tell which inventory a decision was made
+// against.
 //
 // Node IDs are stable for the inventory's lifetime and never reused:
-// removing a node retires its ID, and Add always assigns a fresh one.
+// removing a node retires its ID, and Add accepts only a fresh one.
 // That keeps IDs held by long-lived references (a job's current node, a
 // carried web placement) unambiguous across churn — a dangling ID simply
 // stops resolving instead of silently pointing at a newcomer.
@@ -158,67 +159,62 @@ func (v *Inventory) Counts() map[string]int {
 	return out
 }
 
-// Add registers a new active node and returns its freshly assigned ID.
-// An empty name defaults to "node-<id>"; names must be unique among the
-// currently registered nodes.
-func (v *Inventory) Add(n Node) (NodeID, error) {
-	if !finitePositive(n.CPUMHz) || !finitePositive(n.MemMB) {
-		return 0, fmt.Errorf("%w: node needs finite, positive CPU and memory (got %v MHz, %v MB)",
-			ErrBadNode, n.CPUMHz, n.MemMB)
-	}
+// NextNode returns n as Add would register it next: under the next
+// unallocated ID, named "node-<id>" when unnamed. It checks n as Add
+// does but changes nothing, so a caller can journal the node before
+// adding it.
+func (v *Inventory) NextNode(n Node) (Node, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	n.ID = v.nextID
-	if n.Name == "" {
-		n.Name = fmt.Sprintf("node-%d", n.ID)
-	}
-	if _, dup := v.byName[n.Name]; dup {
-		return 0, fmt.Errorf("%w: duplicate node name %q", ErrBadNode, n.Name)
-	}
-	v.nextID++
-	v.byName[n.Name] = len(v.nodes)
-	v.nodes = append(v.nodes, InventoryNode{Node: n, State: NodeActive})
-	v.version++
-	return n.ID, nil
+	return v.checkNew(n)
 }
 
-// RestoreAdd re-registers a node with an explicit, journaled ID during
-// recovery replay. Unlike Add it does not allocate: it validates that
-// the ID is still available (at or beyond the allocator's next ID —
-// IDs below it were assigned or retired before the record was written)
-// and advances the allocator past it. This keeps replay exact even
-// when the live inventory burned IDs that no record captured (e.g. an
-// add rolled back because its journal append failed).
-func (v *Inventory) RestoreAdd(n Node, id NodeID) error {
-	if !finitePositive(n.CPUMHz) || !finitePositive(n.MemMB) {
-		return fmt.Errorf("%w: node needs finite, positive CPU and memory (got %v MHz, %v MB)",
-			ErrBadNode, n.CPUMHz, n.MemMB)
-	}
+// Add registers n as a new active node under n.ID, an ID chosen by
+// NextNode or journaled from it. IDs below the next unallocated one were
+// assigned or retired and are refused; an ID beyond it retires the IDs
+// in between, which keeps the replay of a journal exact when the IDs it
+// skips were burned. An empty name defaults to "node-<id>"; names must
+// be unique among the registered nodes.
+func (v *Inventory) Add(n Node) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if id < v.nextID {
-		return fmt.Errorf("%w: restored node ID %d already allocated (next is %d)",
-			ErrBadNode, id, v.nextID)
+	n, err := v.checkNew(n)
+	if err != nil {
+		return err
 	}
-	n.ID = id
-	if n.Name == "" {
-		n.Name = fmt.Sprintf("node-%d", n.ID)
-	}
-	if _, dup := v.byName[n.Name]; dup {
-		return fmt.Errorf("%w: duplicate node name %q", ErrBadNode, n.Name)
-	}
-	v.nextID = id + 1
+	v.nextID = n.ID + 1
 	v.byName[n.Name] = len(v.nodes)
 	v.nodes = append(v.nodes, InventoryNode{Node: n, State: NodeActive})
 	v.version++
 	return nil
 }
 
+// checkNew validates a node about to join under n.ID and fills in its
+// default name. Callers hold mu.
+func (v *Inventory) checkNew(n Node) (Node, error) {
+	if !finitePositive(n.CPUMHz) || !finitePositive(n.MemMB) {
+		return Node{}, fmt.Errorf("%w: node needs finite, positive CPU and memory (got %v MHz, %v MB)",
+			ErrBadNode, n.CPUMHz, n.MemMB)
+	}
+	if n.ID < v.nextID {
+		return Node{}, fmt.Errorf("%w: node ID %d already allocated (next is %d)", ErrBadNode, n.ID, v.nextID)
+	}
+	if n.Name == "" {
+		n.Name = fmt.Sprintf("node-%d", n.ID)
+	}
+	if _, dup := v.byName[n.Name]; dup {
+		return Node{}, fmt.Errorf("%w: duplicate node name %q", ErrBadNode, n.Name)
+	}
+	return n, nil
+}
+
 // RestoreVersion fast-forwards the version counter to a journaled value
-// during recovery replay. Live mutation can burn increments no record
-// captures (an add rolled back on journal failure bumps the version
-// twice), so replay resynchronizes from versions recorded alongside the
-// ops. Values at or below the current version are ignored — the counter
+// during recovery replay. A journal written by an earlier daemon, whose
+// adds applied before they journaled, can lack increments that live
+// mutation burned (an add rolled back on journal failure bumped the
+// version twice), so replay resynchronizes from versions recorded
+// alongside the ops. Values at or below the current version are ignored — the counter
 // never moves backwards.
 func (v *Inventory) RestoreVersion(ver int64) {
 	v.mu.Lock()

@@ -74,8 +74,8 @@ func TestInventoryLifecycle(t *testing.T) {
 		t.Fatalf("len = %d, want 2", inv.Len())
 	}
 
-	// Add assigns a fresh ID past every ID ever issued.
-	nid, err := inv.Add(Node{CPUMHz: 2000, MemMB: 1024})
+	// NextNode picks a fresh ID past every ID ever issued.
+	nid, err := addNext(inv, Node{CPUMHz: 2000, MemMB: 1024})
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -94,10 +94,10 @@ func TestInventoryLifecycle(t *testing.T) {
 
 func TestInventoryValidation(t *testing.T) {
 	inv := mustInventory(t, 1)
-	if _, err := inv.Add(Node{CPUMHz: 0, MemMB: 100}); !errors.Is(err, ErrBadNode) {
+	if _, err := addNext(inv, Node{CPUMHz: 0, MemMB: 100}); !errors.Is(err, ErrBadNode) {
 		t.Fatalf("Add zero CPU = %v, want ErrBadNode", err)
 	}
-	if _, err := inv.Add(Node{Name: "node-0", CPUMHz: 100, MemMB: 100}); !errors.Is(err, ErrBadNode) {
+	if _, err := addNext(inv, Node{Name: "node-0", CPUMHz: 100, MemMB: 100}); !errors.Is(err, ErrBadNode) {
 		t.Fatalf("Add duplicate name = %v, want ErrBadNode", err)
 	}
 	for _, op := range []func() (NodeID, error){
@@ -131,7 +131,7 @@ func TestInventoryExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := NewInventory(cl)
-	if _, err := inv.Add(Node{Name: "spare", CPUMHz: 2000, MemMB: 2048}); err != nil {
+	if _, err := addNext(inv, Node{Name: "spare", CPUMHz: 2000, MemMB: 2048}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inv.Drain("node-1"); err != nil {
@@ -168,11 +168,11 @@ func TestInventoryExportImportRoundTrip(t *testing.T) {
 	}
 	// The removed node's ID (2) must stay retired: a fresh Add gets the
 	// next never-used ID on both original and import.
-	idOrig, err := inv.Add(Node{Name: "next-a", CPUMHz: 1000, MemMB: 1024})
+	idOrig, err := addNext(inv, Node{Name: "next-a", CPUMHz: 1000, MemMB: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idImp, err := got.Add(Node{Name: "next-a", CPUMHz: 1000, MemMB: 1024})
+	idImp, err := addNext(got, Node{Name: "next-a", CPUMHz: 1000, MemMB: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestImportInventoryRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
-// TestRestoreAddSkipsBurnedIDs covers the replay path behind a journal
-// failure: the live inventory allocated and retired an ID that no WAL
-// record captured, so replay must land the next journaled node on its
-// recorded (higher) ID and advance the allocator past it.
-func TestRestoreAddSkipsBurnedIDs(t *testing.T) {
+// TestAddSkipsBurnedIDs covers the replay of a journal written when an
+// add could be rolled back: the live inventory allocated and retired an
+// ID that no WAL record captured, so replay must land the next journaled
+// node on its recorded (higher) ID and advance the allocator past it.
+func TestAddSkipsBurnedIDs(t *testing.T) {
 	inv := mustInventory(t, 2) // IDs 0, 1; nextID 2
 	// Journaled record says "spare" got ID 4 (IDs 2 and 3 were burned).
-	if err := inv.RestoreAdd(Node{Name: "spare", CPUMHz: 1000, MemMB: 1024}, 4); err != nil {
+	if err := inv.Add(Node{ID: 4, Name: "spare", CPUMHz: 1000, MemMB: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	n, ok := inv.ByName("spare")
@@ -227,14 +227,24 @@ func TestRestoreAddSkipsBurnedIDs(t *testing.T) {
 		t.Fatalf("restored node = %+v", n)
 	}
 	// The allocator continues after the restored ID.
-	id, err := inv.Add(Node{Name: "next", CPUMHz: 1000, MemMB: 1024})
+	id, err := addNext(inv, Node{Name: "next", CPUMHz: 1000, MemMB: 1024})
 	if err != nil || id != 5 {
-		t.Fatalf("post-restore Add = %d, %v; want 5", id, err)
+		t.Fatalf("post-restore add = %d, %v; want 5", id, err)
 	}
 	// An ID at or below the allocator is refused: it was already used.
-	if err := inv.RestoreAdd(Node{Name: "clash", CPUMHz: 1, MemMB: 1}, 3); err == nil {
-		t.Fatal("RestoreAdd accepted an already-allocated ID")
+	if err := inv.Add(Node{ID: 3, Name: "clash", CPUMHz: 1, MemMB: 1}); err == nil {
+		t.Fatal("Add accepted an already-allocated ID")
 	}
+}
+
+// addNext registers n under the ID NextNode picks, as the daemon and
+// the Runner do, and returns that ID.
+func addNext(inv *Inventory, n Node) (NodeID, error) {
+	n, err := inv.NextNode(n)
+	if err != nil {
+		return 0, err
+	}
+	return n.ID, inv.Add(n)
 }
 
 // TestInventoryNodeAfterChurn: Node binary-searches the nodes by ID, so
@@ -271,7 +281,7 @@ func TestInventoryNodeAfterChurn(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4 || len(live) == 0:
-			id, err := inv.Add(Node{CPUMHz: 1000, MemMB: 1024})
+			id, err := addNext(inv, Node{CPUMHz: 1000, MemMB: 1024})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +290,7 @@ func TestInventoryNodeAfterChurn(t *testing.T) {
 			// A journaled add past IDs the live inventory burned.
 			burned := inv.nextID
 			id := burned + NodeID(1+rng.Intn(3))
-			if err := inv.RestoreAdd(Node{CPUMHz: 1000, MemMB: 1024}, id); err != nil {
+			if err := inv.Add(Node{ID: id, CPUMHz: 1000, MemMB: 1024}); err != nil {
 				t.Fatal(err)
 			}
 			for b := burned; b < id; b++ {

@@ -279,7 +279,10 @@ func (r *Runner) AddNode(at float64, n cluster.Node) error {
 			ErrBadConfig, n.CPUMHz, n.MemMB)
 	}
 	_, err := r.sim.At(sim.Time(at), func(sim.Time) {
-		_, err := r.planner.AddNode(n)
+		n, err := r.planner.Inventory().NextNode(n)
+		if err == nil {
+			err = r.planner.AddNode(n)
+		}
 		r.noteDeferredErr(err)
 	})
 	return err

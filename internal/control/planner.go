@@ -238,9 +238,10 @@ func (p *Planner) ForecastRate(name string, now, horizon float64) (float64, bool
 // cannot reconstruct the failure instant after the fact.
 func (p *Planner) Inventory() *cluster.Inventory { return p.inv }
 
-// AddNode registers a fresh active node; the next Plan call offers its
-// capacity to the optimizer.
-func (p *Planner) AddNode(n cluster.Node) (cluster.NodeID, error) {
+// AddNode registers a fresh active node under n.ID, which
+// Inventory().NextNode chose; the next Plan call offers its capacity to
+// the optimizer.
+func (p *Planner) AddNode(n cluster.Node) error {
 	return p.inv.Add(n)
 }
 

@@ -303,9 +303,7 @@ func TestPlannerNoActiveNodesIsInfeasible(t *testing.T) {
 		t.Fatalf("InfeasibleCycles = %d, want 1", p.InfeasibleCycles())
 	}
 	// Fresh capacity heals the next cycle.
-	if _, err := p.AddNode(cluster.Node{CPUMHz: 3000, MemMB: 4096}); err != nil {
-		t.Fatal(err)
-	}
+	addNode(t, p, cluster.Node{CPUMHz: 3000, MemMB: 4096})
 	plan, err := p.Plan(60, 60, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -473,11 +471,19 @@ func TestPlannerSingleShardIdenticalUnderChurn(t *testing.T) {
 	sharded.FailNode(1, 120)
 	flat.FailNode(1, 120)
 	compare(120, "after failure")
-	if _, err := sharded.AddNode(cluster.Node{Name: "spare", CPUMHz: 3000, MemMB: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flat.AddNode(cluster.Node{Name: "spare", CPUMHz: 3000, MemMB: 4096}); err != nil {
-		t.Fatal(err)
-	}
+	addNode(t, sharded, cluster.Node{Name: "spare", CPUMHz: 3000, MemMB: 4096})
+	addNode(t, flat, cluster.Node{Name: "spare", CPUMHz: 3000, MemMB: 4096})
 	compare(180, "after recovery")
+}
+
+// addNode registers n under the ID NextNode picks, as the Runner does.
+func addNode(t *testing.T, p *Planner, n cluster.Node) {
+	t.Helper()
+	n, err := p.Inventory().NextNode(n)
+	if err == nil {
+		err = p.AddNode(n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -33,7 +33,6 @@ import (
 	"dynplace/internal/scheduler"
 	"dynplace/internal/shard"
 	"dynplace/internal/store"
-	"dynplace/internal/txn"
 )
 
 // Config describes a daemon instance.
@@ -347,36 +346,11 @@ func (d *Daemon) AddWebApp(spec dynplace.WebAppSpec, relative bool) error {
 	if _, dup := d.planner.WebApp(spec.Name); dup {
 		return fmt.Errorf("%w: duplicate web app %q", control.ErrBadConfig, spec.Name)
 	}
-	// Journal before applying: once the record is fsync'd the only
-	// remaining failure is the duplicate just excluded, so WAL and
-	// memory cannot diverge.
-	if err := d.journalLocked(store.Record{
+	return d.commitLocked(store.Record{
 		Time: now,
 		Op:   store.OpAddApp,
 		App:  &store.AppState{Spec: dynplace.WebAppSpecOf(app), Schedule: phases},
-	}); err != nil {
-		return err
-	}
-	return d.applyAddApp(app, phases)
-}
-
-// applyAddApp registers a compiled app with the planner and seeds a
-// capacity-less routing entry so requests arriving before the first
-// cycle places the app are queued by overload protection instead of
-// bouncing as "unknown application".
-//
-// dynplace:holds d.mu
-func (d *Daemon) applyAddApp(app *txn.App, phases []dynplace.LoadPhase) error {
-	if err := d.planner.AddWebApp(app); err != nil {
-		return err
-	}
-	d.router.Update(app.Name, nil)
-	sched := make([]control.LoadPhase, len(phases))
-	for i, ph := range phases {
-		sched[i] = control.LoadPhase(ph)
-	}
-	d.planner.ScheduleLoad(app.Name, sched)
-	return nil
+	})
 }
 
 // RemoveWebApp deregisters the named application and withdraws its
@@ -390,23 +364,7 @@ func (d *Daemon) RemoveWebApp(name string) error {
 	if _, ok := d.planner.WebApp(name); !ok {
 		return fmt.Errorf("%w: unknown web app %q", ErrNotFound, name)
 	}
-	if err := d.journalLocked(store.Record{
-		Time: d.clock().Now(), Op: store.OpRemoveApp, Name: name,
-	}); err != nil {
-		return err
-	}
-	d.applyRemoveApp(name)
-	return nil
-}
-
-// applyRemoveApp deregisters an app everywhere: planner (with its
-// pending load schedule), router table. Shared by the live API and WAL
-// replay.
-//
-// dynplace:holds d.mu
-func (d *Daemon) applyRemoveApp(name string) {
-	d.planner.RemoveWebApp(name)
-	d.router.Remove(name)
+	return d.commitLocked(store.Record{Time: d.clock().Now(), Op: store.OpRemoveApp, Name: name})
 }
 
 // SetArrivalRate updates the named application's observed request rate —
@@ -427,28 +385,7 @@ func (d *Daemon) SetArrivalRate(name string, rate float64) error {
 	if _, ok := d.planner.WebApp(name); !ok {
 		return fmt.Errorf("%w: unknown web app %q", ErrNotFound, name)
 	}
-	now := d.clock().Now()
-	if err := d.journalLocked(store.Record{
-		Time: now, Op: store.OpSetLoad, Name: name, Rate: rate,
-	}); err != nil {
-		return err
-	}
-	d.applySetLoad(name, rate, now)
-	return nil
-}
-
-// applySetLoad records an observed arrival rate. Shared by the live
-// API and WAL replay.
-//
-// dynplace:holds d.mu
-func (d *Daemon) applySetLoad(name string, rate, now float64) {
-	d.planner.SetArrivalRate(name, rate)
-	// Load reports are the forecaster's sensor stream; the journaled
-	// timestamp rides along so WAL replay rebuilds the estimator at the
-	// same virtual instants.
-	d.planner.ObserveLoad(name, rate, now)
-	// A manual override supersedes any remaining scheduled phases.
-	d.planner.ScheduleLoad(name, nil)
+	return d.commitLocked(store.Record{Time: d.clock().Now(), Op: store.OpSetLoad, Name: name, Rate: rate})
 }
 
 // errForecastDisabled reports a forecast read against a daemon running
@@ -508,7 +445,7 @@ func (d *Daemon) Forecast(name string) (ForecastView, error) {
 // current clock reading, which is the natural encoding for live
 // submissions ("finish within the next hour").
 func (d *Daemon) SubmitJob(spec dynplace.JobSpec, relative bool) error {
-	internal, err := dynplace.CompileJob(spec)
+	job, err := dynplace.CompileJob(spec)
 	if err != nil {
 		return err
 	}
@@ -520,25 +457,24 @@ func (d *Daemon) SubmitJob(spec dynplace.JobSpec, relative bool) error {
 	// Read the clock under the lock: a read racing Recover's clock swap
 	// would anchor relative times at the pre-offset instant, journaling
 	// deadlines tens of thousands of virtual seconds in the past.
+	now := d.clock().Now()
 	if relative {
-		now := d.clock().Now()
-		internal.Submit += now
-		internal.DesiredStart += now
-		internal.Deadline += now
+		job.Submit += now
+		job.DesiredStart += now
+		job.Deadline += now
 	}
-	// Checked before journaling: a record the planner would reject
-	// must never reach the WAL.
-	if d.planner.HasJob(internal.Name) {
-		return fmt.Errorf("%w: duplicate job %q", ErrDaemon, internal.Name)
-	}
-	abs := dynplace.JobSpecOf(internal)
-	if err := d.journalLocked(store.Record{
-		Time: d.clock().Now(), Op: store.OpSubmitJob, Job: &abs,
-	}); err != nil {
+	// The record's absolute spec is what gets compiled and submitted,
+	// live and on replay. Shifting can round a deadline onto its desired
+	// start, so the spec is compiled here first: a record replay would
+	// reject must never reach the WAL.
+	abs := dynplace.JobSpecOf(job)
+	if _, err := dynplace.CompileJob(abs); err != nil {
 		return err
 	}
-	_, err = d.planner.Submit(internal)
-	return err
+	if d.planner.HasJob(job.Name) {
+		return fmt.Errorf("%w: duplicate job %q", ErrDaemon, job.Name)
+	}
+	return d.commitLocked(store.Record{Time: now, Op: store.OpSubmitJob, Job: &abs})
 }
 
 // JobResults reports job outcomes: the retained completed jobs
@@ -609,28 +545,24 @@ func (d *Daemon) AddNode(name string, cpuMHz, memMB float64) (string, error) {
 	if err := d.gateLocked(); err != nil {
 		return "", err
 	}
-	id, err := d.planner.AddNode(cluster.Node{Name: name, CPUMHz: cpuMHz, MemMB: memMB})
+	// The ID and name are chosen before journaling, so replay adds the
+	// node exactly where the live daemon did, and a refused add burns
+	// neither an ID nor an inventory version.
+	inv := d.planner.Inventory()
+	n, err := inv.NextNode(cluster.Node{Name: name, CPUMHz: cpuMHz, MemMB: memMB})
 	if err != nil {
 		return "", err
 	}
-	n, _ := d.planner.Inventory().Node(id)
-	// The inventory assigns the ID, so the record is written after the
-	// fact — and carries the assignment so replay can verify it
-	// reproduces the same numbering. A failed journal rolls the node
-	// back: un-journaled state must not outlive the response.
-	if err := d.journalLocked(store.Record{
+	if err := d.commitLocked(store.Record{
 		Time: d.clock().Now(), Op: store.OpAddNode,
 		Node: &cluster.InventoryNodeSnapshot{
-			ID: int(id), Name: n.Name, CPUMHz: cpuMHz, MemMB: memMB,
+			ID: int(n.ID), Name: n.Name, CPUMHz: cpuMHz, MemMB: memMB,
 			State: cluster.NodeActive.String(),
 		},
-		InventoryVersion: d.planner.Inventory().Version(),
+		InventoryVersion: inv.Version() + 1,
 	}); err != nil {
-		_ = d.planner.RemoveNode(id)
 		return "", err
 	}
-	d.cfg.Logf("node %s joined: %.0f MHz, %.0f MB (inventory v%d)",
-		n.Name, cpuMHz, memMB, d.planner.Inventory().Version())
 	return n.Name, nil
 }
 
@@ -649,7 +581,6 @@ func (d *Daemon) DrainNode(name string) error {
 		return fmt.Errorf("%w: unknown node %q", ErrNotFound, name)
 	}
 	if n.State == cluster.NodeFailed {
-		// Drain would refuse below anyway; fail before journaling.
 		return fmt.Errorf("%w: cannot drain failed node %q", cluster.ErrBadNode, name)
 	}
 	// The record is journaled before the transition, so the post-op
@@ -658,17 +589,10 @@ func (d *Daemon) DrainNode(name string) error {
 	if n.State != cluster.NodeDraining {
 		ver++
 	}
-	if err := d.journalLocked(store.Record{
+	return d.commitLocked(store.Record{
 		Time: d.clock().Now(), Op: store.OpDrainNode, Name: name,
 		InventoryVersion: ver,
-	}); err != nil {
-		return err
-	}
-	if _, err := inv.Drain(name); err != nil {
-		return err
-	}
-	d.cfg.Logf("node %s draining (inventory v%d)", name, inv.Version())
-	return nil
+	})
 }
 
 // FailNode records an abrupt node loss: its capacity disappears, web
@@ -686,56 +610,16 @@ func (d *Daemon) FailNode(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: unknown node %q", ErrNotFound, name)
 	}
-	now := d.clock().Now()
 	// Post-op version, journaled before the transition: Fail bumps only
 	// when the state changes.
 	ver := inv.Version()
 	if n.State != cluster.NodeFailed {
 		ver++
 	}
-	if err := d.journalLocked(store.Record{
-		Time: now, Op: store.OpFailNode, Name: name,
+	return d.commitLocked(store.Record{
+		Time: d.clock().Now(), Op: store.OpFailNode, Name: name,
 		InventoryVersion: ver,
-	}); err != nil {
-		return err
-	}
-	d.applyFailNode(name, now)
-	return nil
-}
-
-// applyFailNode records an abrupt node loss at instant now: capacity
-// vanishes, jobs on the node are advanced to the failure instant and
-// evicted (progress intact, rescue pending), and the node's dispatch
-// weights are withdrawn. Shared by the live API and WAL replay, which
-// passes the journaled failure time.
-//
-// dynplace:holds d.mu
-func (d *Daemon) applyFailNode(name string, now float64) {
-	inv := d.planner.Inventory()
-	n, ok := inv.ByName(name)
-	if !ok {
-		return
-	}
-	evicted := len(d.planner.FailNode(n.ID, now))
-	// Withdraw the dead node from live dispatch weights right away; the
-	// next cycle republishes the re-placed instances.
-	for _, app := range d.router.Apps() {
-		ins, ok := d.router.Instances(app)
-		if !ok {
-			continue
-		}
-		keep := make([]router.Instance, 0, len(ins))
-		for _, in := range ins {
-			if in.Node != name {
-				keep = append(keep, in)
-			}
-		}
-		if len(keep) != len(ins) {
-			d.router.Update(app, keep)
-		}
-	}
-	d.cfg.Logf("node %s failed: %d jobs awaiting rescue (inventory v%d)",
-		name, evicted, inv.Version())
+	})
 }
 
 // RemoveNode deregisters a node entirely. Nodes still hosting work are
@@ -762,17 +646,10 @@ func (d *Daemon) RemoveNode(name string) error {
 		}
 	}
 	// Remove always bumps the version once; the record precedes the op.
-	if err := d.journalLocked(store.Record{
+	return d.commitLocked(store.Record{
 		Time: d.clock().Now(), Op: store.OpRemoveNode, Name: name,
 		InventoryVersion: inv.Version() + 1,
-	}); err != nil {
-		return err
-	}
-	if err := d.planner.RemoveNode(n.ID); err != nil {
-		return err
-	}
-	d.cfg.Logf("node %s removed (inventory v%d)", name, inv.Version())
-	return nil
+	})
 }
 
 // NodeViews lists every inventory node with its current lifecycle state
@@ -904,10 +781,12 @@ func (d *Daemon) WebAppNames() []string {
 	return names
 }
 
-// tick runs one control cycle and schedules the next one. Ticks carry
-// the generation they were scheduled under; a stale generation means the
-// daemon was stopped (and possibly restarted) since this tick's timer
-// fired, so it must not run or reschedule.
+// tick runs one control cycle and schedules the next one a full period
+// after it ends, so a cycle that overruns the period stretches it rather
+// than queueing ticks. Ticks carry the generation they were scheduled
+// under; a stale generation means the daemon was stopped (and possibly
+// restarted) since this tick's timer fired, so it must not run or
+// reschedule.
 func (d *Daemon) tick(gen int, now float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

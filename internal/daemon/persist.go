@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dynplace"
@@ -19,9 +20,17 @@ import (
 // Recover — the boot-time replay that reconstructs apps, jobs
 // (CompletedWork and Rescues intact) and the node inventory at its
 // recorded version after a crash or restart.
+//
+// A mutation is a record. Each public mutation validates its input,
+// builds its store.Record and hands it to commitLocked, which journals
+// the record and then applies it with applyRecordLocked — the function
+// Recover replays it with. A live daemon and its replay therefore run
+// the same code on the same records and differ only in the clock. Only
+// the cycle record is replay-only: the live cycle computes what it
+// summarizes.
 
 // ErrStore reports a durable-state failure: the journal could not be
-// written, so the mutation was refused (or rolled back). Unlike
+// written, so the mutation was refused and changed nothing. Unlike
 // ErrDaemon this is the server's fault and surfaces as HTTP 503.
 var ErrStore = errors.New("daemon: durable state store unavailable")
 
@@ -48,21 +57,25 @@ func (d *Daemon) gateLocked() error {
 	return nil
 }
 
-// journalLocked appends one record to the WAL and fsyncs. It is a no-op
-// without a store. A non-nil error means the mutation must not be
-// applied (or must be rolled back), because acknowledged state has to
-// survive kill -9.
+// commitLocked journals one mutation record, appending it to the WAL
+// with an fsync (a no-op without a store), and then applies it with
+// applyRecordLocked, the code Recover replays it with. A journal
+// failure returns ErrStore and applies nothing, because acknowledged
+// state has to survive kill -9.
+//
+// Callers must first refuse every input the record's replay case
+// rejects: a journaled record that applyRecordLocked then rejects would
+// leave the state directory unbootable.
 //
 // dynplace:holds d.mu
-func (d *Daemon) journalLocked(rec store.Record) error {
-	if d.store == nil {
-		return nil
+func (d *Daemon) commitLocked(rec store.Record) error {
+	if d.store != nil {
+		if _, err := d.store.Append(rec); err != nil {
+			d.walErrors++
+			return fmt.Errorf("%w: journal: %w", ErrStore, err)
+		}
 	}
-	if _, err := d.store.Append(rec); err != nil {
-		d.walErrors++
-		return fmt.Errorf("%w: journal: %w", ErrStore, err)
-	}
-	return nil
+	return d.applyRecordLocked(rec)
 }
 
 // journalCycleLocked journals one applied control cycle: per-app rates
@@ -354,15 +367,11 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 	}
 	d.planner = planner
 	d.planner.RestoreInfeasibleCycles(st.InfeasibleCycles)
-	for _, a := range st.Apps {
-		app, err := dynplace.CompileWebApp(a.Spec)
-		if err != nil {
+	for i, a := range st.Apps {
+		if err := d.applyRecordLocked(store.Record{Op: store.OpAddApp, App: &st.Apps[i]}); err != nil {
 			return fmt.Errorf("app %q: %w", a.Spec.Name, err)
 		}
-		if err := d.applyAddApp(app, a.Schedule); err != nil {
-			return err
-		}
-		d.planner.RestoreWebPlacement(app.Name, intNodeIDs(a.Placement))
+		d.planner.RestoreWebPlacement(a.Spec.Name, intNodeIDs(a.Placement))
 	}
 	jobs := make([]*scheduler.Job, 0, len(st.Jobs))
 	for _, jr := range st.Jobs {
@@ -407,8 +416,9 @@ func (d *Daemon) restorePlacementLocked(enc store.Placement) error {
 	return nil
 }
 
-// applyRecordLocked re-applies one WAL record. The record's journaled
-// time stands in for the clock, which has not been realigned yet.
+// applyRecordLocked applies one WAL record: live, right after
+// commitLocked journaled it, and on replay. The record's journaled time
+// stands in for the clock, which replay has not realigned yet.
 //
 // dynplace:holds d.mu
 func (d *Daemon) applyRecordLocked(rec store.Record) error {
@@ -421,12 +431,31 @@ func (d *Daemon) applyRecordLocked(rec store.Record) error {
 		if err != nil {
 			return err
 		}
-		return d.applyAddApp(app, rec.App.Schedule)
+		if err := d.planner.AddWebApp(app); err != nil {
+			return err
+		}
+		// A capacity-less routing entry: requests arriving before the
+		// first cycle places the app are queued by overload protection
+		// instead of bouncing as "unknown application".
+		d.router.Update(app.Name, nil)
+		sched := make([]control.LoadPhase, len(rec.App.Schedule))
+		for i, ph := range rec.App.Schedule {
+			sched[i] = control.LoadPhase(ph)
+		}
+		d.planner.ScheduleLoad(app.Name, sched)
+		return nil
 	case store.OpRemoveApp:
-		d.applyRemoveApp(rec.Name)
+		d.planner.RemoveWebApp(rec.Name)
+		d.router.Remove(rec.Name)
 		return nil
 	case store.OpSetLoad:
-		d.applySetLoad(rec.Name, rec.Rate, rec.Time)
+		d.planner.SetArrivalRate(rec.Name, rec.Rate)
+		// Load reports are the forecaster's sensor stream; the journaled
+		// timestamp rides along so replay rebuilds the estimator at the
+		// same virtual instants.
+		d.planner.ObserveLoad(rec.Name, rec.Rate, rec.Time)
+		// A manual override supersedes any remaining scheduled phases.
+		d.planner.ScheduleLoad(rec.Name, nil)
 		return nil
 	case store.OpSubmitJob:
 		if rec.Job == nil {
@@ -442,38 +471,47 @@ func (d *Daemon) applyRecordLocked(rec store.Record) error {
 		if rec.Node == nil {
 			return fmt.Errorf("missing node payload")
 		}
-		// Restore under the journaled ID rather than re-allocating: the
-		// live inventory may have burned IDs that no record captured
-		// (an add rolled back on journal failure), and replay must
-		// still land every node exactly where consumers recorded it.
-		if err := d.planner.Inventory().RestoreAdd(cluster.Node{
-			Name: rec.Node.Name, CPUMHz: rec.Node.CPUMHz, MemMB: rec.Node.MemMB,
-		}, cluster.NodeID(rec.Node.ID)); err != nil {
-			return err
-		}
-		// Rolled-back adds burn version increments no record captures;
-		// the journaled post-op version resynchronizes the counter.
-		d.restoreInventoryVersion(rec)
-		return nil
-	case store.OpDrainNode:
-		if _, err := d.planner.Inventory().Drain(rec.Name); err != nil {
+		n := rec.Node
+		if err := d.planner.AddNode(cluster.Node{
+			ID: cluster.NodeID(n.ID), Name: n.Name, CPUMHz: n.CPUMHz, MemMB: n.MemMB,
+		}); err != nil {
 			return err
 		}
 		d.restoreInventoryVersion(rec)
+		d.cfg.Logf("node %s joined: %.0f MHz, %.0f MB (inventory v%d)",
+			n.Name, n.CPUMHz, n.MemMB, d.planner.Inventory().Version())
 		return nil
-	case store.OpFailNode:
-		d.applyFailNode(rec.Name, rec.Time)
-		d.restoreInventoryVersion(rec)
-		return nil
-	case store.OpRemoveNode:
+	case store.OpDrainNode, store.OpFailNode, store.OpRemoveNode:
 		n, ok := d.planner.Inventory().ByName(rec.Name)
 		if !ok {
 			return fmt.Errorf("unknown node %q", rec.Name)
 		}
-		if err := d.planner.RemoveNode(n.ID); err != nil {
+		var err error
+		what := "removed"
+		switch rec.Op {
+		case store.OpDrainNode:
+			what = "draining"
+			err = d.planner.DrainNode(n.ID)
+		case store.OpFailNode:
+			evicted := d.planner.FailNode(n.ID, rec.Time)
+			what = fmt.Sprintf("failed: %d jobs awaiting rescue", len(evicted))
+			// Withdraw the dead node from live dispatch weights right
+			// away; the next cycle republishes the re-placed instances.
+			for _, app := range d.router.Apps() {
+				ins, _ := d.router.Instances(app)
+				keep := slices.DeleteFunc(ins, func(in router.Instance) bool { return in.Node == rec.Name })
+				if len(keep) != len(ins) {
+					d.router.Update(app, keep)
+				}
+			}
+		default:
+			err = d.planner.RemoveNode(n.ID)
+		}
+		if err != nil {
 			return err
 		}
 		d.restoreInventoryVersion(rec)
+		d.cfg.Logf("node %s %s (inventory v%d)", rec.Name, what, d.planner.Inventory().Version())
 		return nil
 	case store.OpCycle:
 		if rec.Cycle == nil {
@@ -486,10 +524,11 @@ func (d *Daemon) applyRecordLocked(rec store.Record) error {
 }
 
 // restoreInventoryVersion fast-forwards the inventory version to a node
-// record's journaled post-op value, keeping InventoryVersion consistent
-// across restarts even when live mutation burned increments no record
-// captured (an add rolled back on journal failure). Records from before
-// the field existed carry 0 and are skipped.
+// record's journaled post-op value. Node ops journal before they apply,
+// so live this is a no-op; it keeps replay exact for WALs written by
+// earlier daemons, whose adds applied first and, when the journal
+// refused them, burned increments no record captured. Records from
+// before the field existed carry 0 and are skipped.
 //
 // dynplace:holds d.mu
 func (d *Daemon) restoreInventoryVersion(rec store.Record) {
@@ -538,6 +577,10 @@ func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
 	for _, w := range cr.Web {
 		d.planner.SetArrivalRate(w.Name, w.ArrivalRate)
 		d.planner.RestoreWebPlacement(w.Name, intNodeIDs(w.Nodes))
+		// The cycle consumed the load phases that had begun; the rate
+		// above is their effect.
+		sched := d.planner.LoadSchedule(w.Name)
+		d.planner.ScheduleLoad(w.Name, slices.DeleteFunc(sched, func(ph control.LoadPhase) bool { return ph.Start <= cr.Time }))
 	}
 	for name, v := range cr.Actions {
 		d.planner.Actions().Set(name, v)

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"testing"
 
 	"dynplace"
 	"dynplace/internal/cluster"
+	"dynplace/internal/router"
 	"dynplace/internal/store"
 )
 
@@ -206,43 +210,63 @@ func TestGracefulShutdownCompacts(t *testing.T) {
 }
 
 // TestRecoveryReplaysEveryMutationClass drives every journaled op —
-// app add/remove/load, job submit, node add/drain/fail/remove — then
-// kills and recovers, checking the reconstructed registry.
+// app add/remove/load, job submit, node add/drain/fail/remove. After
+// each acknowledged call a daemon recovered from a copy of the state
+// directory must equal the live one: a mutation is applied live by the
+// code that replays it. The rescue of running jobs, which changes their
+// runtime state but no name, is the one documented difference. Then the
+// test kills and recovers, checking the reconstructed registry.
 func TestRecoveryReplaysEveryMutationClass(t *testing.T) {
 	dir := t.TempDir()
 	d, clock := newDurableDaemon(t, dir)
-	loadWorkload(t, d)
-	if err := d.AddWebApp(dynplace.WebAppSpec{
+	step := func(op string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		copied := t.TempDir()
+		if err := os.CopyFS(copied, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		replayed, _ := newDurableDaemon(t, copied)
+		if got, want := durableViewOf(t, replayed), durableViewOf(t, d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s, replay differs from live:\nreplay %+v\nlive   %+v", op, got, want)
+		}
+	}
+	addNode := func(name string) error {
+		_, err := d.AddNode(name, 2500, 2048)
+		return err
+	}
+	step("add app shop", d.AddWebApp(dynplace.WebAppSpec{
+		Name: "shop", ArrivalRate: 20, DemandPerRequest: 50,
+		GoalResponseTime: 0.25, MemoryMB: 800,
+	}, false))
+	for _, name := range []string{"etl", "report"} {
+		step("submit "+name, d.SubmitJob(dynplace.JobSpec{
+			Name: name, WorkMcycles: 600000, MaxSpeedMHz: 3000,
+			MemoryMB: 1000, Deadline: 7200,
+		}, false))
+	}
+	step("add app ads", d.AddWebApp(dynplace.WebAppSpec{
 		Name: "ads", ArrivalRate: 5, DemandPerRequest: 30,
 		GoalResponseTime: 0.5, MemoryMB: 400,
-	}, false); err != nil {
-		t.Fatal(err)
-	}
+		LoadSchedule: []dynplace.LoadPhase{{Start: 60, ArrivalRate: 8}, {Start: 900, ArrivalRate: 2}},
+	}, true))
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(120)
-	if err := d.RemoveWebApp("ads"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetArrivalRate("shop", 35); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.AddNode("spare-a", 2500, 2048); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.AddNode("spare-b", 2500, 2048); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DrainNode("spare-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.FailNode("node-2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveNode("node-2"); err != nil {
-		t.Fatal(err)
-	}
+	step("submit late", d.SubmitJob(dynplace.JobSpec{
+		Name: "late", WorkMcycles: 60000, MaxSpeedMHz: 3000,
+		MemoryMB: 500, Deadline: 600,
+	}, true))
+	step("remove app ads", d.RemoveWebApp("ads"))
+	step("set load shop", d.SetArrivalRate("shop", 35))
+	step("add node spare-a", addNode("spare-a"))
+	step("add node spare-b", addNode("spare-b"))
+	step("drain spare-a", d.DrainNode("spare-a"))
+	step("fail node-2", d.FailNode("node-2"))
+	step("remove node-2", d.RemoveNode("node-2"))
 	clock.Advance(60)
 	d.Stop()
 	wantStates := d.planner.Inventory().Counts()
@@ -453,6 +477,157 @@ func TestNodeOpReplayRestoresInventoryVersion(t *testing.T) {
 	}
 	if n, ok := d.planner.Inventory().ByName("spare"); !ok || int(n.ID) != 7 || n.State != cluster.NodeDraining {
 		t.Fatalf("restored node = %+v (ok=%v), want ID 7 draining", n, ok)
+	}
+}
+
+// durableView is the state a mutation record changes: the inventory
+// (version, next ID and nodes), each app's spec with its rate, pending
+// load schedule and carried placement, and every job name ever
+// submitted.
+type durableView struct {
+	Inventory cluster.InventorySnapshot
+	Apps      []store.AppState
+	JobNames  []string
+}
+
+func durableViewOf(t *testing.T, d *Daemon) durableView {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, err := d.snapshotStateLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return durableView{Inventory: st.Inventory, Apps: st.Apps, JobNames: st.JobNames}
+}
+
+// routingTables reads every app's current routing entry.
+func routingTables(d *Daemon) map[string][]router.Instance {
+	out := make(map[string][]router.Instance)
+	for _, app := range d.router.Apps() {
+		out[app], _ = d.router.Instances(app)
+	}
+	return out
+}
+
+// TestRefusedMutationLeavesNoTrace: a mutation is journaled before it
+// is applied, so one the journal refuses (ErrStore, 503) changes
+// nothing — no node ID or inventory version is burned — and one
+// refused for its input never reaches the WAL.
+func TestRefusedMutationLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	d, clock := newDurableDaemon(t, dir)
+	loadWorkload(t, d)
+	if err := d.AddWebApp(dynplace.WebAppSpec{
+		Name: "ads", ArrivalRate: 5, DemandPerRequest: 30,
+		GoalResponseTime: 0.5, MemoryMB: 400,
+		LoadSchedule: []dynplace.LoadPhase{{Start: 900, ArrivalRate: 9}},
+	}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(120)
+	d.Stop()
+	// An empty node to remove, and a failed one to refuse to drain.
+	if _, err := d.AddNode("spare", 2500, 2048); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FailNode("node-2"); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, _ := newDurableDaemon(t, dir) // the kill -9 case
+	shopNodes, _ := d2.planner.WebPlacement("shop")
+	if len(shopNodes) == 0 {
+		t.Fatal("shop has no carried placement")
+	}
+	occupied := d2.nodeName(shopNodes[0])
+
+	// Input refusals: each fails before journaling, on an open store.
+	before := d2.store.Info().WALRecords
+	shop := dynplace.WebAppSpec{
+		Name: "shop", ArrivalRate: 1, DemandPerRequest: 10, GoalResponseTime: 1, MemoryMB: 100,
+	}
+	refusals := map[string]error{
+		"duplicate app":        d2.AddWebApp(shop, false),
+		"duplicate job":        d2.SubmitJob(dynplace.JobSpec{Name: "etl", WorkMcycles: 1, MaxSpeedMHz: 1, Deadline: 9999}, false),
+		"duplicate node":       func() error { _, err := d2.AddNode("node-0", 1000, 1024); return err }(),
+		"unknown app":          d2.RemoveWebApp("ghost"),
+		"unknown app load":     d2.SetArrivalRate("ghost", 1),
+		"unknown node drain":   d2.DrainNode("ghost"),
+		"unknown node fail":    d2.FailNode("ghost"),
+		"unknown node remove":  d2.RemoveNode("ghost"),
+		"drain failed node":    d2.DrainNode("node-2"),
+		"remove occupied node": d2.RemoveNode(occupied),
+		"NaN rate":             d2.SetArrivalRate("shop", math.NaN()),
+		"negative rate":        d2.SetArrivalRate("shop", -1),
+		"zero capacity":        func() error { _, err := d2.AddNode("tiny", 0, 1024); return err }(),
+		"negative memory":      func() error { _, err := d2.AddNode("tiny", 1000, -1); return err }(),
+		// Shifted onto the clock, a deadline 1e-15 s out rounds onto its
+		// desired start: the spec replay would compile is invalid.
+		"deadline rounded away": d2.SubmitJob(dynplace.JobSpec{
+			Name: "instant", WorkMcycles: 1, MaxSpeedMHz: 1, Deadline: 1e-15,
+		}, true),
+	}
+	for name, err := range refusals {
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if got := d2.store.Info().WALRecords; got != before {
+		t.Errorf("input refusals appended %d WAL records", got-before)
+	}
+
+	// Journal refusals: every op passes its checks, then the closed
+	// store refuses the record.
+	if err := d2.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d2.Handler())
+	t.Cleanup(srv.Close)
+	want := durableViewOf(t, d2)
+	wantRoutes := routingTables(d2)
+	late := dynplace.WebAppSpec{
+		Name: "late", ArrivalRate: 1, DemandPerRequest: 10, GoalResponseTime: 1, MemoryMB: 100,
+	}
+	lateJob := dynplace.JobSpec{Name: "late-job", WorkMcycles: 1, MaxSpeedMHz: 1, MemoryMB: 1, Deadline: 9999}
+	for _, c := range []struct {
+		op           string
+		call         func() error
+		method, path string
+		body         any
+	}{
+		{"add app", func() error { return d2.AddWebApp(late, false) },
+			"POST", "/v1/apps", AddAppRequest{App: late}},
+		{"remove app", func() error { return d2.RemoveWebApp("shop") },
+			"DELETE", "/v1/apps/shop", nil},
+		{"set load", func() error { return d2.SetArrivalRate("shop", 7) },
+			"POST", "/v1/apps/shop/load", SetLoadRequest{ArrivalRate: 7}},
+		{"submit job", func() error { return d2.SubmitJob(lateJob, true) },
+			"POST", "/v1/jobs", SubmitJobRequest{Job: lateJob, Relative: true}},
+		{"add node", func() error { _, err := d2.AddNode("late-node", 1000, 1024); return err },
+			"POST", "/v1/nodes", AddNodeRequest{Name: "late-node", CPUMHz: 1000, MemMB: 1024}},
+		{"drain node", func() error { return d2.DrainNode("node-0") },
+			"POST", "/v1/nodes/node-0/drain", nil},
+		{"fail node", func() error { return d2.FailNode(occupied) },
+			"POST", "/v1/nodes/" + occupied + "/fail", nil},
+		{"remove node", func() error { return d2.RemoveNode("spare") },
+			"DELETE", "/v1/nodes/spare", nil},
+	} {
+		if err := c.call(); !errors.Is(err, ErrStore) {
+			t.Errorf("%s: err = %v, want ErrStore", c.op, err)
+		}
+		if status, body := do(t, c.method, srv.URL+c.path, c.body); status != http.StatusServiceUnavailable {
+			t.Errorf("%s over HTTP = %d (%s), want 503", c.op, status, body)
+		}
+		if got := durableViewOf(t, d2); !reflect.DeepEqual(got, want) {
+			t.Errorf("refused %s changed the state:\ngot  %+v\nwant %+v", c.op, got, want)
+		}
+		if got := routingTables(d2); !reflect.DeepEqual(got, wantRoutes) {
+			t.Errorf("refused %s changed the routing tables:\ngot  %v\nwant %v", c.op, got, wantRoutes)
+		}
 	}
 }
 

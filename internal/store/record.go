@@ -68,9 +68,10 @@ type Record struct {
 	// InventoryVersion is the post-op inventory version for the node ops
 	// (OpAddNode, OpDrainNode, OpFailNode, OpRemoveNode). Replay restores
 	// it alongside the op so consumers that key decisions on
-	// InventoryVersion see the same numbering across a restart even when
-	// the live inventory burned increments no record captured (an add
-	// rolled back on journal failure bumps the version twice).
+	// InventoryVersion see the same numbering across a restart, also for
+	// WALs written by earlier daemons, whose adds applied before they
+	// journaled and burned increments no record captured when the
+	// journal refused them (such an add bumped the version twice).
 	InventoryVersion int64 `json:"inventoryVersion,omitempty"`
 	// Cycle is the OpCycle payload. It must stay the last field: Append
 	// splices the cycle's placement in before the record's closing brace.
