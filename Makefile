@@ -104,7 +104,8 @@ dynbench-compare:
 	$(GO) run ./cmd/dynbench -compare $(BASE) $(NEW)
 
 # The CI restart-recovery job: kill -9 a durable dynplaced and assert
-# the restarted daemon serves the pre-kill placement.
+# the restarted daemon serves the pre-kill placement, and that its
+# router serves it too (a removed app answers 404).
 recovery-smoke:
 	./scripts/recovery_smoke.sh
 

@@ -11,22 +11,29 @@ import (
 // FuzzSpecRoundTrip decodes arbitrary bytes as a JobSpec and as a
 // WebAppSpec, as the API decodes request bodies. Whenever one compiles,
 // compiling its decompiled spec must give the same object again, field
-// by field with floats compared by their bits. The daemon journals the
-// decompiled spec and applies what compiling it yields, live and on
-// replay, so a lossy round trip would change live decisions. Seeds and
-// regressions live in testdata/fuzz/FuzzSpecRoundTrip, which every
-// plain `go test` replays.
+// by field with floats compared by their bits. A job is first shifted
+// by offset, as the daemon shifts a relative submission onto its clock;
+// a shifted job that no longer compiles is one the daemon refuses. The
+// daemon journals the decompiled spec and applies what compiling it
+// yields, live and on replay, so a lossy round trip would change live
+// decisions. Seeds and regressions live in
+// testdata/fuzz/FuzzSpecRoundTrip, which every plain `go test` replays.
 func FuzzSpecRoundTrip(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, offset float64) {
 		var js JobSpec
-		if json.Unmarshal(data, &js) == nil {
+		if json.Unmarshal(data, &js) == nil && !math.IsNaN(offset) && !math.IsInf(offset, 0) {
 			if job, err := CompileJob(js); err == nil {
+				job.Submit += offset
+				job.DesiredStart += offset
+				job.Deadline += offset
 				again, err := CompileJob(JobSpecOf(job))
-				if err != nil {
+				if err != nil && offset == 0 {
 					t.Fatalf("%s: decompiled job does not compile: %v", data, err)
 				}
-				if field := bitDiff(reflect.ValueOf(job), reflect.ValueOf(again), "job"); field != "" {
-					t.Fatalf("%s: round trip changed %s:\n%+v\n%+v", data, field, job, again)
+				if err == nil {
+					if field := bitDiff(reflect.ValueOf(job), reflect.ValueOf(again), "job"); field != "" {
+						t.Fatalf("%s shifted by %v: round trip changed %s:\n%+v\n%+v", data, offset, field, job, again)
+					}
 				}
 			}
 		}

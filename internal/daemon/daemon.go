@@ -29,6 +29,7 @@ import (
 	"dynplace/internal/core"
 	"dynplace/internal/forecast"
 	"dynplace/internal/metrics"
+	"dynplace/internal/obs"
 	"dynplace/internal/router"
 	"dynplace/internal/scheduler"
 	"dynplace/internal/shard"
@@ -798,6 +799,8 @@ func (d *Daemon) tick(gen int, now float64) {
 }
 
 // runCycle is one control-loop iteration: observe, plan, act, publish.
+// A failed cycle publishes too, and from the placement on it runs the
+// planned cycle's tail, compaction included.
 //
 // dynplace:holds d.mu
 func (d *Daemon) runCycle(now float64) {
@@ -822,62 +825,74 @@ func (d *Daemon) runCycle(now float64) {
 
 	plan, err := d.planner.PlanTraced(now, d.cfg.CycleSeconds, live, trace)
 	cycle := d.cycles.Add(1)
+	var snap *PlacementSnapshot
+	var hist CycleSnapshot
+	var summary string
+	explained := ExplainRecord{Cycle: cycle, Time: now}
 	if err != nil {
-		// Publish a snapshot that carries the failure rather than
-		// leaving the previous one up with a stale cycle number: the
-		// workload views keep the last successfully planned state (which
-		// is what remains deployed), while Err/Infeasible make
-		// /v1/placement, /v1/healthz and the cycle history agree the cycle
-		// failed.
-		infeasible := errors.Is(err, core.ErrInfeasible)
-		if infeasible {
-			d.infeasibleStreak++
-		} else {
-			d.infeasibleStreak = 0
-		}
-		last := d.placement.Load()
-		prev := last.snap
-		nodes := d.nodeViews(d.placedNodeIDs(prev.Web, prev.Jobs))
-		active := countActive(nodes)
-		d.placement.Store(last.next(&PlacementSnapshot{
-			Cycle:            cycle,
-			Time:             now,
-			Web:              prev.Web,
-			Jobs:             prev.Jobs,
-			Nodes:            nodes,
-			OmegaGMHz:        prev.OmegaGMHz,
-			Shards:           prev.Shards,
-			InventoryVersion: d.planner.Inventory().Version(),
-			Err:              err.Error(),
-			Infeasible:       infeasible,
-			InfeasibleStreak: d.infeasibleStreak,
-		}))
-		d.cfg.Logf("cycle %d t=%.1f: plan failed: %v", cycle, now, err)
-		d.history.Push(CycleSnapshot{
-			Cycle: cycle, Time: now, LiveJobs: len(live), Err: err.Error(),
-			Infeasible:  infeasible,
-			ActiveNodes: active,
-		})
-		// Even a failed cycle mutated durable state: completed jobs were
-		// retired and the cycle counter advanced.
-		endJournal := trace.Span("journal")
-		d.journalCycleLocked(cycle, now, live, retired, err)
-		endJournal()
-		// The flight recorder keeps failed cycles too: a denied-everything
-		// incident reads as a run of error records, not a gap.
-		d.explain.Push(ExplainRecord{Cycle: cycle, Time: now, Err: err.Error()})
-		stopProfile(cycle, now)
-		d.recordCycleObs(d.obs.tracer.Finish(trace, err.Error()), true)
-		return
+		snap, hist = d.failedCycleLocked(cycle, now, err)
+		summary = "plan failed: " + hist.Err
+	} else {
+		snap, hist = d.plannedCycleLocked(cycle, now, live, plan, trace)
+		summary = fmt.Sprintf("web=%d jobs=%d queued=%d changes=%d omegaG=%.0fMHz",
+			len(snap.Web), len(live), hist.QueuedJobs, hist.Changes, plan.OmegaG)
+		explained.Explanation = plan.Explanation
 	}
-	d.infeasibleStreak = 0
+	d.placement.Store(d.placement.Load().next(snap))
+	hist.Cycle, hist.Time, hist.LiveJobs, hist.ActiveNodes = cycle, now, len(live), countActive(snap.Nodes)
+	d.history.Push(hist)
+	d.cfg.Logf("cycle %d t=%.1f: %s", cycle, now, summary)
+	// Even a failed cycle mutated durable state: completed jobs were
+	// retired and the cycle counter advanced.
+	endJournal := trace.Span("journal")
+	d.journalCycleLocked(hist, live, retired)
+	endJournal()
+	if d.store != nil && d.snapshotEvery > 0 && cycle%int64(d.snapshotEvery) == 0 {
+		endSnap := trace.Span("snapshot")
+		err := d.writeSnapshotLocked()
+		endSnap()
+		if err != nil {
+			d.walErrors++
+			d.cfg.Logf("cycle %d: snapshot failed: %v", cycle, err)
+		}
+	}
+	explained.Err = hist.Err
+	d.recordExplanation(explained)
+	stopProfile(cycle, now)
+	d.recordCycleObs(d.obs.tracer.Finish(trace, hist.Err), err != nil)
+}
 
+// failedCycleLocked builds a failed cycle's placement and history entry:
+// the previous placement with the failure, its workload views and the
+// routing tables kept as last planned, which is what remains deployed.
+//
+// dynplace:holds d.mu
+func (d *Daemon) failedCycleLocked(cycle int64, now float64, err error) (*PlacementSnapshot, CycleSnapshot) {
+	infeasible := errors.Is(err, core.ErrInfeasible)
+	d.infeasibleStreak++
+	if !infeasible {
+		d.infeasibleStreak = 0
+	}
+	snap := *d.Placement()
+	snap.Cycle, snap.Time, snap.Changes, snap.InstanceChanges = cycle, now, 0, 0
+	snap.Nodes = d.nodeViews(d.placedNodeIDs(snap.Web, snap.Jobs))
+	snap.InventoryVersion = d.planner.Inventory().Version()
+	snap.Err, snap.Infeasible, snap.InfeasibleStreak = err.Error(), infeasible, d.infeasibleStreak
+	return &snap, CycleSnapshot{Err: snap.Err, Infeasible: infeasible}
+}
+
+// plannedCycleLocked applies a cycle's plan, republishes the routing
+// tables and builds the cycle's placement and history entry.
+//
+// dynplace:holds d.mu
+func (d *Daemon) plannedCycleLocked(cycle int64, now float64, live []*scheduler.Job, plan *control.Plan, trace *obs.CycleTrace) (*PlacementSnapshot, CycleSnapshot) {
+	d.infeasibleStreak = 0
 	endApply := trace.Span("apply")
 	changed, queued := d.planner.Apply(now, live, plan.Assignments)
 	endApply()
 
-	// Republish dispatch weights, then swap the public snapshot.
 	endPublish := trace.Span("publish")
+	defer endPublish()
 	webApps := d.planner.WebApps()
 	snap := &PlacementSnapshot{
 		Cycle:            cycle,
@@ -891,18 +906,11 @@ func (d *Daemon) runCycle(now float64) {
 		InventoryVersion: plan.InventoryVersion,
 	}
 	webUtil := make(map[string]float64, len(webApps))
-	tables := make(map[string][]router.Instance, len(webApps))
-	var webNodes, jobNodes []cluster.NodeID
 	for i, w := range webApps {
-		instances := make([]router.Instance, 0, len(plan.Web[i]))
 		views := make([]InstanceView, 0, len(plan.Web[i]))
 		for _, in := range plan.Web[i] {
-			webNodes = append(webNodes, in.Node)
-			name := d.nodeName(in.Node)
-			instances = append(instances, router.Instance{Node: name, PowerMHz: in.PowerMHz})
-			views = append(views, InstanceView{Node: name, PowerMHz: in.PowerMHz})
+			views = append(views, InstanceView{Node: d.nodeName(in.Node), PowerMHz: in.PowerMHz})
 		}
-		tables[w.Name] = instances
 		snap.Web = append(snap.Web, WebPlacementView{
 			Name:        w.Name,
 			ArrivalRate: w.ArrivalRate,
@@ -912,9 +920,7 @@ func (d *Daemon) runCycle(now float64) {
 		})
 		webUtil[w.Name] = plan.WebUtilities[i]
 	}
-	// One atomic table swap for the whole cycle: dispatchers racing the
-	// publish see either last cycle's placement or this one, never a mix.
-	d.router.Publish(tables)
+	d.publishRoutesLocked(snap.Web)
 	for i, w := range webApps {
 		if plan.WebAllocMHz[i] > 0 {
 			// Capacity is available again: release requests parked in
@@ -935,49 +941,51 @@ func (d *Daemon) runCycle(now float64) {
 		}
 		if j.Node != scheduler.NoNode {
 			view.Node = d.nodeName(j.Node)
-			if j.Status != scheduler.Completed {
-				jobNodes = append(jobNodes, j.Node)
-			}
 		}
 		snap.Jobs = append(snap.Jobs, view)
 	}
-	snap.Nodes = d.nodeViews(webNodes, jobNodes)
-	active := countActive(snap.Nodes)
-	d.placement.Store(d.placement.Load().next(snap))
+	snap.Nodes = d.nodeViews(d.placedNodeIDs(snap.Web, snap.Jobs))
 
 	batchUtil, _ := plan.BatchUtilityMean()
 	maxUtil, imbalance := shardSpread(plan.Shards)
-	d.history.Push(CycleSnapshot{
-		Cycle:               cycle,
-		Time:                now,
+	return snap, CycleSnapshot{
 		Changes:             changed,
 		OmegaGMHz:           plan.OmegaG,
 		BatchUtility:        batchUtil,
 		WebUtilities:        webUtil,
-		LiveJobs:            len(live),
 		QueuedJobs:          queued,
-		ActiveNodes:         active,
 		ShardImbalance:      imbalance,
 		MaxShardUtilization: maxUtil,
-	})
-	d.cfg.Logf("cycle %d t=%.1f: web=%d jobs=%d queued=%d changes=%d omegaG=%.0fMHz",
-		cycle, now, len(webApps), len(live), queued, changed, plan.OmegaG)
-	endPublish()
-	endJournal := trace.Span("journal")
-	d.journalCycleLocked(cycle, now, live, retired, nil)
-	endJournal()
-	if d.store != nil && d.snapshotEvery > 0 && cycle%int64(d.snapshotEvery) == 0 {
-		endSnap := trace.Span("snapshot")
-		err := d.writeSnapshotLocked()
-		endSnap()
-		if err != nil {
-			d.walErrors++
-			d.cfg.Logf("cycle %d: snapshot failed: %v", cycle, err)
-		}
 	}
-	d.recordExplanation(cycle, now, plan.Explanation)
-	stopProfile(cycle, now)
-	d.recordCycleObs(d.obs.tracer.Finish(trace, ""), false)
+}
+
+// publishRoutesLocked republishes every registered app's routing table
+// in one swap: an instance per node of the planner's carried placement,
+// at the weight the last planned cycle's views (web) gave it. That
+// placement is the cycle's, in order, less the nodes lost since, so a
+// recovered daemon routes as the live one did, and removed apps and
+// failed nodes drop out.
+//
+// dynplace:holds d.mu
+func (d *Daemon) publishRoutesLocked(web []WebPlacementView) {
+	weights := make(map[string][]InstanceView, len(web))
+	for _, w := range web {
+		weights[w.Name] = w.Instances
+	}
+	tables := make(map[string][]router.Instance, len(weights))
+	for _, w := range d.planner.WebApps() {
+		nodes, _ := d.planner.WebPlacement(w.Name)
+		views, table := weights[w.Name], make([]router.Instance, 0, len(nodes))
+		for _, id := range nodes {
+			name := d.nodeName(id)
+			if i := slices.IndexFunc(views, func(v InstanceView) bool { return v.Node == name }); i >= 0 {
+				table = append(table, router.Instance{Node: name, PowerMHz: views[i].PowerMHz})
+				views = views[i+1:]
+			}
+		}
+		tables[w.Name] = table
+	}
+	d.router.Publish(tables)
 }
 
 // nodeName resolves a node ID to its display name.

@@ -27,18 +27,20 @@ type AppExplainEntry struct {
 	control.AppExplanation
 }
 
-// recordExplanation pushes a successful cycle's explanation into the
-// flight recorder and folds its outcomes into the pre-registered
-// counter families.
+// recordExplanation pushes a cycle's record into the flight recorder —
+// a failed cycle's too, so an incident reads as a run of error records,
+// not a gap — and folds its outcomes into the pre-registered counter
+// families. A cycle with no workload has nothing to record.
 //
 // dynplace:holds d.mu
-func (d *Daemon) recordExplanation(cycle int64, now float64, pe *control.PlanExplanation) {
-	if pe == nil {
+func (d *Daemon) recordExplanation(rec ExplainRecord) {
+	pe := rec.Explanation
+	if pe == nil && rec.Err == "" {
 		return
 	}
-	d.explain.Push(ExplainRecord{Cycle: cycle, Time: now, Explanation: pe})
+	d.explain.Push(rec)
 	o := d.obs
-	if o == nil {
+	if o == nil || pe == nil {
 		return
 	}
 	for i := range pe.Apps {

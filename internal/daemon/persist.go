@@ -10,7 +10,6 @@ import (
 	"dynplace"
 	"dynplace/internal/cluster"
 	"dynplace/internal/control"
-	"dynplace/internal/router"
 	"dynplace/internal/scheduler"
 	"dynplace/internal/store"
 )
@@ -78,31 +77,30 @@ func (d *Daemon) commitLocked(rec store.Record) error {
 	return d.applyRecordLocked(rec)
 }
 
-// journalCycleLocked journals one applied control cycle: per-app rates
-// and carried placements, every live job's runtime state, the jobs
-// retired this cycle, lifetime action totals, and the published
-// placement snapshot verbatim. Cycle records are best-effort — the
-// control loop must keep running even with a failing state dir — so
-// errors are counted and logged rather than propagated.
+// journalCycleLocked journals one control cycle, planned or failed, as
+// its history entry h describes it: per-app rates and carried
+// placements, every live job's runtime state, the jobs retired this
+// cycle, lifetime action totals, and the published placement snapshot
+// verbatim. Cycle records are best-effort — the control loop must keep
+// running even with a failing state dir — so errors are counted and
+// logged rather than propagated.
 //
 // dynplace:holds d.mu
-func (d *Daemon) journalCycleLocked(cycle int64, now float64, live []*scheduler.Job, retired []dynplace.JobResult, cycleErr error) {
+func (d *Daemon) journalCycleLocked(h CycleSnapshot, live []*scheduler.Job, retired []dynplace.JobResult) {
 	if d.store == nil {
 		return
 	}
 	rec := store.Record{
-		Time: now,
+		Time: h.Time,
 		Op:   store.OpCycle,
 		Cycle: &store.CycleRecord{
-			Cycle:     cycle,
-			Time:      now,
-			Completed: retired,
-			Actions:   d.actionTotalsLocked(),
+			Cycle:      h.Cycle,
+			Time:       h.Time,
+			Err:        h.Err,
+			Infeasible: h.Infeasible,
+			Completed:  retired,
+			Actions:    d.actionTotalsLocked(),
 		},
-	}
-	if cycleErr != nil {
-		rec.Cycle.Err = cycleErr.Error()
-		rec.Cycle.Infeasible = d.infeasibleStreak > 0
 	}
 	for _, w := range d.planner.WebApps() {
 		nodes, _ := d.planner.WebPlacement(w.Name)
@@ -121,11 +119,11 @@ func (d *Daemon) journalCycleLocked(cycle int64, now float64, live []*scheduler.
 		rec.Cycle.Placement = enc
 	} else {
 		// Recovery falls back to the previous record's placement.
-		d.cfg.Warnf("cycle %d: placement not journaled (durability degraded): %v", cycle, err)
+		d.cfg.Warnf("cycle %d: placement not journaled (durability degraded): %v", h.Cycle, err)
 	}
 	if _, err := d.store.Append(rec); err != nil {
 		d.walErrors++
-		d.cfg.Logf("cycle %d: journal failed (durability degraded): %v", cycle, err)
+		d.cfg.Logf("cycle %d: journal failed (durability degraded): %v", h.Cycle, err)
 	}
 }
 
@@ -313,15 +311,9 @@ func (d *Daemon) Recover() error {
 	// a node failure.
 	rescued := d.planner.EvictPlaced()
 
-	// Rebuild live dispatch weights from the restored placement so
-	// requests route correctly before the first post-recovery cycle.
-	for _, w := range d.Placement().Web {
-		ins := make([]router.Instance, 0, len(w.Instances))
-		for _, in := range w.Instances {
-			ins = append(ins, router.Instance{Node: in.Node, PowerMHz: in.PowerMHz})
-		}
-		d.router.Update(w.Name, ins)
-	}
+	// Route as the live daemon did: the carried placement at the last
+	// planned weights, before the first post-recovery cycle.
+	d.publishRoutesLocked(d.Placement().Web)
 
 	// Resume virtual time at the last recorded instant.
 	if off := lastTime - d.clock().Now(); off > 0 {
@@ -351,9 +343,11 @@ func (d *Daemon) Recover() error {
 }
 
 // restoreSnapshotLocked rebuilds the daemon from a snapshot: the
-// planner around the imported inventory, apps with carried placements,
-// jobs with runtime state, results and counters. Recover republishes
-// the placement once replay has found the newest.
+// planner around the imported inventory, then apps and jobs through
+// their records' cases, and what cycles left (job runtime, rates,
+// carried placements, action totals, the cycle counter) through the
+// cycle record's restore. Recover republishes the placement once replay
+// has found the newest.
 //
 // dynplace:holds d.mu
 func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
@@ -367,34 +361,24 @@ func (d *Daemon) restoreSnapshotLocked(st *store.State) error {
 	}
 	d.planner = planner
 	d.planner.RestoreInfeasibleCycles(st.InfeasibleCycles)
+	cr := &store.CycleRecord{Cycle: st.Cycles, Actions: st.Actions}
 	for i, a := range st.Apps {
 		if err := d.applyRecordLocked(store.Record{Op: store.OpAddApp, App: &st.Apps[i]}); err != nil {
 			return fmt.Errorf("app %q: %w", a.Spec.Name, err)
 		}
-		d.planner.RestoreWebPlacement(a.Spec.Name, intNodeIDs(a.Placement))
+		cr.Web = append(cr.Web, store.WebCycleState{Name: a.Spec.Name, ArrivalRate: a.Spec.ArrivalRate, Nodes: a.Placement})
 	}
-	jobs := make([]*scheduler.Job, 0, len(st.Jobs))
-	for _, jr := range st.Jobs {
-		spec, err := dynplace.CompileJob(jr.Spec)
-		if err != nil {
+	for i, jr := range st.Jobs {
+		if err := d.applyRecordLocked(store.Record{Op: store.OpSubmitJob, Job: &st.Jobs[i].Spec}); err != nil {
 			return fmt.Errorf("job %q: %w", jr.Spec.Name, err)
 		}
-		j, err := scheduler.RestoreJob(spec, jr.Runtime)
-		if err != nil {
-			return err
-		}
-		jobs = append(jobs, j)
+		cr.Jobs = append(cr.Jobs, store.NamedJobState{Name: jr.Spec.Name, JobState: jr.Runtime})
 	}
-	d.planner.RestoreJobs(jobs)
 	d.planner.RestoreJobNames(st.JobNames)
 	for _, res := range st.Completed {
 		d.completed.Push(res)
 	}
-	for name, v := range st.Actions {
-		d.planner.Actions().Set(name, v)
-	}
-	d.cycles.Store(st.Cycles)
-	return nil
+	return d.restoreCycleStateLocked(cr)
 }
 
 // restorePlacementLocked republishes a journaled placement snapshot,
@@ -497,13 +481,7 @@ func (d *Daemon) applyRecordLocked(rec store.Record) error {
 			what = fmt.Sprintf("failed: %d jobs awaiting rescue", len(evicted))
 			// Withdraw the dead node from live dispatch weights right
 			// away; the next cycle republishes the re-placed instances.
-			for _, app := range d.router.Apps() {
-				ins, _ := d.router.Instances(app)
-				keep := slices.DeleteFunc(ins, func(in router.Instance) bool { return in.Node == rec.Name })
-				if len(keep) != len(ins) {
-					d.router.Update(app, keep)
-				}
-			}
+			d.publishRoutesLocked(d.Placement().Web)
 		default:
 			err = d.planner.RemoveNode(n.ID)
 		}
@@ -537,12 +515,33 @@ func (d *Daemon) restoreInventoryVersion(rec store.Record) {
 	}
 }
 
-// applyCycleLocked re-applies one journaled control cycle: job runtime
-// states, retirements, rates, carried placements and counters. The
-// cycle's placement is Recover's to republish, if it is the newest.
+// applyCycleLocked re-applies one journaled control cycle: the state it
+// left, the load phases it consumed and the infeasible-cycle counter.
+// The cycle's placement is Recover's to republish, if it is the newest.
 //
 // dynplace:holds d.mu
 func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
+	if err := d.restoreCycleStateLocked(cr); err != nil {
+		return err
+	}
+	for _, w := range cr.Web {
+		// The cycle consumed the load phases that had begun; its rate is
+		// their effect.
+		sched := d.planner.LoadSchedule(w.Name)
+		d.planner.ScheduleLoad(w.Name, slices.DeleteFunc(sched, func(ph control.LoadPhase) bool { return ph.Start <= cr.Time }))
+	}
+	if cr.Infeasible {
+		d.planner.RestoreInfeasibleCycles(d.planner.InfeasibleCycles() + 1)
+	}
+	return nil
+}
+
+// restoreCycleStateLocked reinstates what a cycle leaves behind, from a
+// cycle record or a snapshot: job runtime states and retirements, rates
+// and carried placements, action totals and the cycle counter.
+//
+// dynplace:holds d.mu
+func (d *Daemon) restoreCycleStateLocked(cr *store.CycleRecord) error {
 	jobs := d.planner.Jobs()
 	byName := make(map[string]int, len(jobs))
 	for i, j := range jobs {
@@ -559,7 +558,6 @@ func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
 		}
 		jobs[i] = j
 	}
-	keep := jobs[:0]
 	for _, res := range cr.Completed {
 		i, ok := byName[res.Name]
 		if !ok {
@@ -568,25 +566,13 @@ func (d *Daemon) applyCycleLocked(cr *store.CycleRecord) error {
 		jobs[i] = nil
 		d.completed.Push(res)
 	}
-	for _, j := range jobs {
-		if j != nil {
-			keep = append(keep, j)
-		}
-	}
-	d.planner.RestoreJobs(keep)
+	d.planner.RestoreJobs(slices.DeleteFunc(jobs, func(j *scheduler.Job) bool { return j == nil }))
 	for _, w := range cr.Web {
 		d.planner.SetArrivalRate(w.Name, w.ArrivalRate)
 		d.planner.RestoreWebPlacement(w.Name, intNodeIDs(w.Nodes))
-		// The cycle consumed the load phases that had begun; the rate
-		// above is their effect.
-		sched := d.planner.LoadSchedule(w.Name)
-		d.planner.ScheduleLoad(w.Name, slices.DeleteFunc(sched, func(ph control.LoadPhase) bool { return ph.Start <= cr.Time }))
 	}
 	for name, v := range cr.Actions {
 		d.planner.Actions().Set(name, v)
-	}
-	if cr.Infeasible {
-		d.planner.RestoreInfeasibleCycles(d.planner.InfeasibleCycles() + 1)
 	}
 	d.cycles.Store(cr.Cycle)
 	return nil

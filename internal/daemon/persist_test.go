@@ -212,10 +212,12 @@ func TestGracefulShutdownCompacts(t *testing.T) {
 // TestRecoveryReplaysEveryMutationClass drives every journaled op —
 // app add/remove/load, job submit, node add/drain/fail/remove. After
 // each acknowledged call a daemon recovered from a copy of the state
-// directory must equal the live one: a mutation is applied live by the
-// code that replays it. The rescue of running jobs, which changes their
-// runtime state but no name, is the one documented difference. Then the
-// test kills and recovers, checking the reconstructed registry.
+// directory must equal the live one, routing tables included: a
+// mutation is applied live by the code that replays it, and both derive
+// the tables from the carried placement. The rescue of running jobs,
+// which changes their runtime state but no name, is the one documented
+// difference. Then the test kills and recovers, checking the
+// reconstructed registry.
 func TestRecoveryReplaysEveryMutationClass(t *testing.T) {
 	dir := t.TempDir()
 	d, clock := newDurableDaemon(t, dir)
@@ -267,6 +269,9 @@ func TestRecoveryReplaysEveryMutationClass(t *testing.T) {
 	step("drain spare-a", d.DrainNode("spare-a"))
 	step("fail node-2", d.FailNode("node-2"))
 	step("remove node-2", d.RemoveNode("node-2"))
+	// A new node under the old name before the next cycle: no instance of
+	// the last placement is on it.
+	step("re-add node-2", addNode("node-2"))
 	clock.Advance(60)
 	d.Stop()
 	wantStates := d.planner.Inventory().Counts()
@@ -295,8 +300,31 @@ func TestRecoveryReplaysEveryMutationClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _ := d2.planner.Inventory().ByName(name)
-	if int(n.ID) <= 4 { // 3 seed nodes + 2 spares occupied IDs 0..4
+	if int(n.ID) <= 5 { // 3 seed nodes, 2 spares and node-2 again occupied IDs 0..5
 		t.Fatalf("recycled node ID %d for %q", n.ID, name)
+	}
+}
+
+// TestRelativeJobKeepsDesiredStart: a relative submission runs the
+// desired start it asked for, live and after recovery, also when the
+// shift onto the clock lands it exactly on 0 after a negative submit.
+func TestRelativeJobKeepsDesiredStart(t *testing.T) {
+	dir := t.TempDir()
+	d, clock := newDurableDaemon(t, dir)
+	clock.Advance(3)
+	if err := d.SubmitJob(dynplace.JobSpec{
+		Name: "past", WorkMcycles: 5000, MaxSpeedMHz: 1000,
+		Submit: -5, DesiredStart: -3, Deadline: 100,
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	d2, _ := newDurableDaemon(t, dir) // the kill -9 case
+	for name, dd := range map[string]*Daemon{"live": d, "recovered": d2} {
+		j := dd.planner.Jobs()[0].Spec
+		if j.Submit != -2 || j.DesiredStart != 0 || j.Deadline != 103 {
+			t.Errorf("%s job: submit %v, desired start %v, deadline %v; want -2, 0, 103",
+				name, j.Submit, j.DesiredStart, j.Deadline)
+		}
 	}
 }
 
@@ -329,54 +357,81 @@ func TestHealthRecoveringState(t *testing.T) {
 
 // TestPeriodicSnapshotBoundsWAL: with SnapshotEvery set, the WAL is
 // rotated on cadence and recovery replays only the records after the
-// last snapshot.
+// last snapshot — also through an infeasible streak, whose failed
+// cycles each journal the whole placement.
 func TestPeriodicSnapshotBoundsWAL(t *testing.T) {
-	dir := t.TempDir()
-	cl, err := cluster.Uniform(2, 3000, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := NewSimClock()
-	d, err := New(Config{
-		Cluster: cl, CycleSeconds: 60, Costs: cluster.FreeCostModel(),
-		Clock: clock, Store: st, SnapshotEvery: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Stop)
-	if err := d.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	loadWorkload(t, d)
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(60 * 7) // cycles 1..8 → snapshots at 3 and 6
-	d.Stop()
-	info := st.Info()
-	if info.SnapshotSeq == 0 {
-		t.Fatal("no periodic snapshot written")
-	}
-	beforeRaw := placementJSON(t, d)
+	const every = 3
+	for _, c := range []struct {
+		name   string
+		failed []string
+		cycles int
+	}{
+		{"planned", nil, 8}, // snapshots at 3 and 6
+		{"infeasible", []string{"node-0", "node-1"}, 20}, // every node failed
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cl, err := cluster.Uniform(2, 3000, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := NewSimClock()
+			d, err := New(Config{
+				Cluster: cl, CycleSeconds: 60, Costs: cluster.FreeCostModel(),
+				Clock: clock, Store: st, SnapshotEvery: every,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Stop)
+			if err := d.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			loadWorkload(t, d)
+			for _, name := range c.failed {
+				if err := d.FailNode(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Start(); err != nil {
+				t.Fatal(err)
+			}
+			clock.Advance(60 * float64(c.cycles-1)) // the first cycle runs at 0
+			d.Stop()
+			if got := d.cycles.Load(); got != int64(c.cycles) {
+				t.Fatalf("ran %d cycles, want %d", got, c.cycles)
+			}
+			if c.failed != nil && d.Placement().InfeasibleStreak != c.cycles {
+				t.Fatalf("infeasible streak %d, want %d", d.Placement().InfeasibleStreak, c.cycles)
+			}
+			info := st.Info()
+			if info.SnapshotSeq == 0 {
+				t.Fatal("no periodic snapshot written")
+			}
+			if info.WALRecords >= every {
+				t.Fatalf("WAL tail holds %d records, want fewer than the cadence %d", info.WALRecords, every)
+			}
+			beforeRaw := placementJSON(t, d)
 
-	d2, _ := newDurableDaemon(t, dir)
-	dur := d2.Durability()
-	if dur.ReplayedRecords == 0 || dur.ReplayedRecords >= 8 {
-		t.Fatalf("replayed %d records, want only the post-snapshot tail", dur.ReplayedRecords)
-	}
-	if got := placementJSON(t, d2); !bytes.Equal(got, beforeRaw) {
-		t.Fatalf("placement diverged across snapshot+tail recovery:\npre:  %s\npost: %s", beforeRaw, got)
-	}
-	if d2.Metrics().UptimeCycles != 0 {
-		t.Fatalf("uptime cycles = %d before first post-restart cycle", d2.Metrics().UptimeCycles)
-	}
-	if d2.Metrics().Cycles != d.cycles.Load() {
-		t.Fatalf("lifetime cycles = %d, want %d", d2.Metrics().Cycles, d.cycles.Load())
+			d2, _ := newDurableDaemon(t, dir)
+			dur := d2.Durability()
+			if dur.ReplayedRecords == 0 || dur.ReplayedRecords >= every {
+				t.Fatalf("replayed %d records, want only the post-snapshot tail", dur.ReplayedRecords)
+			}
+			if got := placementJSON(t, d2); !bytes.Equal(got, beforeRaw) {
+				t.Fatalf("placement diverged across snapshot+tail recovery:\npre:  %s\npost: %s", beforeRaw, got)
+			}
+			if d2.Metrics().UptimeCycles != 0 {
+				t.Fatalf("uptime cycles = %d before first post-restart cycle", d2.Metrics().UptimeCycles)
+			}
+			if d2.Metrics().Cycles != d.cycles.Load() {
+				t.Fatalf("lifetime cycles = %d, want %d", d2.Metrics().Cycles, d.cycles.Load())
+			}
+		})
 	}
 }
 
@@ -482,12 +537,13 @@ func TestNodeOpReplayRestoresInventoryVersion(t *testing.T) {
 
 // durableView is the state a mutation record changes: the inventory
 // (version, next ID and nodes), each app's spec with its rate, pending
-// load schedule and carried placement, and every job name ever
-// submitted.
+// load schedule and carried placement, every job name ever submitted,
+// and the routing tables.
 type durableView struct {
 	Inventory cluster.InventorySnapshot
 	Apps      []store.AppState
 	JobNames  []string
+	Routes    map[string][]router.Instance
 }
 
 func durableViewOf(t *testing.T, d *Daemon) durableView {
@@ -498,7 +554,7 @@ func durableViewOf(t *testing.T, d *Daemon) durableView {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return durableView{Inventory: st.Inventory, Apps: st.Apps, JobNames: st.JobNames}
+	return durableView{Inventory: st.Inventory, Apps: st.Apps, JobNames: st.JobNames, Routes: routingTables(d)}
 }
 
 // routingTables reads every app's current routing entry.

@@ -147,7 +147,7 @@ func TestWriteJSONRejectsUnencodable(t *testing.T) {
 	check("GET /v1/placement", rec)
 
 	d.mu.Lock()
-	d.journalCycleLocked(1, 0, nil, nil, nil)
+	d.journalCycleLocked(CycleSnapshot{Cycle: 1, Time: 0}, nil, nil)
 	d.mu.Unlock()
 	oneLogged("journal")
 	if raw := journaledPlacement(t, dir); len(raw) != 0 {
@@ -235,9 +235,9 @@ func TestUnencodablePlacementJournaledWithout(t *testing.T) {
 	d.cfg.Warnf = func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) }
 	d.mu.Lock()
 	d.placement.Store(&published{snap: &PlacementSnapshot{Cycle: 1, Web: []WebPlacementView{}, Jobs: []JobPlacementView{}}})
-	d.journalCycleLocked(1, 60, nil, nil, nil)
+	d.journalCycleLocked(CycleSnapshot{Cycle: 1, Time: 60}, nil, nil)
 	d.placement.Store(&published{snap: &PlacementSnapshot{Cycle: 2, OmegaGMHz: math.NaN()}})
-	d.journalCycleLocked(2, 120, nil, nil, nil)
+	d.journalCycleLocked(CycleSnapshot{Cycle: 2, Time: 120}, nil, nil)
 	d.mu.Unlock()
 	if len(warned) != 1 {
 		t.Fatalf("%d lines logged, want 1: %q", len(warned), warned)

@@ -41,7 +41,8 @@ type JobSpec struct {
 
 	// Submit is the submission time in seconds of virtual time.
 	Submit float64 `json:"submit,omitempty"`
-	// DesiredStart is the earliest desired start (default: Submit).
+	// DesiredStart is the earliest desired start (default: Submit, or 0
+	// for a job submitted before time 0).
 	DesiredStart float64 `json:"desiredStart,omitempty"`
 	// Deadline is the completion-time goal τ.
 	Deadline float64 `json:"deadline"`
@@ -62,7 +63,9 @@ func (j JobSpec) toInternal() (*batch.Spec, error) {
 		Deadline:      j.Deadline,
 		AntiCollocate: append([]string(nil), j.AntiCollocate...),
 	}
-	if spec.DesiredStart == 0 {
+	// After a negative submit 0 stands as written, so that every compiled
+	// job, however shifted, has a spec (JobSpecOf) that compiles to it.
+	if spec.DesiredStart == 0 && j.Submit > 0 {
 		spec.DesiredStart = j.Submit
 	}
 	if len(j.Stages) > 0 {
